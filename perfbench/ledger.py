@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 import statistics
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import ObsConfig, Telemetry
 
+import contention
 import pipeline
 from tracing import Tracer, duration, latency_summary, self_time_by_name
 from workloads import Workload
@@ -18,9 +18,10 @@ from workloads import Workload
 TRACE_OBS = ObsConfig(enabled=True, sampler_stream=False, flight_recorder=False)
 
 #: input seeds a run cycles through.  The work a fit does depends on its data
-#: and sampler trajectory; averaging over several inputs keeps one lucky or
-#: unlucky draw from setting a run's figure.
-INPUT_SEEDS = 4
+#: and sampler trajectory; averaging over two inputs keeps one lucky or
+#: unlucky draw from setting a run's figure, and leaves room for several
+#: repetitions of each.
+INPUT_SEEDS = 2
 
 
 def _median(values: List[float]) -> float:
@@ -40,8 +41,12 @@ class Run:
     Pass ``i`` uses input seed ``INPUT_SEEDS * seed + i % INPUT_SEEDS`` for
     both the generated data and the fit (with ``paired``, passes ``2k`` and
     ``2k + 1`` share an input seed, so a traced pass repeats the work of the
-    untraced pass before it).  A run's figure for a quantity is the median
-    over the passes of each input seed, averaged over the input seeds.
+    untraced pass before it).  An end-to-end figure is the median over the
+    untraced passes of each model's time at each input seed, divided by the
+    host slowdown around that model (:mod:`contention`), summed over models
+    and averaged over the input seeds.  Per-layer figures are medians over
+    the traced passes of each input seed, averaged over the input seeds,
+    uncorrected.
     """
 
     def __init__(self, workload: Workload, seed: int, paired: bool = False) -> None:
@@ -82,16 +87,22 @@ class Run:
             self.tracer.follow(obs)
         models = list(zip(self.workload.models, self.data[input_seed]))
         records = []
-        start = time.perf_counter()
+        calibration: List[float] = []
         if tracer is not None:
             with tracer.span("pass"):
                 for spec, data in models:
                     records.append(pipeline.run_model(spec, data, input_seed,
                                                       tracer, obs))
         else:
+            # Kernel timings bracket every model; the slowdown around a
+            # model is read from the timings just before and just after it.
+            samples = [contention.sample()]
             for spec, data in models:
-                records.append(pipeline.run_model(spec, data, input_seed))
-        total = time.perf_counter() - start
+                record = pipeline.run_model(spec, data, input_seed)
+                samples.append(contention.sample())
+                record["slowdown"] = contention.slowdown(samples[-2] + samples[-1])
+                records.append(record)
+            calibration = [t for batch in samples for t in batch]
         for record in records:
             self._check_determinism(record, input_seed)
             self.attempted += len(pipeline.STAGES)
@@ -100,9 +111,8 @@ class Run:
                 print(f"pass {index} {record['model']}: {record['error']}")
         self.passes.append({
             "run": run_id, "traced": traced, "input_seed": input_seed,
-            "total_s": total,
-            "setup_s": sum(r.get("setup_s", 0.0) for r in records),
-            "fit_s": sum(r.get("fit_s", 0.0) for r in records),
+            "total_s": sum(r["total_s"] for r in records),
+            "calibration_s": calibration,
             "models": records,
         })
 
@@ -133,9 +143,29 @@ class Run:
             groups.setdefault(p["input_seed"], []).append(value(p))
         return _mean([_median(v) for v in groups.values()])
 
+    @staticmethod
+    def _corrected_median(passes: List[Dict[str, Any]], key: str) -> float:
+        """Median of ``record[key] / record["slowdown"]`` for each model at
+        each input seed, summed over models and averaged over the input
+        seeds."""
+        cells: Dict[Tuple[int, int], List[float]] = {}
+        for p in passes:
+            for i, record in enumerate(p["models"]):
+                if key in record:
+                    cells.setdefault((p["input_seed"], i), []).append(
+                        record[key] / record["slowdown"])
+        seeds = {seed for seed, _ in cells}
+        total = sum(_median(v) for v in cells.values())
+        return total / len(seeds) if seeds else 0.0
+
+    def slowdown(self) -> float:
+        """Host slowdown over the untraced passes (see :mod:`contention`)."""
+        return contention.slowdown(
+            [t for p in self._untraced() for t in p["calibration_s"]])
+
     def end_to_end(self, peak_rss_mb: float) -> Dict[str, float]:
         passes = self._untraced()
-        values = {key: self._seed_mean(passes, lambda p, key=key: p[key])
+        values = {key: self._corrected_median(passes, key)
                   for key in ("setup_s", "fit_s", "total_s")}
         values["peak_rss_mb"] = peak_rss_mb
         return values
@@ -249,6 +279,12 @@ class Run:
                 f"{'-' if ess is None else format(ess, '8.1f'):>8}  "
                 f"{first.get('tier', '?')} / {first.get('enum_strategy', '-')} / "
                 f"{first.get('digest', '-')}")
+        calibration = [t for p in untraced for t in p["calibration_s"]]
+        lines.append(f"host slowdown {self.slowdown():.4f}: calibration kernel "
+                     f"mean {1e3 * _mean(calibration):.3f} ms over "
+                     f"{len(calibration)} samples, reference "
+                     f"{1e3 * contention.REFERENCE_S:.3f} ms; end-to-end times "
+                     f"are divided by the slowdown around each model")
         if not self._traced():
             lines.append("end-to-end: " + ", ".join(
                 f"{k}={v:.4f}" for k, v in values.items()))

@@ -7,9 +7,10 @@ Run from the repository root::
 One run checks the compiled densities against the reference interpreter,
 then repeats cold passes over the workload's models (compile -> condition
 -> ready-to-sample -> fit -> summary) until ``--seconds`` are used, and
-reports medians over the passes.  ``--trace 0`` reports the end-to-end
-metrics of ``BENCHMARK.json``; ``--trace 1`` alternates untraced and traced
-passes and reports the per-layer metrics.  The last line of standard output
+reports medians over the passes, corrected for the host's slowdown
+(``perfbench/contention.py``).  ``--trace 0`` reports the end-to-end metrics
+of ``BENCHMARK.json``; ``--trace 1`` alternates untraced and traced passes
+and reports the per-layer metrics.  The last line of standard output
 is one JSON object; spans and per-model records are written under
 ``perfbench/out/``.  See ``perfbench/README.md`` for the metric definitions.
 """
