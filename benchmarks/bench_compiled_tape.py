@@ -12,8 +12,11 @@ tape permanently).
 This bench measures steady-state ``potential_and_grad`` cost of the two
 enum-scaling twins — the hand-marginalized mixture (N=500) and the 4-state
 forward-algorithm HMM (T=200) — under both engines, asserts the bitwise
-tier held, and gates the speedup.  ``REPRO_BENCH_ITERS`` (CI smoke) shrinks
-the datasets; ``REPRO_ENUM_SCALING=1`` forces the full acceptance sizes.
+tier held, and gates the speedup.  It also records each twin's first-gradient
+latency on a fresh compiled potential (trace, lower and validate the tape)
+as ``first_grad_seconds``; that number is recorded, not gated.
+``REPRO_BENCH_ITERS`` (CI smoke) shrinks the datasets;
+``REPRO_ENUM_SCALING=1`` forces the full acceptance sizes.
 """
 
 import os
@@ -56,12 +59,15 @@ def _measure(entry_name, data, repeats=7):
     model = compile_model(entry.source, name=entry.name).condition(
         entry.data() if data is None else data)
     seconds = {}
+    first_grad = {}
     potentials = {}
     for engine in ("interpreted", "compiled"):
         potential = model.potential(0, engine=engine)
         z0 = potential.initial_unconstrained()
-        potential.potential_and_grad(z0)      # resolve strategy
-        potential.potential_and_grad(z0)      # compile + validate the tape
+        start = time.perf_counter()
+        potential.potential_and_grad(z0)      # resolve + trace, lower, validate
+        first_grad[engine] = time.perf_counter() - start
+        potential.potential_and_grad(z0)
         best = float("inf")
         for i in range(repeats):
             start = time.perf_counter()
@@ -77,6 +83,7 @@ def _measure(entry_name, data, repeats=7):
         "interpreted_eval_seconds": seconds["interpreted"],
         "compiled_eval_seconds": seconds["compiled"],
         "speedup": seconds["interpreted"] / seconds["compiled"],
+        "first_grad_seconds": first_grad["compiled"],
         "tape_mode": stats["tape_modes"].get("single"),
         "bitwise_value": bool(vc == vi),
         "bitwise_grad": bool(np.array_equal(gc, gi)),
@@ -97,7 +104,8 @@ def test_compiled_tape_gradient_speedup(benchmark):
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     lines = [f"{'workload':<42} {'size':>10} {'interp[ms]':>11} "
-             f"{'compiled[ms]':>13} {'speedup':>8} {'mode':>11}"]
+             f"{'compiled[ms]':>13} {'speedup':>8} {'mode':>11} "
+             f"{'first_grad[s]':>14}"]
     payload = {"speedup_threshold": SPEEDUP_THRESHOLD,
                "full_sizes": FULL_SIZES, "workloads": {}}
     for name, row in results.items():
@@ -105,10 +113,12 @@ def test_compiled_tape_gradient_speedup(benchmark):
             f"{name:<42} {row['size']:>10} "
             f"{row['interpreted_eval_seconds'] * 1e3:>11.1f} "
             f"{row['compiled_eval_seconds'] * 1e3:>13.1f} "
-            f"{row['speedup']:>7.1f}x {row['tape_mode']:>11}")
+            f"{row['speedup']:>7.1f}x {row['tape_mode']:>11} "
+            f"{row['first_grad_seconds']:>14.2f}")
         payload["workloads"][name] = row
     lines.append("[fused forward+reverse programs, validated bitwise against "
-                 "the interpreted tape before use]")
+                 "the interpreted tape before use; first_grad = first "
+                 "potential_and_grad on a fresh compiled potential]")
     record("BENCH_compiled_tape — fused tape vs interpreted gradient cost",
            lines)
     record_json("BENCH_compiled_tape.json", payload)

@@ -18,7 +18,8 @@ from repro.evaluation.harness import (
 )
 from repro.posteriordb import get
 
-# A representative slice of Table 3's rows, scaled down (see EXPERIMENTS.md).
+# A representative slice of Table 3's rows, scaled down (see "Substitutions"
+# under "Tests and benchmarks" in README.md).
 TABLE3_ENTRIES = [
     "coin-flips",
     "eight_schools_centered-eight_schools",

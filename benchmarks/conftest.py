@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md's experiment index).  Results are printed to stdout (run pytest with
-``-s`` to see them live) and appended to ``benchmarks/results.txt`` so the
-EXPERIMENTS.md numbers can be refreshed from a single run.
+Every paper benchmark regenerates one of the paper's tables or figures (see
+the experiment index under "Tests and benchmarks" in README.md).  Results are
+printed to stdout (run pytest with ``-s`` to see them live) and appended to
+``benchmarks/results.txt``, so one run refreshes every table.
 """
 
 import json

@@ -10,7 +10,9 @@ This module removes it.  :func:`compile_tape` runs the target function once
 with a *tracing sink* installed in :mod:`repro.autodiff.ops` (the single
 place graph nodes are constructed), so every node records its op name and
 static parameters.  The recorded graph is then lowered into one generated
-Python function of batched NumPy calls:
+Python function of batched NumPy calls.  Lowering emits a statement IR — a
+target, a format template and an explicit operand list per statement — and
+one rendering pass over it prints the program:
 
 * **dead-node elimination** — only nodes reachable from the output are kept
   (side computations of the traced run disappear);
@@ -19,7 +21,9 @@ Python function of batched NumPy calls:
   loop-built index tables — collapse into arrays captured at compile time);
 * **fusion** — single-use elementwise intermediates are inlined into their
   consumer expression, so chains like ``-((x - mu) / sigma) ** 2 / 2``
-  become one line instead of five temporaries;
+  become one line instead of five temporaries (use counts come from the
+  operand lists; a consumer's template is filled with the text its operands
+  already rendered to);
 * **hand-derived reverse program** — the backward pass is emitted as
   straight-line code textually mirroring the interpreted VJP closures, in
   the interpreter's exact traversal and accumulation order, so results are
@@ -37,8 +41,8 @@ that guard; the first-call validation contract in
 
 from __future__ import annotations
 
-import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -95,8 +99,6 @@ def _lse(a, axis=None, keepdims=False):
     if not keepdims:
         out = np.squeeze(out, axis=ax)
     return out[()] if out.ndim == 0 else out
-
-_VAR_TOKEN = re.compile(r"\b(?:[vgmt]\d+|gz|z|grad)\b")
 
 
 def _lit(x) -> str:
@@ -258,80 +260,105 @@ def trace(fn: Callable[[Tensor], Tensor], z0: np.ndarray):
 
 
 # ----------------------------------------------------------------------
-# program assembly helpers
+# the program IR
 # ----------------------------------------------------------------------
+#: an expression: a ``%``-format template with one ``%s`` slot per operand
+#: occurrence, and the operands that fill those slots, in order.
+_Expr = Tuple[str, Tuple[str, ...]]
+
+
+class _Stmt:
+    """One statement of the generated program.
+
+    ``template % operands`` is the right-hand side.  ``operands`` are the
+    names the statement reads, one per ``%s`` slot: program variables
+    (``v12``, ``g7``, ``t3``, ``m4``, ``z``, ``gz``, ``grad``) and constant
+    slots (``_c[5]``).  Static op parameters are literal text in the template.
+    ``target`` is the variable the statement assigns (``target[index] = ...``
+    when the constant slot ``index`` is set), or ``None`` for a bare call
+    (``np.add.at(...)``, ``return ...``).
+    """
+
+    __slots__ = ("target", "template", "operands", "index")
+
+    def __init__(self, target: Optional[str], template: str,
+                 operands: Tuple[str, ...], index: Optional[str] = None):
+        self.target = target
+        self.template = template
+        self.operands = operands
+        self.index = index
+
+    def line(self, rhs: str) -> str:
+        """The source line, given the rendered right-hand side."""
+        if self.target is None:
+            return rhs
+        if self.index is None:
+            return f"{self.target} = {rhs}"
+        return f"{self.target}[{self.index}] = {rhs}"
+
+
 class _Unit:
     """One schedulable statement group of the generated program."""
 
     __slots__ = ("target", "stmts", "inlinable")
 
-    def __init__(self, target: str, stmts: List[str], inlinable: bool):
+    def __init__(self, target: str, stmts: List[_Stmt], inlinable: bool):
         self.target = target
         self.stmts = stmts
         self.inlinable = inlinable
 
 
-def _assign(target: str, expr: str) -> _Unit:
-    return _Unit(target, [f"{target} = {expr}"], inlinable=True)
+def _assign(target: str, expr: _Expr, inlinable: bool = True) -> _Unit:
+    return _Unit(target, [_Stmt(target, *expr)], inlinable)
 
 
-def _render(units: List[_Unit], ret: str, fn_name: str) -> Tuple[str, int]:
-    """Liveness-prune, inline single-use pure assignments, emit source."""
+def _render(units: List[_Unit], ret: _Stmt, fn_name: str) -> Tuple[str, int]:
+    """Liveness-prune, inline single-use pure assignments, emit source.
+
+    Liveness and use/assignment counts come from the operand lists.  Each
+    statement is then rendered once, in program order: its template is
+    filled with what its operands already rendered to — the pending
+    expression of a fused temporary, else the operand's name.  A fused
+    temporary has exactly one use, so its expression is spent there.
+    """
     # liveness from the return statement backwards
-    needed = set(_VAR_TOKEN.findall(ret))
+    needed = set(ret.operands)
     live: List[_Unit] = []
     for unit in reversed(units):
         if unit.target in needed:
             for stmt in unit.stmts:
-                needed.update(_VAR_TOKEN.findall(stmt))
+                needed.update(stmt.operands)
             live.append(unit)
     live.reverse()
 
     # use/assignment counts over the live program
-    uses: Dict[str, int] = {}
-    assigns: Dict[str, int] = {}
-    for unit in live:
-        assigns[unit.target] = assigns.get(unit.target, 0) + 1
-        for stmt in unit.stmts:
-            rhs = stmt.split(" = ", 1)[1] if " = " in stmt else stmt
-            for tok in _VAR_TOKEN.findall(rhs):
-                uses[tok] = uses.get(tok, 0) + 1
-    for tok in _VAR_TOKEN.findall(ret):
-        uses[tok] = uses.get(tok, 0) + 1
+    uses = Counter([name for unit in live for stmt in unit.stmts
+                    for name in stmt.operands])
+    uses.update(ret.operands)
+    assigns = Counter([unit.target for unit in live])
 
     # single-use, singly-assigned pure expressions fuse into their consumer
     pending: Dict[str, str] = {}
     fused = 0
     body: List[str] = []
 
-    def substitute(text: str) -> str:
-        while True:
-            hit = None
-            for tok in _VAR_TOKEN.findall(text):
-                if tok in pending:
-                    hit = tok
-                    break
-            if hit is None:
-                return text
-            expr = pending.pop(hit)
-            text = re.sub(rf"\b{hit}\b", lambda m: expr, text, count=1)
+    def rhs(stmt: _Stmt) -> str:
+        return stmt.template % tuple([pending.pop(name, name)
+                                      for name in stmt.operands])
 
     for unit in live:
-        stmts = [substitute(s) for s in unit.stmts]
-        if (unit.inlinable and len(stmts) == 1
-                and uses.get(unit.target, 0) == 1
-                and assigns.get(unit.target, 0) == 1):
-            expr = stmts[0].split(" = ", 1)[1]
-            if len(expr) <= MAX_INLINE_LEN:
-                pending[unit.target] = expr
-                fused += 1
-                continue
-        body.extend(stmts)
-    ret = substitute(ret)
+        texts = [rhs(stmt) for stmt in unit.stmts]
+        if (unit.inlinable and len(texts) == 1
+                and uses[unit.target] == 1 and assigns[unit.target] == 1
+                and len(texts[0]) <= MAX_INLINE_LEN):
+            pending[unit.target] = texts[0]
+            fused += 1
+            continue
+        body.extend(stmt.line(text) for stmt, text in zip(unit.stmts, texts))
 
     lines = [f"def {fn_name}(z, _c):"]
     lines.extend(f"    {s}" for s in body)
-    lines.append(f"    {ret}")
+    lines.append(f"    {ret.line(rhs(ret))}")
     return "\n".join(lines) + "\n", fused
 
 
@@ -393,120 +420,131 @@ class _Lowering:
         return op
 
     # -- forward --------------------------------------------------------
+    #: forward templates of the ops whose expression reads each parent once,
+    #: in order
     _UNARY_FWD = {
-        "exp": "np.exp({0})", "expm1": "np.expm1({0})", "log": "np.log({0})",
-        "log1p": "np.log1p({0})", "sqrt": "np.sqrt({0})", "sin": "np.sin({0})",
-        "cos": "np.cos({0})", "tanh": "np.tanh({0})",
-        "sigmoid": "sps.expit({0})", "softplus": "np.logaddexp(0.0, {0})",
-        "lgamma": "sps.gammaln({0})", "digamma": "sps.digamma({0})",
-        "erf": "sps.erf({0})", "erfc": "sps.erfc({0})", "abs": "np.abs({0})",
+        "neg": "(-%s)",
+        "exp": "np.exp(%s)", "expm1": "np.expm1(%s)", "log": "np.log(%s)",
+        "log1p": "np.log1p(%s)", "sqrt": "np.sqrt(%s)", "sin": "np.sin(%s)",
+        "cos": "np.cos(%s)", "tanh": "np.tanh(%s)",
+        "sigmoid": "sps.expit(%s)", "softplus": "np.logaddexp(0.0, %s)",
+        "lgamma": "sps.gammaln(%s)", "digamma": "sps.digamma(%s)",
+        "erf": "sps.erf(%s)", "erfc": "sps.erfc(%s)", "abs": "np.abs(%s)",
     }
+    _BINARY_FWD = {
+        "add": "(%s + %s)", "sub": "(%s - %s)", "mul": "(%s * %s)",
+        "div": "(%s / %s)", "pow": "(%s ** %s)", "matmul": "(%s @ %s)",
+        "dot": "np.dot(%s, %s)", "outer": "np.outer(%s, %s)",
+    }
+
+    def mask(self, node: Tensor, var: str) -> str:
+        """Name the boolean mask a masking op saves for its VJP."""
+        mask = f"m{var[1:]}"
+        self.aux[id(node)] = mask
+        return mask
 
     def forward_unit(self, node: Tensor, var: str) -> _Unit:
         op = self.op_of(node)
         ctx = getattr(node, "op_ctx", ())
-        p = [self.ref(parent) for parent in node.parents]
-        stmts: List[str] = []
-        expr: Optional[str] = None
-        if op == "add":
-            expr = f"({p[0]} + {p[1]})"
-        elif op == "sub":
-            expr = f"({p[0]} - {p[1]})"
-        elif op == "mul":
-            expr = f"({p[0]} * {p[1]})"
-        elif op == "div":
-            expr = f"({p[0]} / {p[1]})"
-        elif op == "neg":
-            expr = f"(-{p[0]})"
-        elif op == "pow":
-            expr = f"({p[0]} ** {p[1]})"
+        p = tuple(self.ref(parent) for parent in node.parents)
+        stmts: List[_Stmt] = []
+        template = self._UNARY_FWD.get(op) or self._BINARY_FWD.get(op)
+        if template is not None:
+            expr = (template, p)
         elif op == "square":
-            expr = f"({p[0]} * {p[0]})"
-        elif op in self._UNARY_FWD:
-            expr = self._UNARY_FWD[op].format(p[0])
+            expr = ("(%s * %s)", (p[0], p[0]))
         elif op == "relu":
-            mask = f"m{var[1:]}"
-            self.aux[id(node)] = mask
-            stmts.append(f"{mask} = {p[0]} > 0")
-            expr = f"np.where({mask}, {p[0]}, 0.0)"
+            mask = self.mask(node, var)
+            stmts.append(_Stmt(mask, "%s > 0", p))
+            expr = ("np.where(%s, %s, 0.0)", (mask, p[0]))
         elif op in ("minimum", "maximum"):
-            mask = f"m{var[1:]}"
-            self.aux[id(node)] = mask
+            mask = self.mask(node, var)
             cmp = "<=" if op == "minimum" else ">="
-            stmts.append(f"{mask} = {p[0]} {cmp} {p[1]}")
-            expr = f"np.{op}({p[0]}, {p[1]})"
+            stmts.append(_Stmt(mask, f"%s {cmp} %s", p))
+            expr = (f"np.{op}(%s, %s)", p)
         elif op == "clip":
-            lo, hi = ctx
-            mask = f"m{var[1:]}"
-            self.aux[id(node)] = mask
-            stmts.append(f"{mask} = ({p[0]} >= {_lit(lo)}) & ({p[0]} <= {_lit(hi)})")
-            expr = f"np.clip({p[0]}, {_lit(lo)}, {_lit(hi)})"
+            lo, hi = (_lit(bound) for bound in ctx)
+            mask = self.mask(node, var)
+            stmts.append(_Stmt(mask, f"(%s >= {lo}) & (%s <= {hi})", (p[0], p[0])))
+            expr = (f"np.clip(%s, {lo}, {hi})", p)
         elif op == "where":
-            cond = self.const(ctx[0])
-            expr = f"np.where({cond}, {p[0]}, {p[1]})"
-        elif op == "sum":
-            axis, keepdims = ctx
-            expr = f"np.sum({p[0]}, axis={_lit(axis)}, keepdims={_lit(keepdims)})"
-        elif op == "mean":
-            axis, keepdims, _count = ctx
-            expr = f"np.mean({p[0]}, axis={_lit(axis)}, keepdims={_lit(keepdims)})"
+            expr = ("np.where(%s, %s, %s)", (self.const(ctx[0]),) + p)
+        elif op in ("sum", "mean"):
+            axis, keepdims = ctx[0], ctx[1]
+            expr = (f"np.{op}(%s, axis={_lit(axis)}, keepdims={_lit(keepdims)})", p)
         elif op == "logsumexp":
             axis, keepdims = ctx
-            expr = (f"np.asarray(lse({p[0]}, axis={_lit(axis)}, "
-                    f"keepdims={_lit(keepdims)}))")
+            expr = (f"np.asarray(lse(%s, axis={_lit(axis)}, "
+                    f"keepdims={_lit(keepdims)}))", p)
         elif op == "softmax":
             axis = _lit(ctx[0])
             t = self.temp()
-            stmts.append(f"{t} = np.exp({p[0]} - np.max({p[0]}, axis={axis}, "
-                         f"keepdims=True))")
-            expr = f"({t} / np.sum({t}, axis={axis}, keepdims=True))"
+            stmts.append(_Stmt(t, f"np.exp(%s - np.max(%s, axis={axis}, "
+                                  f"keepdims=True))", (p[0], p[0])))
+            expr = (f"(%s / np.sum(%s, axis={axis}, keepdims=True))", (t, t))
         elif op == "log_softmax":
             axis = _lit(ctx[0])
             t = self.temp()
-            stmts.append(f"{t} = {p[0]} - np.max({p[0]}, axis={axis}, keepdims=True)")
-            expr = (f"({t} - np.log(np.sum(np.exp({t}), axis={axis}, "
-                    f"keepdims=True)))")
+            stmts.append(_Stmt(t, f"%s - np.max(%s, axis={axis}, keepdims=True)",
+                               (p[0], p[0])))
+            expr = (f"(%s - np.log(np.sum(np.exp(%s), axis={axis}, "
+                    f"keepdims=True)))", (t, t))
         elif op == "cumsum":
-            expr = f"np.cumsum({p[0]}, axis={_lit(ctx[0])})"
-        elif op == "matmul":
-            expr = f"({p[0]} @ {p[1]})"
-        elif op == "dot":
-            expr = f"np.dot({p[0]}, {p[1]})"
-        elif op == "outer":
-            expr = f"np.outer({p[0]}, {p[1]})"
+            expr = (f"np.cumsum(%s, axis={_lit(ctx[0])})", p)
         elif op == "transpose":
             axes = ctx[0]
-            expr = (f"np.transpose({p[0]})" if axes is None
-                    else f"np.transpose({p[0]}, {_lit(tuple(axes))})")
+            expr = ("np.transpose(%s)" if axes is None
+                    else f"np.transpose(%s, {_lit(tuple(axes))})", p)
         elif op == "reshape":
-            expr = f"np.reshape({p[0]}, {_lit(tuple(ctx[0]))})"
+            expr = (f"np.reshape(%s, {_lit(tuple(ctx[0]))})", p)
         elif op == "concatenate":
-            axis, _offsets = ctx
-            args = ", ".join(
-                ref if parent.data.ndim >= 1 else f"np.atleast_1d({ref})"
-                for ref, parent in zip(p, node.parents))
-            expr = f"np.concatenate([{args}], axis={_lit(axis)})"
+            parts = ", ".join("%s" if parent.data.ndim >= 1 else "np.atleast_1d(%s)"
+                              for parent in node.parents)
+            expr = (f"np.concatenate([{parts}], axis={_lit(ctx[0])})", p)
         elif op == "stack":
-            expr = f"np.stack([{', '.join(p)}], axis={_lit(ctx[0])})"
+            parts = ", ".join(["%s"] * len(p))
+            expr = (f"np.stack([{parts}], axis={_lit(ctx[0])})", p)
         elif op == "getitem":
-            expr = f"{p[0]}[{self.const(ctx[0])}]"
+            expr = ("%s[%s]", (p[0], self.const(ctx[0])))
         elif op == "index_update":
             idx = self.const(ctx[0])
-            stmts.append(f"{var} = np.array({p[0]})")
-            stmts.append(f"{var}[{idx}] = {p[1]}")
-            return _Unit(var, stmts, inlinable=False)
+            return _Unit(var, [_Stmt(var, "np.array(%s)", (p[0],)),
+                               _Stmt(var, "%s", (p[1],), index=idx)],
+                         inlinable=False)
         else:
             raise TapeCompilationError(f"unsupported op {op!r}")
-        stmts.append(f"{var} = {expr}")
-        return _Unit(var, stmts, inlinable=not self.aux.get(id(node)) and len(stmts) == 1)
+        stmts.append(_Stmt(var, *expr))
+        return _Unit(var, stmts, inlinable=len(stmts) == 1)
 
     # -- backward -------------------------------------------------------
+    #: VJP templates of the unary elementwise ops; the operand roles are
+    #: ``g`` (the incoming gradient), ``x`` (the parent) and ``y`` (the output)
+    _UNARY_BWD = {
+        "neg": ("(-%s)", "g"),
+        "square": ("(2.0 * %s * %s)", "gx"),
+        "abs": ("(%s * np.sign(%s))", "gx"),
+        "exp": ("(%s * %s)", "gy"),
+        "expm1": ("(%s * np.exp(%s))", "gx"),
+        "log": ("(%s / %s)", "gx"),
+        "log1p": ("(%s / (1.0 + %s))", "gx"),
+        "sqrt": ("(%s * 0.5 / %s)", "gy"),
+        "sin": ("(%s * np.cos(%s))", "gx"),
+        "cos": ("(-%s * np.sin(%s))", "gx"),
+        "tanh": ("(%s * (1.0 - %s * %s))", "gyy"),
+        "sigmoid": ("(%s * %s * (1.0 - %s))", "gyy"),
+        "softplus": ("(%s * sps.expit(%s))", "gx"),
+        "lgamma": ("(%s * sps.digamma(%s))", "gx"),
+        "digamma": ("(%s * sps.polygamma(1, %s))", "gx"),
+        "erf": (f"(%s * {_ERF_COEF!r} * np.exp(-%s * %s))", "gxx"),
+        "erfc": (f"(-%s * {_ERF_COEF!r} * np.exp(-%s * %s))", "gxx"),
+    }
+
     def backward_exprs(self, node: Tensor, pos: int, gvar: str
-                       ) -> Tuple[List[str], str]:
+                       ) -> Tuple[List[_Stmt], _Expr]:
         """Statements + expression for the VJP of ``node`` w.r.t. parent ``pos``.
 
-        Textual mirror of the closures in :mod:`repro.autodiff.ops` — same
-        formulas, same operation order, so the result is bitwise identical.
+        Mirror of the closures in :mod:`repro.autodiff.ops` — same formulas,
+        same operation order, so the result is bitwise identical.
         """
         op = self.op_of(node)
         ctx = getattr(node, "op_ctx", ())
@@ -515,137 +553,104 @@ class _Lowering:
         g = gvar
         parent = node.parents[pos]
         pshape = _lit(tuple(parent.data.shape))
-        stmts: List[str] = []
-        if op == "add":
-            return stmts, g
+        stmts: List[_Stmt] = []
+        if op in self._UNARY_BWD:
+            template, roles = self._UNARY_BWD[op]
+            role = {"g": g, "x": p[0], "y": v}
+            return stmts, (template, tuple(role[r] for r in roles))
+        if op == "add" or (op == "sub" and pos == 0):
+            return stmts, ("%s", (g,))
         if op == "sub":
-            return stmts, g if pos == 0 else f"(-{g})"
-        if op == "mul":
-            return stmts, f"({g} * {p[1]})" if pos == 0 else f"({g} * {p[0]})"
+            return stmts, ("(-%s)", (g,))
+        if op in ("mul", "dot"):
+            return stmts, ("(%s * %s)", (g, p[1 - pos]))
         if op == "div":
             if pos == 0:
-                return stmts, f"({g} / {p[1]})"
-            return stmts, f"(-{g} * {p[0]} / ({p[1]} * {p[1]}))"
-        if op == "neg":
-            return stmts, f"(-{g})"
+                return stmts, ("(%s / %s)", (g, p[1]))
+            return stmts, ("(-%s * %s / (%s * %s))", (g, p[0], p[1], p[1]))
         if op == "pow":
             if pos == 0:
-                return stmts, f"({g} * {p[1]} * {p[0]} ** ({p[1]} - 1.0))"
+                return stmts, ("(%s * %s * %s ** (%s - 1.0))", (g, p[1], p[0], p[1]))
             t = self.temp()
-            stmts.append(f"{t} = np.where({p[0]} > 0, np.log(np.where({p[0]} > 0, "
-                         f"{p[0]}, 1.0)), 0.0)")
-            return stmts, f"({g} * {v} * {t})"
-        if op == "square":
-            return stmts, f"(2.0 * {g} * {p[0]})"
-        if op == "abs":
-            return stmts, f"({g} * np.sign({p[0]}))"
-        if op == "exp":
-            return stmts, f"({g} * {v})"
-        if op == "expm1":
-            return stmts, f"({g} * np.exp({p[0]}))"
-        if op == "log":
-            return stmts, f"({g} / {p[0]})"
-        if op == "log1p":
-            return stmts, f"({g} / (1.0 + {p[0]}))"
-        if op == "sqrt":
-            return stmts, f"({g} * 0.5 / {v})"
-        if op == "sin":
-            return stmts, f"({g} * np.cos({p[0]}))"
-        if op == "cos":
-            return stmts, f"(-{g} * np.sin({p[0]}))"
-        if op == "tanh":
-            return stmts, f"({g} * (1.0 - {v} * {v}))"
-        if op == "sigmoid":
-            return stmts, f"({g} * {v} * (1.0 - {v}))"
-        if op == "softplus":
-            return stmts, f"({g} * sps.expit({p[0]}))"
-        if op == "relu":
-            return stmts, f"({g} * {self.aux[id(node)]})"
-        if op == "lgamma":
-            return stmts, f"({g} * sps.digamma({p[0]}))"
-        if op == "digamma":
-            return stmts, f"({g} * sps.polygamma(1, {p[0]}))"
-        if op == "erf":
-            return stmts, f"({g} * {_ERF_COEF!r} * np.exp(-{p[0]} * {p[0]}))"
-        if op == "erfc":
-            return stmts, f"(-{g} * {_ERF_COEF!r} * np.exp(-{p[0]} * {p[0]}))"
+            stmts.append(_Stmt(t, "np.where(%s > 0, np.log(np.where(%s > 0, "
+                                  "%s, 1.0)), 0.0)", (p[0], p[0], p[0])))
+            return stmts, ("(%s * %s * %s)", (g, v, t))
+        if op in ("relu", "clip") or (op in ("minimum", "maximum") and pos == 0):
+            return stmts, ("(%s * %s)", (g, self.aux[id(node)]))
         if op in ("minimum", "maximum"):
-            mask = self.aux[id(node)]
-            return stmts, f"({g} * {mask})" if pos == 0 else f"({g} * (~{mask}))"
-        if op == "clip":
-            return stmts, f"({g} * {self.aux[id(node)]})"
+            return stmts, ("(%s * (~%s))", (g, self.aux[id(node)]))
         if op == "where":
             cond = self.const(ctx[0])
-            return stmts, f"({g} * {cond})" if pos == 0 else f"({g} * (~{cond}))"
+            return stmts, ("(%s * %s)" if pos == 0 else "(%s * (~%s))", (g, cond))
         if op in ("sum", "mean"):
             axis, keepdims = ctx[0], ctx[1]
-            inner = g if op == "sum" else f"({g} / {ctx[2]})"
+            inner = "%s" if op == "sum" else f"(%s / {ctx[2]})"
             if axis is not None and not keepdims:
                 inner = f"np.expand_dims({inner}, {_lit(axis)})"
-            return stmts, f"np.broadcast_to({inner}, {pshape}).copy()"
+            return stmts, (f"np.broadcast_to({inner}, {pshape}).copy()", (g,))
         if op == "logsumexp":
             axis, keepdims = ctx
             if axis is None or keepdims:
-                return stmts, f"({g} * np.exp({p[0]} - {v}))"
-            return stmts, (f"(np.expand_dims({g}, {_lit(axis)}) * "
-                           f"np.exp({p[0]} - np.expand_dims({v}, {_lit(axis)})))")
+                return stmts, ("(%s * np.exp(%s - %s))", (g, p[0], v))
+            ax = _lit(axis)
+            return stmts, (f"(np.expand_dims(%s, {ax}) * "
+                           f"np.exp(%s - np.expand_dims(%s, {ax})))", (g, p[0], v))
         if op == "softmax":
             axis = _lit(ctx[0])
             t = self.temp()
-            stmts.append(f"{t} = np.sum({g} * {v}, axis={axis}, keepdims=True)")
-            return stmts, f"({v} * ({g} - {t}))"
+            stmts.append(_Stmt(t, f"np.sum(%s * %s, axis={axis}, keepdims=True)",
+                               (g, v)))
+            return stmts, ("(%s * (%s - %s))", (v, g, t))
         if op == "log_softmax":
             axis = _lit(ctx[0])
-            return stmts, (f"({g} - np.exp({v}) * np.sum({g}, axis={axis}, "
-                           f"keepdims=True))")
+            return stmts, (f"(%s - np.exp(%s) * np.sum(%s, axis={axis}, "
+                           f"keepdims=True))", (g, v, g))
         if op == "cumsum":
             a = _lit(ctx[0])
-            return stmts, (f"np.flip(np.cumsum(np.flip({g}, axis={a}), "
-                           f"axis={a}), axis={a})")
+            return stmts, (f"np.flip(np.cumsum(np.flip(%s, axis={a}), "
+                           f"axis={a}), axis={a})", (g,))
         if op == "matmul":
             and_, bnd = node.parents[0].data.ndim, node.parents[1].data.ndim
             if pos == 0:
                 if bnd == 1 and and_ == 1:
-                    return stmts, f"({g} * {p[1]})"
+                    return stmts, ("(%s * %s)", (g, p[1]))
                 if bnd == 1:
-                    return stmts, (f"np.outer({g}, {p[1]})" if and_ == 2
-                                   else f"({g}[..., None] * {p[1]})")
+                    return stmts, ("np.outer(%s, %s)" if and_ == 2
+                                   else "(%s[..., None] * %s)", (g, p[1]))
                 if and_ == 1:
-                    return stmts, (f"({g} @ np.transpose({p[1]}))"
-                                   if node.data.ndim else f"({p[1]} @ {g})")
-                return stmts, f"({g} @ np.swapaxes({p[1]}, -1, -2))"
+                    return stmts, (("(%s @ np.transpose(%s))", (g, p[1]))
+                                   if node.data.ndim else ("(%s @ %s)", (p[1], g)))
+                return stmts, ("(%s @ np.swapaxes(%s, -1, -2))", (g, p[1]))
             if and_ == 1 and bnd == 1:
-                return stmts, f"({g} * {p[0]})"
+                return stmts, ("(%s * %s)", (g, p[0]))
             if and_ == 1:
-                return stmts, (f"np.outer({p[0]}, {g})" if bnd == 2
-                               else f"({p[0]}[..., None] * {g})")
-            return stmts, f"(np.swapaxes({p[0]}, -1, -2) @ {g})"
-        if op == "dot":
-            return stmts, f"({g} * {p[1]})" if pos == 0 else f"({g} * {p[0]})"
+                return stmts, ("np.outer(%s, %s)" if bnd == 2
+                               else "(%s[..., None] * %s)", (p[0], g))
+            return stmts, ("(np.swapaxes(%s, -1, -2) @ %s)", (p[0], g))
         if op == "outer":
-            return stmts, f"({g} @ {p[1]})" if pos == 0 else f"({p[0]} @ {g})"
+            return stmts, ("(%s @ %s)", (g, p[1]) if pos == 0 else (p[0], g))
         if op == "transpose":
             axes = ctx[0]
             if axes is None:
-                return stmts, f"np.transpose({g})"
+                return stmts, ("np.transpose(%s)", (g,))
             inverse = tuple(int(i) for i in np.argsort(axes))
-            return stmts, f"np.transpose({g}, {_lit(inverse)})"
+            return stmts, (f"np.transpose(%s, {_lit(inverse)})", (g,))
         if op == "reshape":
-            return stmts, f"np.reshape({g}, {pshape})"
+            return stmts, (f"np.reshape(%s, {pshape})", (g,))
         if op == "concatenate":
             axis, offsets = ctx
             ndim = node.data.ndim
             idx = ", ".join(
                 f"{offsets[pos]}:{offsets[pos + 1]}" if d == (axis % ndim) else ":"
                 for d in range(ndim))
-            return stmts, f"np.reshape({g}[{idx}], {pshape})"
+            return stmts, (f"np.reshape(%s[{idx}], {pshape})", (g,))
         if op == "stack":
-            return stmts, f"np.take({g}, {pos}, axis={_lit(ctx[0])})"
+            return stmts, (f"np.take(%s, {pos}, axis={_lit(ctx[0])})", (g,))
         if op == "getitem":
             index = ctx[0]
             idx = self.const(index)
             t = self.temp()
-            stmts.append(f"{t} = np.zeros({pshape})")
+            stmts.append(_Stmt(t, f"np.zeros({pshape})", ()))
             single_cell = isinstance(index, (int, np.integer)) or (
                 isinstance(index, tuple)
                 and all(isinstance(i, (int, np.integer)) for i in index))
@@ -653,18 +658,18 @@ class _Lowering:
                 # One statically-known cell: a plain store of ``0.0 + g``
                 # is bitwise-identical to ``np.add.at`` on zeros (including
                 # signed-zero semantics) at a fraction of the dispatch cost.
-                stmts.append(f"{t}[{idx}] = 0.0 + {g}")
+                stmts.append(_Stmt(t, "0.0 + %s", (g,), index=idx))
             else:
-                stmts.append(f"np.add.at({t}, {idx}, {g})")
-            return stmts, t
+                stmts.append(_Stmt(None, "np.add.at(%s, %s, %s)", (t, idx, g)))
+            return stmts, ("%s", (t,))
         if op == "index_update":
             idx = self.const(ctx[0])
             if pos == 0:
                 t = self.temp()
-                stmts.append(f"{t} = np.array({g})")
-                stmts.append(f"{t}[{idx}] = 0.0")
-                return stmts, t
-            return stmts, f"{g}[{idx}]"
+                stmts.append(_Stmt(t, "np.array(%s)", (g,)))
+                stmts.append(_Stmt(t, "0.0", (), index=idx))
+                return stmts, ("%s", (t,))
+            return stmts, ("%s[%s]", (g, idx))
         raise TapeCompilationError(f"unsupported op {op!r}")
 
 
@@ -724,7 +729,7 @@ def _lower_traced(out, root, recorded, z0: np.ndarray) -> CompiledTape:
     seeded: set = set()
     out_g = gnames[id(out)]
     backward_units.append(
-        _assign(out_g, f"np.ones({_lit(tuple(out.data.shape))})"))
+        _assign(out_g, (f"np.ones({_lit(tuple(out.data.shape))})", ())))
     seeded.add(out_g)
     with np.errstate(all="ignore"):
         probe_cache: Dict[int, np.ndarray] = {}
@@ -739,34 +744,33 @@ def _lower_traced(out, root, recorded, z0: np.ndarray) -> CompiledTape:
             for pos, (parent, bfn) in enumerate(zip(node.parents, node.backward_fns)):
                 if id(parent) not in low.dynamic:
                     continue                        # dead gradient: eliminated
-                stmts, expr = low.backward_exprs(node, pos, gvar)
+                stmts, (template, operands) = low.backward_exprs(node, pos, gvar)
                 # static unbroadcast specialization: the traced shapes tell
                 # us whether the reduction is the identity
                 contrib_shape = np.shape(bfn(probe))
                 if contrib_shape != parent.data.shape:
-                    expr = f"unbroadcast({expr}, {_lit(tuple(parent.data.shape))})"
+                    template = (f"unbroadcast({template}, "
+                                f"{_lit(tuple(parent.data.shape))})")
                 pg = gnames[id(parent)]
                 if pg in seeded:
-                    stmts.append(f"{pg} = {pg} + {expr}")
+                    stmts.append(_Stmt(pg, "%s + " + template, (pg,) + operands))
                     backward_units.append(_Unit(pg, stmts, inlinable=False))
                 else:
-                    stmts.append(f"{pg} = {expr}")
+                    stmts.append(_Stmt(pg, template, operands))
                     seeded.add(pg)
                     backward_units.append(
                         _Unit(pg, stmts, inlinable=len(stmts) == 1))
-    if "gz" in seeded:
-        grad_unit = _assign("grad", "np.zeros_like(z) + gz")
-    else:
-        grad_unit = _assign("grad", "np.zeros_like(z)")
-    grad_unit.inlinable = False
-    backward_units.append(grad_unit)
+    backward_units.append(_assign(
+        "grad", ("np.zeros_like(%s) + %s", ("z", "gz")) if "gz" in seeded
+        else ("np.zeros_like(%s)", ("z",)), inlinable=False))
 
     out_ref = low.ref(out)
-    vg_source, fused_vg = _render(
-        forward_units + backward_units, f"return {out_ref}, grad", "_tape_vg")
-    val_source, _fused_val = _render(
-        [_Unit(u.target, list(u.stmts), u.inlinable) for u in forward_units],
-        f"return {out_ref}", "_tape_val")
+    vg_source, fused_vg = _render(forward_units + backward_units,
+                                  _Stmt(None, "return %s, %s", (out_ref, "grad")),
+                                  "_tape_vg")
+    val_source, _fused_val = _render(forward_units,
+                                     _Stmt(None, "return %s", (out_ref,)),
+                                     "_tape_val")
 
     namespace: Dict[str, Any] = {"np": np, "sps": sps, "unbroadcast": unbroadcast,
                                  "lse": _lse}

@@ -5,7 +5,7 @@ The language-level extensions (``networks``, ``guide parameters`` and
 provides the supporting pieces used by the §5/§6.2 experiments:
 
 * :mod:`repro.deepstan.datasets` — the synthetic handwritten-digit substitute
-  for MNIST (see DESIGN.md's substitution table);
+  for MNIST (see "Substitutions" under "Tests and benchmarks" in README.md);
 * :mod:`repro.deepstan.clustering` — KMeans and the pairwise-F1 metric used to
   evaluate VAE latent spaces (RQ5);
 * :mod:`repro.deepstan.vae` — the DeepStan VAE of Figure 8 plus a hand-written

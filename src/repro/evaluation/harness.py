@@ -1,4 +1,4 @@
-"""Experiment harness: the code behind Tables 1-5 (see EXPERIMENTS.md).
+"""Experiment harness: the code behind Tables 1-5 (see the experiment index in README.md).
 
 The functions here are deliberately table-shaped: each returns the rows the
 corresponding table in the paper reports (pass/fail status, mean relative

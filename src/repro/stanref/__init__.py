@@ -5,8 +5,8 @@ table compares against).  It evaluates the model block exactly as Figure 3
 prescribes — an imperative walk of the AST accumulating ``target`` — and runs
 the same NUTS sampler on that density that the compiled backends use, so the
 accuracy comparison is like-for-like while the speed comparison reflects the
-interpreted-versus-compiled gap (see EXPERIMENTS.md for how that maps onto the
-paper's absolute numbers).
+interpreted-versus-compiled gap (see "Substitutions" under "Tests and
+benchmarks" in README.md for how that maps onto the paper's absolute numbers).
 """
 
 from repro.stanref.interpreter import Environment, StanInterpreter, StanRuntimeError

@@ -9,14 +9,18 @@ interpreter's exact traversal and accumulation order, so validated programs
 may serve in the ``"fast"`` tier with zero numeric drift.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.special as sps
 
 from repro.autodiff import ops
 from repro.autodiff.compile import (
+    MAX_INLINE_LEN,
     CompiledTape,
     TapeCompilationError,
+    _Lowering,
     _lse,
     compile_tape,
     trace,
@@ -172,3 +176,129 @@ def test_compiled_tape_is_reusable_and_stateless():
     second = tape.value_and_grad(Z0)
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
+
+
+# ----------------------------------------------------------------------
+# per-op lowering: every op the emitter handles, bitwise against the tape
+# ----------------------------------------------------------------------
+Z_POS = np.linspace(0.35, 1.6, 12)   # in every op's domain (log, sqrt, ...)
+COND = np.arange(12) % 3 == 0
+
+
+def weighted(y):
+    """Reduce to a scalar through non-uniform weights, so every VJP sees an
+    incoming gradient other than ones."""
+    w = np.linspace(0.5, 1.5, int(np.prod(y.shape))).reshape(y.shape)
+    return ops.sum_(ops.mul(y, w))
+
+
+def part(t, start, stop):
+    return ops.getitem(t, slice(start, stop))
+
+
+def grid(t):
+    return ops.reshape(t, (3, 4))
+
+
+def _unary_case(name):
+    op = ops.abs_ if name == "abs" else getattr(ops, name)
+    # abs and neg around 0 so both signs occur; the rest on Z_POS's domain
+    if name in ("abs", "neg"):
+        return lambda t: weighted(op(ops.sub(t, 1.0)))
+    return lambda t: weighted(op(t))
+
+
+def _long_chain(t):
+    x = t
+    for i in range(60):
+        x = ops.add(ops.mul(x, 0.99), 0.01 * i)
+    return weighted(x)
+
+
+def _shared_node(t):
+    # ``a`` feeds four consumers, so its gradient accumulates in the
+    # reverse program instead of being assigned once
+    a = ops.exp(ops.mul(t, 0.3))
+    return ops.add(ops.add(weighted(ops.mul(a, a)), ops.sum_(ops.sin(a))),
+                   ops.getitem(a, 0))
+
+
+LOWERING_CASES = {
+    **{f"unary-{name}": _unary_case(name) for name in _Lowering._UNARY_FWD},
+    "square": lambda t: weighted(ops.square(ops.sub(t, 1.0))),
+    "binary-broadcast": lambda t: weighted(ops.div(
+        ops.sub(grid(t), part(t, 0, 4)),
+        ops.add(ops.mul(ops.reshape(part(t, 4, 7), (3, 1)), t[0]), 2.0))),
+    "pow-base": lambda t: weighted(ops.pow_(t, 2.5)),
+    "pow-exponent": lambda t: weighted(ops.pow_(1.7, t)),
+    "pow-both": lambda t: weighted(ops.pow_(t, ops.mul(t, 0.5))),
+    "relu": lambda t: weighted(ops.relu(ops.sub(t, 1.0))),
+    "minimum": lambda t: weighted(ops.minimum(t, ops.sub(2.0, t))),
+    "maximum": lambda t: weighted(ops.maximum(t, ops.sub(2.0, t))),
+    "clip": lambda t: weighted(ops.clip(t, 0.6, 1.2)),
+    "where": lambda t: weighted(ops.where(COND, ops.exp(t), ops.mul(t, t))),
+    **{f"{name}-axis{axis}-keepdims{keepdims}":
+       (lambda op, axis, keepdims: lambda t: weighted(
+           op(grid(t), axis=axis, keepdims=keepdims)))(op, axis, keepdims)
+       for name, op in (("sum", ops.sum_), ("mean", ops.mean))
+       for axis, keepdims in ((None, False), (None, True), (0, False),
+                              (0, True), (1, False), (-1, True))},
+    **{f"logsumexp-axis{axis}-keepdims{keepdims}":
+       (lambda axis, keepdims: lambda t: weighted(
+           ops.logsumexp(grid(t), axis=axis, keepdims=keepdims)))(axis, keepdims)
+       for axis, keepdims in ((None, False), (None, True), (0, False),
+                              (1, True), (-1, False))},
+    "softmax": lambda t: weighted(ops.softmax(grid(t), axis=-1)),
+    "softmax-axis0": lambda t: weighted(ops.softmax(grid(t), axis=0)),
+    "log_softmax": lambda t: weighted(ops.log_softmax(grid(t), axis=-1)),
+    "log_softmax-axis0": lambda t: weighted(ops.log_softmax(grid(t), axis=0)),
+    "cumsum": lambda t: weighted(ops.cumsum(t)),
+    "cumsum-axis0": lambda t: weighted(ops.cumsum(grid(t), axis=0)),
+    "matmul-1d-1d": lambda t: weighted(ops.matmul(part(t, 0, 4), part(t, 4, 8))),
+    "matmul-2d-1d": lambda t: weighted(ops.matmul(grid(t), part(t, 2, 6))),
+    "matmul-1d-2d": lambda t: weighted(ops.matmul(part(t, 1, 4), grid(t))),
+    "matmul-2d-2d": lambda t: weighted(
+        ops.matmul(grid(t), ops.transpose(ops.exp(grid(t))))),
+    "dot": lambda t: weighted(ops.dot(part(t, 0, 6), ops.exp(part(t, 6, 12)))),
+    "outer": lambda t: weighted(ops.outer(part(t, 0, 3), part(t, 3, 7))),
+    "transpose": lambda t: weighted(ops.mul(ops.transpose(grid(t)),
+                                            part(t, 0, 3))),
+    "transpose-axes": lambda t: weighted(
+        ops.transpose(ops.reshape(t, (2, 3, 2)), (2, 0, 1))),
+    "reshape": lambda t: weighted(ops.reshape(ops.exp(t), (4, 3))),
+    "concatenate-0d-part": lambda t: weighted(ops.concatenate(
+        [part(t, 0, 3), ops.getitem(t, 5), ops.exp(part(t, 6, 9))])),
+    "stack": lambda t: weighted(ops.stack(
+        [part(t, 0, 4), ops.exp(part(t, 4, 8)), part(t, 8, 12)], axis=1)),
+    "getitem-cell": lambda t: ops.add(ops.mul(ops.getitem(grid(t), (1, 2)), 3.0),
+                                      ops.getitem(t, 7)),
+    "getitem-repeated-fancy": lambda t: weighted(
+        ops.getitem(t, np.array([0, 3, 3, 7, 0, 11]))),
+    "index_update": lambda t: weighted(ops.index_update(
+        ops.exp(t), 4, ops.mul(ops.getitem(t, 2), 3.0))),
+    "index_update-slice": lambda t: weighted(ops.index_update(
+        grid(t), (slice(None), 1), ops.log(part(t, 0, 3)))),
+    "long-chain": _long_chain,
+    "shared-node": _shared_node,
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOWERING_CASES))
+def test_each_lowered_op_is_bitwise_interpreted(case):
+    fn = LOWERING_CASES[case]
+    tape = compile_tape(fn, Z_POS)
+    for dz in (0.0, 0.11, -0.19):
+        z = Z_POS + dz
+        v_c, g_c = tape.value_and_grad(z)
+        v_i, g_i = interpreted(fn, z)
+        assert np.array_equal(v_c, v_i), (case, dz)
+        assert np.array_equal(g_c, g_i), (case, dz)
+        assert np.array_equal(tape.value(z), v_i), (case, dz)
+    if case == "long-chain":
+        # the fused expression outgrows MAX_INLINE_LEN, so the chain is
+        # materialized in pieces instead of one unbounded line
+        body = tape.source.split("def _tape_val(z, _c):\n")[1].splitlines()
+        assert len(body) > 2
+        assert all(len(line) < 3 * MAX_INLINE_LEN for line in body)
+    if case == "shared-node":
+        assert re.search(r"\b(g\d+) = \1 \+ ", tape.source), tape.source

@@ -13,7 +13,10 @@ uninterrupted run.
 import numpy as np
 import pytest
 
-from repro import EngineConfig, compile_model
+from repro import EngineConfig, ObsConfig, compile_model
+from repro.autodiff import compile as tape_compiler
+from repro.autodiff import ops
+from repro.autodiff.compile import TapeCompilationError, compile_tape
 from repro.infer import MCMC, NUTS, make_potential
 from repro.posteriordb import registry
 from repro.ppl import distributions as dist
@@ -154,6 +157,38 @@ def test_dynamic_control_flow_model_demotes_and_stays_correct():
         assert v_c == v_i
         np.testing.assert_array_equal(g_c, g_i)
     assert pot_c.metrics_view()["tape_modes"]["single"] == "off"
+
+
+def test_program_size_cap_demotes_to_interpreter(monkeypatch):
+    """Above ``MAX_PROGRAM_NODES`` dynamic nodes lowering refuses with an
+    error naming the cap, and a potential over such a model demotes to the
+    interpreted tape, recording why, with the interpreter's exact results."""
+    def five_nodes(t):
+        return ops.sum_(ops.exp(ops.sin(ops.mul(ops.add(t, 1.0), 2.0))))
+
+    monkeypatch.setattr(tape_compiler, "MAX_PROGRAM_NODES", 5)
+    assert compile_tape(five_nodes, np.zeros(3)).stats.dynamic == 5
+    monkeypatch.setattr(tape_compiler, "MAX_PROGRAM_NODES", 4)
+    with pytest.raises(TapeCompilationError,
+                       match="5 dynamic nodes, beyond the 4-node program cap"):
+        compile_tape(five_nodes, np.zeros(3))
+
+    entry = registry.get("eight_schools_centered-eight_schools")
+    model = compile_model(entry.source, name=entry.name,
+                          obs=ObsConfig(enabled=True)).condition(entry.data())
+    pot_c = model.potential(0, engine="compiled")
+    pot_i = model.potential(0, engine="interpreted")
+    z0 = pot_c.initial_unconstrained()
+    for dz in (0.0, 0.0, 0.043, -0.037):
+        v_c, g_c = pot_c.potential_and_grad(z0 + dz)
+        v_i, g_i = pot_i.potential_and_grad(z0 + dz)
+        assert v_c == v_i
+        np.testing.assert_array_equal(g_c, g_i)
+        assert pot_c.potential(z0 + dz) == pot_i.potential(z0 + dz)
+    assert pot_c.metrics_view()["tape_modes"]["single"] == "off"
+    (span,) = [s for s in pot_c.telemetry.log.spans() if s["name"] == "tape.compile"]
+    assert span["attrs"]["tier"] == "off"
+    assert "4-node program cap" in span["attrs"]["compile_error"]
 
 
 DATA = np.random.default_rng(0).normal(1.5, 1.0, size=20)
