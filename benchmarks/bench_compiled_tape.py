@@ -14,7 +14,13 @@ enum-scaling twins — the hand-marginalized mixture (N=500) and the 4-state
 forward-algorithm HMM (T=200) — under both engines, asserts the bitwise
 tier held, and gates the speedup.  It also records each twin's first-gradient
 latency on a fresh compiled potential (trace, lower and validate the tape)
-as ``first_grad_seconds``; that number is recorded, not gated.
+as ``first_grad_seconds``, and the cost of one 4-row batched gradient over
+four single ones as ``batched4_over_4_single``; those are recorded, not
+gated.  Each twin's program length (``forward_lines``/``backward_lines``,
+statements emitted) is recorded too, and the mixture's forward program is
+capped: the superword pass stacks its per-observation terms, so the length
+must not grow with N (``forward_lines_cap``, read back by
+``check_bench_regressions.py``).
 ``REPRO_BENCH_ITERS`` (CI smoke) shrinks the datasets;
 ``REPRO_ENUM_SCALING=1`` forces the full acceptance sizes.
 """
@@ -38,6 +44,10 @@ FULL_SIZES = FULL_RUN or bool(os.environ.get("REPRO_ENUM_SCALING"))
 #: JSON).  Smoke sizes are too small to amortize per-call overhead
 #: identically, so the gate is proportionally looser there.
 SPEEDUP_THRESHOLD = 5.0 if FULL_SIZES else 3.0
+
+#: the mixture twin's forward program, in statements, at N=100 and N=500
+#: alike (86 when the cap was set; per-observation lowering gives 465+).
+MIXTURE_FORWARD_LINES_CAP = 100
 
 if FULL_SIZES:
     WORKLOADS = (
@@ -75,11 +85,21 @@ def _measure(entry_name, data, repeats=7):
             best = min(best, time.perf_counter() - start)
         seconds[engine] = best
         potentials[engine] = potential
-    z = potentials["compiled"].initial_unconstrained() + 1e-2
-    vc, gc = potentials["compiled"].potential_and_grad(z)
+    compiled = potentials["compiled"]
+    z = compiled.initial_unconstrained() + 1e-2
+    vc, gc = compiled.potential_and_grad(z)
     vi, gi = potentials["interpreted"].potential_and_grad(z)
-    stats = potentials["compiled"].metrics_view()
-    return {
+    batch = np.tile(z, (4, 1)) + 1e-3 * np.arange(4)[:, None]
+    compiled.potential_and_grad_batched(batch)     # trace, lower, validate
+    compiled.potential_and_grad_batched(batch)
+    batched = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        compiled.potential_and_grad_batched(batch)
+        batched = min(batched, time.perf_counter() - start)
+    stats = compiled.metrics_view()
+    program = compiled._tapes[("single",)]["tape"].stats
+    row = {
         "interpreted_eval_seconds": seconds["interpreted"],
         "compiled_eval_seconds": seconds["compiled"],
         "speedup": seconds["interpreted"] / seconds["compiled"],
@@ -87,10 +107,16 @@ def _measure(entry_name, data, repeats=7):
         "tape_mode": stats["tape_modes"].get("single"),
         "bitwise_value": bool(vc == vi),
         "bitwise_grad": bool(np.array_equal(gc, gi)),
-        "eval_counters": potentials["compiled"].eval_counters,
+        "eval_counters": compiled.eval_counters,
         "engine": "compiled",
         "baseline_engine": "interpreted",
+        "forward_lines": program.forward_lines,
+        "backward_lines": program.backward_lines,
+        "batched4_over_4_single": batched / (4 * seconds["compiled"]),
     }
+    if entry_name.startswith("gauss_mix_marginal"):
+        row["forward_lines_cap"] = MIXTURE_FORWARD_LINES_CAP
+    return row
 
 
 def test_compiled_tape_gradient_speedup(benchmark):
@@ -105,7 +131,7 @@ def test_compiled_tape_gradient_speedup(benchmark):
 
     lines = [f"{'workload':<42} {'size':>10} {'interp[ms]':>11} "
              f"{'compiled[ms]':>13} {'speedup':>8} {'mode':>11} "
-             f"{'first_grad[s]':>14}"]
+             f"{'first_grad[s]':>14} {'fwd/bwd lines':>14} {'batch4/4':>9}"]
     payload = {"speedup_threshold": SPEEDUP_THRESHOLD,
                "full_sizes": FULL_SIZES, "workloads": {}}
     for name, row in results.items():
@@ -114,7 +140,9 @@ def test_compiled_tape_gradient_speedup(benchmark):
             f"{row['interpreted_eval_seconds'] * 1e3:>11.1f} "
             f"{row['compiled_eval_seconds'] * 1e3:>13.1f} "
             f"{row['speedup']:>7.1f}x {row['tape_mode']:>11} "
-            f"{row['first_grad_seconds']:>14.2f}")
+            f"{row['first_grad_seconds']:>14.2f} "
+            f"{row['forward_lines']:>6}/{row['backward_lines']:<7} "
+            f"{row['batched4_over_4_single']:>9.2f}")
         payload["workloads"][name] = row
     lines.append("[fused forward+reverse programs, validated bitwise against "
                  "the interpreted tape before use; first_grad = first "
@@ -131,3 +159,5 @@ def test_compiled_tape_gradient_speedup(benchmark):
         assert row["bitwise_value"] and row["bitwise_grad"], (name, row)
         assert row["speedup"] >= SPEEDUP_THRESHOLD, (
             name, row["speedup"], SPEEDUP_THRESHOLD)
+        assert row["forward_lines"] <= row.get("forward_lines_cap", row["forward_lines"]), (
+            name, row["forward_lines"], row["forward_lines_cap"])

@@ -23,8 +23,11 @@ loads whichever of the known artifacts exist in the directory and fails
 * ``BENCH_enum_contract_posteriors.json`` — the coupled workloads stayed on
   the contraction path and within ``max_mcse_sigmas`` < 4;
 * ``BENCH_compiled_tape.json`` — every workload's compiled program stayed
-  in a validated tier (``fast``/``value_fast``) and the compiled-over-
-  interpreted gradient speedup stayed >= the recorded threshold;
+  in a validated tier (``fast``/``value_fast``), the compiled-over-
+  interpreted gradient speedup stayed >= the recorded threshold, and a
+  forward program with a recorded ``forward_lines_cap`` (the mixture
+  twin's, the same cap at N=100 and N=500) stayed within it — a count, so
+  runner noise cannot flake it;
 * ``BENCH_vectorized.json`` — the geometric-mean multi-chain speedup stayed
   >= the recorded assertion threshold, when the file records one;
 * ``BENCH_obs_overhead.json`` — the default (telemetry-off) evaluation path
@@ -148,6 +151,12 @@ def _check_compiled_tape(payload: dict, problems: List[str]) -> None:
             problems.append(
                 f"BENCH_compiled_tape: {name} speedup={speedup!r} fell below "
                 f"the recorded threshold {threshold!r}")
+        cap = row.get("forward_lines_cap")
+        lines = row.get("forward_lines")
+        if cap is not None and (lines is None or lines > cap):
+            problems.append(
+                f"BENCH_compiled_tape: {name} forward_lines={lines!r} exceeds "
+                f"the recorded cap {cap!r} (the program grew with the data)")
 
 
 def _check_obs_overhead(payload: dict, problems: List[str]) -> None:

@@ -24,12 +24,22 @@ one rendering pass over it prints the program:
   become one line instead of five temporaries (use counts come from the
   operand lists; a consumer's template is filled with the text its operands
   already rendered to);
+* **superword groups** — isomorphic nodes that do not depend on each other
+  (same op, static parameters, operand shapes and constant pattern, at the
+  same level) are computed by one stacked NumPy op over a leading member
+  axis, with compile-time index arrays gathering their operands, and
+  single-use ``add`` chains (the ``target +=`` accumulation) become one
+  strict left fold, ``np.add.accumulate(...)[-1]`` — so a loop over data
+  lowers to a program whose length follows the dependency depth rather
+  than the node count;
 * **hand-derived reverse program** — the backward pass is emitted as
   straight-line code textually mirroring the interpreted VJP closures, in
   the interpreter's exact traversal and accumulation order, so results are
   bitwise identical to the interpreted tape (gradient contributions are
   reduced with the same :func:`~repro.autodiff.tensor.unbroadcast`, skipped
-  statically where the traced shapes prove it is the identity).
+  statically where the traced shapes prove it is the identity; a stacked
+  group's VJP is computed once per operand, and every parent folds its
+  contributions left to right in the interpreter's order).
 
 The compiled program freezes the traced control flow, so it is only valid
 for inputs with the trace's shape and dtype — :class:`CompiledTape.matches`
@@ -41,6 +51,7 @@ that guard; the first-call validation contract in
 
 from __future__ import annotations
 
+import heapq
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -128,6 +139,8 @@ class TapeStats:
     fused: int           #: single-use intermediates inlined into consumers
     forward_lines: int   #: forward statements in the emitted program
     backward_lines: int  #: backward statements in the emitted program
+    groups: int = 0      #: stacked statements emitted (groups and folds)
+    grouped: int = 0     #: recorded nodes those stacked statements absorbed
 
 
 @dataclass
@@ -376,6 +389,9 @@ class _Lowering:
         self._baked: set = set()
         self.names: Dict[int, str] = {id(root): "z"}
         self.aux: Dict[int, str] = {}                 # node id -> mask var
+        self.where: Dict[int, Tuple[Any, Optional[int]]] = {}  # node -> (box, row)
+        self._indices: Dict[Tuple[int, ...], str] = {}  # gather index constants
+        self._gathered: Dict[_Expr, str] = {}           # forward gathers
         self._temp = 0
 
         # constant classification: dynamic = depends on the input leaf
@@ -443,10 +459,19 @@ class _Lowering:
         self.aux[id(node)] = mask
         return mask
 
-    def forward_unit(self, node: Tensor, var: str) -> _Unit:
+    def forward_unit(self, node: Tensor, var: str,
+                     p: Optional[Tuple[str, ...]] = None,
+                     cond: Optional[str] = None) -> _Unit:
+        """The unit computing ``node`` into ``var``.
+
+        ``p`` (operand names) and ``cond`` (the ``where`` condition) override
+        the node's own operands: a stacked group renders its representative
+        member over the stacked operands.
+        """
         op = self.op_of(node)
         ctx = getattr(node, "op_ctx", ())
-        p = tuple(self.ref(parent) for parent in node.parents)
+        if p is None:
+            p = tuple(self.ref(parent) for parent in node.parents)
         stmts: List[_Stmt] = []
         template = self._UNARY_FWD.get(op) or self._BINARY_FWD.get(op)
         if template is not None:
@@ -468,7 +493,7 @@ class _Lowering:
             stmts.append(_Stmt(mask, f"(%s >= {lo}) & (%s <= {hi})", (p[0], p[0])))
             expr = (f"np.clip(%s, {lo}, {hi})", p)
         elif op == "where":
-            expr = ("np.where(%s, %s, %s)", (self.const(ctx[0]),) + p)
+            expr = ("np.where(%s, %s, %s)", (cond or self.const(ctx[0]),) + p)
         elif op in ("sum", "mean"):
             axis, keepdims = ctx[0], ctx[1]
             expr = (f"np.{op}(%s, axis={_lit(axis)}, keepdims={_lit(keepdims)})", p)
@@ -539,17 +564,22 @@ class _Lowering:
         "erfc": (f"(-%s * {_ERF_COEF!r} * np.exp(-%s * %s))", "gxx"),
     }
 
-    def backward_exprs(self, node: Tensor, pos: int, gvar: str
-                       ) -> Tuple[List[_Stmt], _Expr]:
+    def backward_exprs(self, node: Tensor, pos: int, gvar: str,
+                       p: Optional[Sequence[str]] = None, v: Optional[str] = None,
+                       cond: Optional[str] = None) -> Tuple[List[_Stmt], _Expr]:
         """Statements + expression for the VJP of ``node`` w.r.t. parent ``pos``.
 
         Mirror of the closures in :mod:`repro.autodiff.ops` — same formulas,
-        same operation order, so the result is bitwise identical.
+        same operation order, so the result is bitwise identical.  ``p``,
+        ``v`` and ``cond`` override operand, value and condition names as in
+        :meth:`forward_unit`.
         """
         op = self.op_of(node)
         ctx = getattr(node, "op_ctx", ())
-        p = [self.ref(parent) for parent in node.parents]
-        v = self.ref(node)
+        if p is None:
+            p = [self.ref(parent) for parent in node.parents]
+        if v is None:
+            v = self.ref(node)
         g = gvar
         parent = node.parents[pos]
         pshape = _lit(tuple(parent.data.shape))
@@ -580,7 +610,7 @@ class _Lowering:
         if op in ("minimum", "maximum"):
             return stmts, ("(%s * (~%s))", (g, self.aux[id(node)]))
         if op == "where":
-            cond = self.const(ctx[0])
+            cond = cond or self.const(ctx[0])
             return stmts, ("(%s * %s)" if pos == 0 else "(%s * (~%s))", (g, cond))
         if op in ("sum", "mean"):
             axis, keepdims = ctx[0], ctx[1]
@@ -672,6 +702,566 @@ class _Lowering:
             return stmts, ("%s[%s]", (g, idx))
         raise TapeCompilationError(f"unsupported op {op!r}")
 
+    #: ops whose VJP returns the broadcast output's shape (every other op
+    #: but :data:`_PROBED` returns its parent's)
+    _BROADCASTING = frozenset({"add", "sub", "mul", "div", "pow", "minimum",
+                               "maximum", "where"})
+    #: ops whose VJP shape is read off a ones probe through the closure
+    _PROBED = frozenset({"matmul", "dot", "index_update"})
+
+    def contrib_shape(self, node: Tensor, bfn: Callable, parent: Tensor) -> Tuple:
+        """Shape of ``node``'s VJP contribution to ``parent``, before
+        ``unbroadcast``."""
+        if node.op in self._BROADCASTING:
+            return node.data.shape
+        if node.op in self._PROBED:
+            return np.shape(bfn(np.ones(node.data.shape)))
+        return parent.data.shape
+
+    # -- superword groups -----------------------------------------------
+    #: ops whose stacked evaluation is the member formula on stacked
+    #: operands (operands broadcast against the leading member axis)
+    _ELEMENTWISE = frozenset(_UNARY_FWD) | {
+        "add", "sub", "mul", "div", "pow", "square", "relu", "minimum",
+        "maximum", "clip", "where"}
+    _STACKABLE = _ELEMENTWISE | {"sum", "mean", "logsumexp", "reshape", "stack", "getitem"}
+
+    def signature(self, node: Tensor) -> Optional[Tuple]:
+        """What must match for nodes to stack into one op (``None``: never).
+
+        Stacked members must reduce exactly like the scalar node: an
+        elementwise member whose input operand needs an ``unbroadcast`` in
+        the reverse pass stays alone, as does a reduction of a 0-d value.
+        """
+        op = self.op_of(node)
+        if op not in self._STACKABLE:
+            return None
+        ctx = node.op_ctx
+        shape = node.data.shape
+        dyn = tuple([id(p) in self.dynamic for p in node.parents])
+        shapes = tuple([p.data.shape for p in node.parents])
+        if op in self._ELEMENTWISE:
+            if any(d and s != shape for d, s in zip(dyn, shapes)):
+                return None
+            return (op, ctx if op == "clip" else (), shape, dyn, shapes)
+        if op in ("sum", "mean", "logsumexp"):
+            return (op, ctx, shape, dyn, shapes) if shapes[0] else None
+        if op in ("reshape", "stack"):
+            return (op, ctx, shape, dyn, shapes)
+        if op == "getitem":
+            axes = self.int_axes(ctx[0])
+            return None if axes is None else (op, axes, shape, dyn, shapes)
+        return None
+
+    @staticmethod
+    def int_axes(index) -> Optional[Tuple[int, ...]]:
+        """The axes a basic index of ints and full slices reads by int."""
+        index = index if isinstance(index, tuple) else (index,)
+        if not all(isinstance(i, (int, np.integer))
+                   or (isinstance(i, slice) and i == slice(None)) for i in index):
+            return None
+        axes = tuple(a for a, i in enumerate(index) if not isinstance(i, slice))
+        return axes or None
+
+    def int_order(self, box: "_Box") -> Tuple[int, ...]:
+        """Axis order of a getitem group's stacked source that puts the
+        member axis, then the int-indexed axes, first."""
+        rep = box.members[0]
+        axes = self.int_axes(rep.op_ctx[0])
+        rest = tuple(a for a in range(rep.parents[0].data.ndim) if a not in axes)
+        return (0,) + tuple(a + 1 for a in axes + rest)
+
+    @staticmethod
+    def shifted(axis, ndim: int):
+        """A member reduction axis, on the stacked array (member axis 0 first)."""
+        if axis is None:
+            return tuple(range(1, ndim + 1))
+        if isinstance(axis, tuple):
+            return tuple(a % ndim + 1 for a in axis)
+        return axis % ndim + 1
+
+    def cell(self, node: Tensor) -> tuple:
+        """Where a node's value lives: a whole name, a stacked row, or a constant."""
+        if node is self.root:
+            return ("name", "z")
+        if id(node) not in self.dynamic:
+            return ("const", node.data)
+        box, row = self.where[id(node)]
+        if box.kind == "group":
+            return ("row", box.var, row, len(box.members))
+        return ("name", box.var)
+
+    def gather(self, cells: Sequence[tuple], shape: Tuple[int, ...]) -> _Expr:
+        """Expression of the ``(len(cells),) + shape`` array holding ``cells``.
+
+        The pool is the stacked sources, then one array of the whole-value
+        cells, then one baked array of the constant cells; a compile-time
+        index array picks the cells out of it unless they already are the
+        pool (or a slice of one source) in order.
+        """
+        rows: Dict[str, int] = {}
+        names: Dict[str, int] = {}
+        consts: List[np.ndarray] = []
+        for cell in cells:
+            if cell[0] == "row":
+                rows.setdefault(cell[1], cell[3])
+            elif cell[0] == "name":
+                names.setdefault(cell[1], len(names))
+            else:
+                consts.append(cell[1])
+        parts: List[str] = []
+        operands: List[str] = []
+        start: Dict[str, int] = {}
+        size = 0
+        for src, count in rows.items():
+            start[src] = size
+            size += count
+            parts.append("%s")
+            operands.append(src)
+        named_at = size
+        if names:
+            parts.append("np.array([" + ", ".join(["%s"] * len(names)) + "])")
+            operands.extend(names)
+            size += len(names)
+        const_at = size
+        if consts:
+            parts.append("%s")
+            operands.append(self.const(np.stack(
+                [np.broadcast_to(c, shape) for c in consts]).astype(float)))
+            size += len(consts)
+        index, k = [], 0
+        for cell in cells:
+            if cell[0] == "row":
+                index.append(start[cell[1]] + cell[2])
+            elif cell[0] == "name":
+                index.append(named_at + names[cell[1]])
+            else:
+                index.append(const_at + k)
+                k += 1
+        pool = parts[0] if len(parts) == 1 else f"np.concatenate(({', '.join(parts)}))"
+        lo, hi = index[0], index[0] + len(index)
+        if index == list(range(lo, hi)):
+            if hi - lo == size:
+                return pool, tuple(operands)
+            if len(parts) == 1:
+                return f"{pool}[{lo}:{hi}]", tuple(operands)
+        key = tuple(index)
+        if key not in self._indices:
+            self._indices[key] = self.const(np.array(index, dtype=np.intp))
+        return f"{pool}[%s]", tuple(operands) + (self._indices[key],)
+
+    def stacked_operand(self, units: List[_Unit], expr: _Expr) -> str:
+        """Name a gathered operand, reusing an identical earlier gather."""
+        name = self._gathered.get(expr)
+        if name is None:
+            name = self._gathered[expr] = self.temp()
+            units.append(_assign(name, expr))
+        return name
+
+    @staticmethod
+    def is_gather(node: Tensor) -> bool:
+        """A ``stack`` along axis 0 is a gather of its parts' cells."""
+        return node.op == "stack" and node.op_ctx[0] in (0, -node.data.ndim)
+
+    def row_names(self, node: Tensor) -> List[_Unit]:
+        """Name the stacked rows a lone node reads (one ``t = s[r]`` each)."""
+        units = []
+        for parent in node.parents:
+            if id(parent) in self.names or id(parent) not in self.dynamic:
+                continue
+            box, row = self.where[id(parent)]
+            name = self.temp()
+            self.names[id(parent)] = name
+            units.append(_assign(name, (f"%s[{row}]", (box.var,))))
+        return units
+
+    def group_forward(self, box: _Box) -> List[_Unit]:
+        """Units computing a group's stacked value into ``box.var``."""
+        members = box.members
+        rep, n = members[0], len(members)
+        op = self.op_of(rep)
+        shape = rep.data.shape
+        elementwise = op in self._ELEMENTWISE
+        units: List[_Unit] = []
+        if op == "getitem":
+            # the int-indexed axes move to the front, so fancy indexing puts
+            # the member axis first and the sliced axes after it
+            axes = self.int_axes(rep.op_ctx[0])
+            index = [[(i if isinstance(i, tuple) else (i,))[a] for a in axes]
+                     for i in (m.op_ctx[0] for m in members)]
+            box.index = (self.const(np.arange(n)),) + tuple(
+                self.const(np.array(col, dtype=np.intp)) for col in zip(*index))
+            order = self.int_order(box)
+            cells = [self.cell(m.parents[0]) for m in members]
+            if cells[0][0] == "name" and all(c == cells[0] for c in cells):
+                src, index_ops, order = cells[0][1], box.index[1:], \
+                    tuple(a - 1 for a in order[1:])
+            else:
+                src = self.stacked_operand(
+                    units, self.gather(cells, rep.parents[0].data.shape))
+                index_ops = box.index
+            view = "%s" if order == tuple(sorted(order)) else f"np.transpose(%s, {_lit(order)})"
+            slots = ", ".join(["%s"] * len(index_ops))
+            units.append(_assign(box.var, (f"{view}[{slots}]", (src,) + index_ops)))
+            return units
+
+        def same(datas):
+            return all(d.shape == datas[0].shape and d.dtype == datas[0].dtype
+                       and d.tobytes() == datas[0].tobytes() for d in datas)
+
+        p: List[str] = []
+        stacked = False
+        for j, parent in enumerate(rep.parents):
+            column = [m.parents[j] for m in members]
+            if id(parent) in self.dynamic:
+                cells = [self.cell(q) for q in column]
+                if elementwise and cells[0][0] == "name" and all(c == cells[0] for c in cells):
+                    p.append(cells[0][1])       # one shared value: broadcasts
+                    continue
+                name = self.stacked_operand(units, self.gather(cells, parent.data.shape))
+            else:
+                datas = [q.data for q in column]
+                if elementwise and same(datas):
+                    p.append(self.const(datas[0]))
+                    continue
+                name = self.const(np.stack([np.broadcast_to(d, shape if elementwise
+                                                            else d.shape) for d in datas]))
+            p.append(name)
+            stacked = True
+        if op == "where":
+            conds = [m.op_ctx[0] for m in members]
+            if same(conds):
+                box.cond = self.const(conds[0])
+            else:
+                box.cond = self.const(np.stack([np.broadcast_to(c, shape) for c in conds]))
+                stacked = True
+        if elementwise and not stacked:
+            # every member computes the same value: stack one operand so the
+            # result still carries the member axis
+            j = next(j for j, q in enumerate(rep.parents) if id(q) in self.dynamic)
+            name = self.temp()
+            units.append(_assign(name, (f"np.broadcast_to(%s, {_lit((n,) + shape)})",
+                                        (p[j],))))
+            p[j] = name
+        box.p = tuple(p)
+        if elementwise:
+            units.append(self.forward_unit(rep, box.var, p=box.p, cond=box.cond))
+            return units
+        ctx = rep.op_ctx
+        if op in ("sum", "mean", "logsumexp"):
+            axis = _lit(self.shifted(ctx[0], rep.parents[0].data.ndim))
+            fn = "lse" if op == "logsumexp" else f"np.{op}"
+            expr = (f"{fn}(%s, axis={axis}, keepdims={_lit(ctx[1])})", box.p)
+        elif op == "reshape":
+            expr = (f"np.reshape(%s, {_lit((n,) + tuple(ctx[0]))})", box.p)
+        else:  # stack
+            slots = ", ".join(["%s"] * len(box.p))
+            expr = (f"np.stack([{slots}], axis={ctx[0] % len(shape) + 1})", box.p)
+        units.append(_assign(box.var, expr))
+        return units
+
+    def group_vjp(self, box: _Box, pos: int) -> Tuple[List[_Stmt], _Expr]:
+        """The stacked VJP of a group w.r.t. operand ``pos``: row ``r`` is
+        member ``r``'s contribution, exactly as its scalar VJP computes it."""
+        rep, n = box.members[0], len(box.members)
+        op = self.op_of(rep)
+        ctx = rep.op_ctx
+        g = box.gvar
+        parent = rep.parents[pos]
+        nd = parent.data.ndim
+        pshape = (n,) + parent.data.shape
+        if op in self._ELEMENTWISE:
+            return self.backward_exprs(rep, pos, g, p=box.p, v=box.var, cond=box.cond)
+        if op in ("sum", "mean"):
+            axis, keepdims = ctx[0], ctx[1]
+            inner = "%s" if op == "sum" else f"(%s / {ctx[2]})"
+            if not keepdims:
+                inner = (f"np.reshape({inner}, {_lit((n,) + (1,) * nd)})" if axis is None
+                         else f"np.expand_dims({inner}, {_lit(self.shifted(axis, nd))})")
+            return [], (f"np.broadcast_to({inner}, {_lit(pshape)}).copy()", (g,))
+        if op == "logsumexp":
+            axis, keepdims = ctx
+            x, v = box.p[0], box.var
+            if keepdims:
+                return [], ("(%s * np.exp(%s - %s))", (g, x, v))
+            if axis is None:
+                s = _lit((n,) + (1,) * nd)
+                return [], (f"(np.reshape(%s, {s}) * np.exp(%s - np.reshape(%s, {s})))",
+                            (g, x, v))
+            ax = _lit(self.shifted(axis, nd))
+            return [], (f"(np.expand_dims(%s, {ax}) * "
+                        f"np.exp(%s - np.expand_dims(%s, {ax})))", (g, x, v))
+        if op == "reshape":
+            return [], (f"np.reshape(%s, {_lit(pshape)})", (g,))
+        if op == "stack":
+            return [], (f"np.take(%s, {pos}, axis={ctx[0] % rep.data.ndim + 1})", (g,))
+        # getitem: each member's ``0.0 + g`` store, in its own zero row (a
+        # basic index never repeats a cell, so this is ``np.add.at`` on zeros)
+        t = self.temp()
+        slots = ", ".join(["%s"] * len(box.index)) % box.index
+        order = self.int_order(box)
+        store = (_Stmt(t, "0.0 + %s", (g,), index=slots) if order == tuple(sorted(order))
+                 else _Stmt(None, f"np.transpose(%s, {_lit(order)})[{slots}] = 0.0 + %s",
+                            (t, g)))
+        return [_Stmt(t, f"np.zeros({_lit(pshape)})", ()), store], ("%s", (t,))
+
+    # -- reverse-program streams ----------------------------------------
+    @staticmethod
+    def as_expr(cell: tuple) -> Tuple[List[_Stmt], str, Tuple[str, ...]]:
+        """A contribution cell as ``(statements, template, operands)``."""
+        if cell[0] == "expr":
+            return list(cell[1]), cell[2], cell[3]
+        if cell[0] == "row":
+            return [], f"%s[{cell[2]}]", (cell[1],)
+        return [], "%s", (cell[1],)
+
+    def accumulate(self, gvar: str, streams: List[List[tuple]],
+                   shape: Tuple[int, ...], stacked: bool) -> List[_Unit]:
+        """Units folding each member's contribution stream into ``gvar``.
+
+        ``streams[r]`` holds member ``r``'s contributions in the
+        interpreter's accumulation order.  A lone node whose stream is all
+        per-op expressions, or shorter than a fold (:data:`FOLD_MIN_TERMS`),
+        accumulates with ``+`` as the per-op emitter always has (a stacked
+        row enters as ``s[r]``); otherwise the stream rows are gathered
+        into one array and folded left to right by ``np.add.accumulate``
+        along axis 0.  Members with shorter streams are padded at the end
+        with ``-0.0``, the exact additive identity (``x + -0.0 == x``
+        bitwise, signed zeros included).
+        """
+        units: List[_Unit] = []
+        if not stacked and (len(streams[0]) < FOLD_MIN_TERMS
+                            or all(cell[0] != "row" for cell in streams[0])):
+            for i, cell in enumerate(streams[0]):
+                stmts, template, operands = self.as_expr(cell)
+                if i:
+                    stmts.append(_Stmt(gvar, "%s + " + template, (gvar,) + operands))
+                else:
+                    stmts.append(_Stmt(gvar, template, operands))
+                units.append(_Unit(gvar, stmts, inlinable=not i and len(stmts) == 1))
+            return units
+
+        def materialize(cell):
+            if cell[0] != "expr":
+                return cell
+            stmts, template, operands = self.as_expr(cell)
+            name = self.temp()
+            units.append(_Unit(name, stmts + [_Stmt(name, template, operands)],
+                               inlinable=not stmts))
+            return ("name", name)
+
+        streams = [[materialize(cell) for cell in stream] for stream in streams]
+        depth = max(len(stream) for stream in streams)
+        if depth == 1:
+            units.append(_assign(gvar, self.gather([s[0] for s in streams], shape)))
+            return units
+        pad = ("const", np.full(shape, -0.0))
+        template, operands = self.gather(
+            [stream[i] if i < len(stream) else pad
+             for i in range(depth) for stream in streams], shape)
+        if stacked:
+            template = f"np.reshape({template}, {_lit((depth, len(streams)) + shape)})"
+        units.append(_assign(gvar, (f"np.add.accumulate({template}, axis=0)[-1]",
+                                    operands)))
+        return units
+
+
+# ----------------------------------------------------------------------
+# the superword pass: folds, levels, groups
+# ----------------------------------------------------------------------
+#: how many scalar ops an array op must replace to pay for assembling its
+#: operand array: a single-use ``add`` chain of at least this many terms
+#: collapses into one ``np.add.accumulate`` fold (shorter chains stay ``+``
+#: expressions whose links may stack like any other node), a smaller group
+#: must share or stack one of its operands, and a shorter gradient stream
+#: into a lone node accumulates with ``+``.
+FOLD_MIN_TERMS = 8
+
+#: element cap of one stacked single-cell ``getitem`` group's reverse
+#: contribution (one zero-padded parent-shaped row per member); larger
+#: groups are split.
+MAX_STACKED_CELLS = 1 << 20
+
+
+class _Box:
+    """One forward computation of the program.
+
+    ``kind`` is ``"node"`` (one recorded node, rendered by the per-op
+    emitter), ``"group"`` (isomorphic, mutually independent nodes computed
+    by one stacked op; member ``r`` is row ``r`` of ``var``) or ``"fold"``
+    (a collapsed single-use ``add`` chain: ``base + terms[0] + ...`` as one
+    strict left fold).  ``members`` are the recorded nodes the box computes
+    (a fold's is the chain's last ``add``); ``links`` are a fold's ``add``
+    nodes, first to last.
+    """
+
+    __slots__ = ("kind", "members", "first", "var", "gvar", "links",
+                 "p", "cond", "index")
+
+    def __init__(self, kind: str, members: List[Tensor], first: int,
+                 links: Sequence[Tensor] = ()):
+        self.kind = kind
+        self.members = members
+        self.first = first            # schedule position, the emission tie-break
+        self.links = list(links)
+        self.var = self.gvar = ""
+        self.p: Tuple[str, ...] = ()  # a group's stacked operand names
+        self.cond: Optional[str] = None
+        self.index: Tuple[str, ...] = ()
+
+    @property
+    def operands(self) -> List[Tensor]:
+        """A fold's summands, in order: the base, then one term per link."""
+        return [self.links[0].parents[0]] + [a.parents[1] for a in self.links]
+
+
+def _plan(low: "_Lowering", sched: List[Tensor]) -> List[_Box]:
+    """Partition the dynamic nodes into boxes, in a valid emission order.
+
+    Nodes group when they share a level and a stacking signature
+    (:meth:`_Lowering.signature`).  The level is the ASAP depth from the
+    input, except for a node all of whose paths to the output run through
+    one term of a fold: it counts back from that fold instead, so terms of
+    unequal depth (a recurrence's per-step likelihoods) still line up.
+    Nodes of one level never depend on each other, so each group is a set
+    of independent computations.
+
+    A fold is a maximal single-use ``add`` chain ``((base + t1) + t2) + ...``
+    of at least :data:`FOLD_MIN_TERMS` terms: each link adds a term to the
+    previous link, which it alone consumes, and operands and result share
+    one shape, so the chain is a strict left fold.
+    """
+    n = len(sched)
+    pos = {id(node): i for i, node in enumerate(sched)}
+    pos[id(low.root)] = n
+    out_i = pos[id(low.out)]
+    # operand indices into ``sched`` (n: the input, -1: a constant)
+    operands = [[pos.get(id(p), -1) for p in node.parents] for node in sched]
+    users: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for i, ops_i in enumerate(operands):
+        for j, p in enumerate(ops_i):
+            if p >= 0:
+                users[p].append((i, j))
+
+    adds = [node.op == "add" and all(p.data.shape == node.data.shape
+                                     for p in node.parents) for node in sched]
+    prev: Dict[int, int] = {}
+    for i in range(n):
+        head = operands[i][0] if adds[i] else -1
+        if 0 <= head < n and head != out_i and adds[head] and len(users[head]) == 1:
+            prev[i] = head
+    inner = set(prev.values())
+    chains: List[List[int]] = []
+    for i in range(n):
+        if i in prev and i not in inner:
+            chain = [i]
+            while chain[-1] in prev:
+                chain.append(prev[chain[-1]])
+            if len(chain) >= FOLD_MIN_TERMS:
+                chains.append(chain[::-1])
+    link_of = {a: (k, t) for k, chain in enumerate(chains) for t, a in enumerate(chain)}
+
+    asap = [0] * (n + 1)
+    for i, ops_i in enumerate(operands):
+        asap[i] = 1 + max([asap[p] for p in ops_i if p >= 0], default=0)
+    owner: List[Optional[Tuple[int, int]]] = [None] * n   # (chain, term)
+    depth = [0] * n                                       # back to the fold
+    for i in range(n - 1 if chains else -1, -1, -1):
+        if i in link_of or i == out_i or not users[i]:
+            continue
+        mine, d = None, 0
+        for u, j in users[i]:
+            if u in link_of:
+                k, t = link_of[u]
+                term, du = (k, t + 1 if j == 1 else 0), 1
+            else:
+                term, du = owner[u], depth[u] + 1
+            if term is None or (mine is not None and term != mine):
+                mine = None
+                break
+            mine, d = term, max(d, du)
+        owner[i], depth[i] = mine, d
+    buckets: Dict[Any, List[int]] = {}
+    for i, node in enumerate(sched):
+        if i == out_i or i in link_of:
+            continue
+        sig = low.signature(node)
+        if sig is not None:
+            level = (owner[i][0], depth[i]) if owner[i] else asap[i]
+            buckets.setdefault((level, sig), []).append(i)
+    # A small group whose every operand is gathered from scattered lone
+    # values costs more than the scalar ops it replaces; keep it only when
+    # some operand is shared by all members or comes from other groups.
+    kept = [members for members in buckets.values() if len(members) > 1]
+    while True:
+        stacked = {i for members in kept for i in members}
+        keep = [members for members in kept if len(members) >= FOLD_MIN_TERMS
+                or any(column[0] >= 0 and (len(set(column)) == 1
+                                           or stacked.issuperset(column))
+                       for column in zip(*(operands[i] for i in members)))]
+        if len(keep) == len(kept):
+            break
+        kept = keep
+    groups: List[List[int]] = []
+    for members in kept:
+        step = len(members)
+        if sched[members[0]].op == "getitem":
+            size = sched[members[0]].parents[0].data.size
+            step = max(1, MAX_STACKED_CELLS // max(1, size))
+        groups.extend(chunk for start in range(0, len(members), step)
+                      for chunk in [members[start:start + step]] if len(chunk) > 1)
+
+    boxes: List[_Box] = []
+    box_of = [-1] * n
+    where: Dict[int, Tuple[_Box, Optional[int]]] = {}
+    for members in groups:
+        box = _Box("group", [sched[i] for i in members], members[0])
+        for row, i in enumerate(members):
+            box_of[i] = len(boxes)
+            where[id(sched[i])] = (box, row)
+        boxes.append(box)
+    for chain in chains:
+        box = _Box("fold", [sched[chain[-1]]], chain[-1],
+                   links=[sched[i] for i in chain])
+        for i in chain:
+            box_of[i] = len(boxes)
+        where[id(sched[chain[-1]])] = (box, None)
+        boxes.append(box)
+    for i, node in enumerate(sched):
+        if box_of[i] < 0:
+            box_of[i] = len(boxes)
+            where[id(node)] = (_Box("node", [node], i), None)
+            boxes.append(where[id(node)][0])
+    low.where = where
+    if not groups:
+        # a fold sits where its last link was recorded, after all its terms
+        return sorted(boxes, key=lambda box: box.first)
+
+    # emission order: dependencies first, ties by schedule position
+    pending = [0] * len(boxes)
+    after: List[List[int]] = [[] for _ in boxes]
+    for b, box in enumerate(boxes):
+        nodes = box.links if box.kind == "fold" else box.members
+        needs = {box_of[p] for i in (pos[id(m)] for m in nodes)
+                 for p in operands[i] if 0 <= p < n}
+        needs.discard(b)
+        pending[b] = len(needs)
+        for dep in needs:
+            after[dep].append(b)
+    ready = [(box.first, b) for b, box in enumerate(boxes) if not pending[b]]
+    heapq.heapify(ready)
+    order: List[_Box] = []
+    while ready:
+        _, b = heapq.heappop(ready)
+        order.append(boxes[b])
+        for user in after[b]:
+            pending[user] -= 1
+            if not pending[user]:
+                heapq.heappush(ready, (boxes[user].first, user))
+    if len(order) != len(boxes):  # pragma: no cover - levels rule out cycles
+        raise TapeCompilationError("the stacked program schedule is cyclic")
+    return order
+
 
 def compile_tape(fn: Callable[[Tensor], Tensor], z0: np.ndarray,
                  telemetry=None) -> CompiledTape:
@@ -699,7 +1289,9 @@ def compile_tape(fn: Callable[[Tensor], Tensor], z0: np.ndarray,
                  folded_nodes=result.stats.folded,
                  fused=result.stats.fused,
                  forward_lines=result.stats.forward_lines,
-                 backward_lines=result.stats.backward_lines)
+                 backward_lines=result.stats.backward_lines,
+                 groups=result.stats.groups,
+                 grouped=result.stats.grouped)
     return result
 
 
@@ -712,57 +1304,106 @@ def _lower_traced(out, root, recorded, z0: np.ndarray) -> CompiledTape:
         raise TapeCompilationError(
             f"traced graph has {len(dynamic_sched)} dynamic nodes, beyond the "
             f"{MAX_PROGRAM_NODES}-node program cap")
+    boxes = _plan(low, dynamic_sched)
+    pos = {id(node): i for i, node in enumerate(dynamic_sched)}
+    for k, box in enumerate(boxes):
+        if box.kind == "group":
+            box.var, box.gvar = f"vs{k}", f"gs{k}"
+        else:
+            i = pos[id(box.members[0])]
+            box.var, box.gvar = f"v{i}", f"g{i}"
+            low.names[id(box.members[0])] = box.var
 
     # ---- forward program ------------------------------------------------
     forward_units: List[_Unit] = []
-    for i, node in enumerate(dynamic_sched):
-        var = f"v{i}"
-        low.names[id(node)] = var
-        forward_units.append(low.forward_unit(node, var))
+    for box in boxes:
+        if box.kind == "node" and low.is_gather(box.members[0]):
+            node = box.members[0]
+            forward_units.append(_assign(box.var, low.gather(
+                [low.cell(p) for p in node.parents], node.parents[0].data.shape)))
+        elif box.kind == "node":
+            node = box.members[0]
+            forward_units.extend(low.row_names(node))
+            forward_units.append(low.forward_unit(node, box.var))
+        elif box.kind == "group":
+            forward_units.extend(low.group_forward(box))
+        else:
+            template, operands = low.gather([low.cell(p) for p in box.operands],
+                                            box.members[0].data.shape)
+            forward_units.append(_assign(box.var, (
+                f"np.add.accumulate({template}, axis=0)[-1]", operands)))
 
-    gnames: Dict[int, str] = {id(root): "gz"}
-    for i, node in enumerate(dynamic_sched):
-        gnames[id(node)] = f"g{i}"
+    # ---- backward program -----------------------------------------------
+    # Every contribution to a parent's gradient is keyed by the consumer's
+    # position in the interpreter's traversal (then the operand position),
+    # so each gradient accumulates in the interpreter's exact order however
+    # its consumers were grouped.
+    oidx = {id(node): i for i, node in enumerate(low.order)}
+    contribs: Dict[int, List[Tuple[Tuple[int, int], tuple]]] = {}
 
-    # ---- backward program (the interpreter's exact traversal order) -----
-    backward_units: List[_Unit] = []
-    seeded: set = set()
-    out_g = gnames[id(out)]
-    backward_units.append(
-        _assign(out_g, (f"np.ones({_lit(tuple(out.data.shape))})", ())))
-    seeded.add(out_g)
+    def push(parent: Tensor, key: Tuple[int, int], cell: tuple) -> None:
+        contribs.setdefault(id(parent), []).append((key, cell))
+
+    def stream(node: Tensor) -> List[tuple]:
+        cells = sorted(contribs.pop(id(node), ()), key=lambda kc: kc[0])
+        # a bare gradient name (a fold's, or an ``add``'s) is a whole value
+        return [("name", c[3][0]) if c[0] == "expr" and not c[1] and c[2] == "%s"
+                else c for _, c in cells]
+
+    out_box = low.where[id(out)][0]
+    backward_units: List[_Unit] = [
+        _assign(out_box.gvar, (f"np.ones({_lit(tuple(out.data.shape))})", ()))]
     with np.errstate(all="ignore"):
-        probe_cache: Dict[int, np.ndarray] = {}
-        for node in low.order:                      # root (output) first
-            if id(node) not in low.dynamic or node is root:
-                continue
-            gvar = gnames[id(node)]
-            probe = probe_cache.get(id(node))
-            if probe is None:
-                probe = np.ones(node.data.shape)
-                probe_cache[id(node)] = probe
-            for pos, (parent, bfn) in enumerate(zip(node.parents, node.backward_fns)):
-                if id(parent) not in low.dynamic:
-                    continue                        # dead gradient: eliminated
-                stmts, (template, operands) = low.backward_exprs(node, pos, gvar)
-                # static unbroadcast specialization: the traced shapes tell
-                # us whether the reduction is the identity
-                contrib_shape = np.shape(bfn(probe))
-                if contrib_shape != parent.data.shape:
-                    template = (f"unbroadcast({template}, "
-                                f"{_lit(tuple(parent.data.shape))})")
-                pg = gnames[id(parent)]
-                if pg in seeded:
-                    stmts.append(_Stmt(pg, "%s + " + template, (pg,) + operands))
-                    backward_units.append(_Unit(pg, stmts, inlinable=False))
-                else:
-                    stmts.append(_Stmt(pg, template, operands))
-                    seeded.add(pg)
-                    backward_units.append(
-                        _Unit(pg, stmts, inlinable=len(stmts) == 1))
+        for box in reversed(boxes):
+            if box is not out_box:
+                backward_units.extend(low.accumulate(
+                    box.gvar, [stream(m) for m in box.members],
+                    box.members[0].data.shape, stacked=box.kind == "group"))
+            if box.kind == "node" and low.is_gather(box.members[0]):
+                # ``np.take(g, j, axis=0)`` is row ``j`` of the gradient
+                node = box.members[0]
+                for j, parent in enumerate(node.parents):
+                    if id(parent) in low.dynamic:
+                        push(parent, (oidx[id(node)], j),
+                             ("row", box.gvar, j, len(node.parents)))
+            elif box.kind == "node":
+                node = box.members[0]
+                for j, (parent, bfn) in enumerate(zip(node.parents, node.backward_fns)):
+                    if id(parent) not in low.dynamic:
+                        continue                    # dead gradient: eliminated
+                    stmts, (template, operands) = low.backward_exprs(node, j, box.gvar)
+                    # static unbroadcast specialization: the traced shapes
+                    # tell us whether the reduction is the identity
+                    if low.contrib_shape(node, bfn, parent) != parent.data.shape:
+                        template = (f"unbroadcast({template}, "
+                                    f"{_lit(tuple(parent.data.shape))})")
+                    push(parent, (oidx[id(node)], j), ("expr", stmts, template, operands))
+            elif box.kind == "group":
+                rep, n = box.members[0], len(box.members)
+                for j, parent in enumerate(rep.parents):
+                    if id(parent) not in low.dynamic:
+                        continue
+                    stmts, expr = low.group_vjp(box, j)
+                    name = low.temp()
+                    backward_units.append(_Unit(name, stmts + [_Stmt(name, *expr)],
+                                                inlinable=not stmts))
+                    for r, m in enumerate(box.members):
+                        push(m.parents[j], (oidx[id(m)], j), ("row", name, r, n))
+            else:
+                # every link of a fold passes its gradient through unchanged
+                for i, link in enumerate(box.links):
+                    for j in ((0, 1) if i == 0 else (1,)):
+                        if id(link.parents[j]) in low.dynamic:
+                            push(link.parents[j], (oidx[id(link)], j),
+                                 ("name", box.gvar))
+    root_stream = stream(root)
+    if root_stream:
+        backward_units.extend(low.accumulate("gz", [root_stream], z0.shape, False))
     backward_units.append(_assign(
-        "grad", ("np.zeros_like(%s) + %s", ("z", "gz")) if "gz" in seeded
+        "grad", ("np.zeros_like(%s) + %s", ("z", "gz")) if root_stream
         else ("np.zeros_like(%s)", ("z",)), inlinable=False))
+    if contribs:  # pragma: no cover - emitter bug guard
+        raise TapeCompilationError("gradient contributions left unaccumulated")
 
     out_ref = low.ref(out)
     vg_source, fused_vg = _render(forward_units + backward_units,
@@ -780,6 +1421,7 @@ def _lower_traced(out, root, recorded, z0: np.ndarray) -> CompiledTape:
     except SyntaxError as exc:  # pragma: no cover - emitter bug guard
         raise TapeCompilationError(f"generated program failed to parse: {exc}")
 
+    stacked = [box for box in boxes if box.kind != "node"]
     stats = TapeStats(
         recorded=len(recorded),
         reachable=len(low.order),
@@ -788,6 +1430,8 @@ def _lower_traced(out, root, recorded, z0: np.ndarray) -> CompiledTape:
         fused=fused_vg,
         forward_lines=len(forward_units),
         backward_lines=len(backward_units),
+        groups=len(stacked),
+        grouped=sum(len(box.links) or len(box.members) for box in stacked),
     )
     return CompiledTape(
         signature=(z0.shape, z0.dtype.str),

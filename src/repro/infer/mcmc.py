@@ -65,6 +65,13 @@ CHAIN_METHODS = ("sequential", "vectorized")
 
 MCMC_CHECKPOINT_FORMAT = "repro-mcmc-checkpoint"
 
+#: NumPy error handling around the chain loops.  A divergent trajectory
+#: overflows the kinetic energy (``HMC._kinetic``); the kernels already
+#: treat the resulting non-finite energy as a divergence, so the overflow
+#: warning is noise.  Set once per fit: a per-call ``np.errstate`` would
+#: tax the leapfrog hot path.
+SAMPLER_ERRSTATE = {"over": "ignore"}
+
 
 class _ChainCollector:
     """Accumulates one chain's retained draws and sampler stats.
@@ -367,10 +374,11 @@ class MCMC:
                 num_samples=self.num_samples, thinning=self.thinning,
                 seed=self.seed, resumed=resume is not None) as span:
             try:
-                if self.chain_method == "vectorized" and self.num_chains > 1:
-                    self._run_vectorized(rngs, init_params, resume_chains, ckpt)
-                else:
-                    self._run_sequential(rngs, init_params, resume_chains, ckpt)
+                with np.errstate(**SAMPLER_ERRSTATE):
+                    if self.chain_method == "vectorized" and self.num_chains > 1:
+                        self._run_vectorized(rngs, init_params, resume_chains, ckpt)
+                    else:
+                        self._run_sequential(rngs, init_params, resume_chains, ckpt)
             finally:
                 if self._progress is not None:
                     self._progress.close()

@@ -302,3 +302,181 @@ def test_each_lowered_op_is_bitwise_interpreted(case):
         assert all(len(line) < 3 * MAX_INLINE_LEN for line in body)
     if case == "shared-node":
         assert re.search(r"\b(g\d+) = \1 \+ ", tape.source), tape.source
+
+
+# ----------------------------------------------------------------------
+# superword groups: isomorphic independent nodes stacked into one op
+# ----------------------------------------------------------------------
+#: a single input of 12 parameters, and a 3-row batch of them (the batched
+#: tape: every parameter cell is a per-row vector)
+Z_SINGLE = np.linspace(0.35, 1.6, 12)
+Z_BATCHED = Z_SINGLE + np.array([[0.0], [0.05], [-0.07]])
+
+
+def cells(t):
+    """Parameter rows: ``cells(t)[i]`` is one scalar, or a (3,) batch column."""
+    return ops.transpose(t) if t.ndim == 2 else t
+
+
+def finish(parts):
+    """Stack member values and reduce to a scalar (single) or (3,) (batched)
+    through non-uniform weights."""
+    y = ops.stack(parts)
+    w = np.linspace(0.5, 1.5, y.shape[0]).reshape((-1,) + (1,) * (y.ndim - 1))
+    return ops.sum_(ops.mul(y, w), axis=0)
+
+
+def chain(x, i):
+    """One scalar chain; copies differ only in their constants."""
+    a = ops.exp(ops.mul(x, 0.5 + 0.01 * i))
+    b = ops.log1p(ops.square(ops.sub(x, 1.25)))
+    return ops.add(ops.div(a, ops.add(b, 1.0)), ops.sin(ops.mul(x, x)))
+
+
+def copies(n):
+    def fn(t):
+        p = cells(t)
+        return finish([chain(ops.getitem(p, i % 12), i) for i in range(n)])
+    return fn
+
+
+#: fold term scales: large cancelling terms, so the summation order shows
+FOLD_SCALES = (1e16, 1.0, -1e16, 3.0, 1e-3, 7.0, 1e16, 1.0, -1e16, 5.0, 2.0, 1.0)
+
+
+def fold(t):
+    # ``target +=`` over 12 isomorphic terms: past the 8-element block,
+    # pairwise summation would round differently from the interpreter's
+    # left fold
+    p = cells(t)
+    acc = ops.mul(ops.getitem(p, 0), 0.5)
+    for i, scale in enumerate(FOLD_SCALES):
+        acc = ops.add(acc, ops.mul(ops.exp(ops.getitem(p, i)), scale))
+    return acc
+
+
+def interleaved(t):
+    # two groups (``s * a_i`` and ``s * v[i]``) feed the scalar ``s`` and,
+    # through single-cell reads, the vector ``v``, alternating member by
+    # member; a_0 = -0.0 makes one contribution to ``s`` exactly -0.0
+    p = cells(t)
+    s = ops.mul(ops.getitem(p, 0), 1.5)
+    v = ops.exp(ops.stack([ops.getitem(p, k) for k in range(1, 6)]))
+    parts = []
+    for i in range(5):
+        parts.append(ops.mul(s, (-0.0, 0.3, -1.1, 2.0, 0.7)[i]))
+        parts.append(ops.mul(ops.getitem(v, i), ops.mul(s, s)))
+    return finish(parts)
+
+
+def reduction(op, axis, keepdims):
+    def fn(t):
+        p = cells(t)
+        grid = ops.stack([ops.getitem(p, k) for k in range(6)])
+        grid = ops.reshape(grid, (2, 3) + grid.shape[1:])
+        members = [op(ops.mul(grid, 0.4 + 0.3 * i), axis=axis, keepdims=keepdims)
+                   for i in range(4)]
+        return ops.sum_(ops.mul(ops.stack(members), 0.75))
+    return fn
+
+
+def columns(t):
+    # per-row parameter reads as ``t[:, k]`` on the batched tape: the int
+    # axis is not the leading one
+    def col(k):
+        return ops.getitem(t, (slice(None), k) if t.ndim == 2 else k)
+    return finish([ops.mul(ops.exp(col(k)), col((k + 5) % 12)) for k in range(12)])
+
+
+def zoo(t):
+    # every stackable elementwise op, six isomorphic copies of each
+    p = cells(t)
+    parts = []
+    for i in range(6):
+        x = ops.getitem(p, i)
+        y = ops.sub(x, 1.0)
+        parts += [getattr(ops, name)(y if name in ("neg", "abs_") else x)
+                  for name in ("exp", "expm1", "log", "log1p", "sqrt", "sin", "cos",
+                               "tanh", "sigmoid", "softplus", "lgamma", "digamma",
+                               "erf", "erfc", "neg", "abs_", "square", "relu")]
+        parts += [ops.relu(y), ops.minimum(x, ops.sub(2.0, x)),
+                  ops.maximum(x, ops.sub(2.0, x)), ops.clip(x, 0.6, 1.2),
+                  ops.where(i % 2 == 0, ops.exp(x), ops.mul(x, x)),
+                  ops.pow_(x, 2.5), ops.pow_(1.7, x), ops.pow_(x, ops.mul(x, 0.5)),
+                  ops.div(y, ops.add(x, 1.0))]
+    return finish(parts)
+
+
+def ragged(t):
+    # member gradients accumulate different numbers of contributions, so
+    # the stacked streams are padded
+    p = cells(t)
+    a = [ops.exp(ops.mul(ops.getitem(p, i), 0.7)) for i in range(5)]
+    parts = [ops.mul(x, x) for x in a]
+    parts += [ops.sin(x) for x in a[:2]] + [ops.log(a[0]), ops.mul(a[3], -0.0)]
+    return finish(parts)
+
+
+SUPERWORD_CASES = {
+    **{f"copies-{n}": copies(n) for n in (1, 2, 7, 8, 9, 64)},
+    "columns": columns,
+    "elementwise-zoo": zoo,
+    "ragged-streams": ragged,
+    "fold": fold,
+    "interleaved": interleaved,
+    **{f"{name}-axis{axis}-keepdims{keepdims}": reduction(op, axis, keepdims)
+       for name, op in (("sum", ops.sum_), ("mean", ops.mean),
+                        ("logsumexp", ops.logsumexp))
+       for axis in (None, 0, 1, -1) for keepdims in (False, True)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUPERWORD_CASES))
+@pytest.mark.parametrize("z0", [Z_SINGLE, Z_BATCHED], ids=["single", "batched-3"])
+def test_superword_groups_are_bitwise_interpreted(case, z0):
+    fn = SUPERWORD_CASES[case]
+    tape = compile_tape(fn, z0)
+    for dz in (0.0, 0.13, -0.21):
+        z = z0 + dz
+        v_c, g_c = tape.value_and_grad(z)
+        v_i, g_i = interpreted(fn, z)
+        assert np.array_equal(v_c, v_i), (case, dz)
+        assert np.array_equal(g_c, g_i), (case, dz)
+        assert np.array_equal(tape.value(z), v_i), (case, dz)
+    if case != "copies-1":
+        assert tape.stats.groups >= 1 and tape.stats.grouped > tape.stats.groups
+
+
+@pytest.mark.parametrize("z0", [Z_SINGLE, Z_BATCHED], ids=["single", "batched-3"])
+def test_program_length_does_not_grow_with_copies(z0):
+    lines = {n: compile_tape(copies(n), z0).stats.forward_lines
+             for n in (1, 2, 7, 8, 9, 64)}
+    assert len({lines[n] for n in (2, 7, 8, 9, 64)}) == 1, lines
+    assert lines[1] <= lines[2], lines
+
+
+def test_add_chain_collapses_to_a_strict_left_fold():
+    tape = compile_tape(fold, Z_SINGLE)
+    assert "np.add.accumulate(" in tape.source.split("def _tape_val")[1]
+    # the case is sensitive to the summation order: numpy's pairwise sum of
+    # the same terms rounds differently from the left fold
+    p = Z_SINGLE
+    terms = [p[0] * 0.5] + [np.exp(p[i]) * scale for i, scale in enumerate(FOLD_SCALES)]
+    left = terms[0]
+    for term in terms[1:]:
+        left = left + term
+    assert np.add.reduce(np.array(terms)) != left
+    assert tape.value(Z_SINGLE) == left
+
+
+def test_lowering_span_reports_stacked_statements():
+    from repro.obs import ObsConfig, as_telemetry
+
+    telemetry = as_telemetry(ObsConfig(enabled=True))
+    tape = compile_tape(copies(9), Z_SINGLE, telemetry=telemetry)
+    (span,) = [s for s in telemetry.log.spans() if s["name"] == "tape.lower"]
+    attrs = span["attrs"]
+    assert attrs["forward_lines"] == tape.stats.forward_lines
+    assert (attrs["groups"], attrs["grouped"]) == (tape.stats.groups, tape.stats.grouped)
+    # nine copies of each op stack into one statement per op
+    assert tape.stats.grouped >= 9 * tape.stats.groups

@@ -57,6 +57,10 @@ def test_compiled_engine_matches_interpreted_across_corpus(name):
                                                         f"mode {mode}")
         assert pot_c.potential(z) == pot_i.potential(z), (name, step, mode)
     assert pot_c.metrics_view()["grad_evals"] == 4
+    # every entry lowers to a bitwise program: a lowering slip would still
+    # give exact results (the oracle serves) but demote the model, silently
+    # several times slower
+    assert pot_c.metrics_view()["tape_modes"]["single"] == "fast", name
 
 
 @pytest.mark.parametrize("name", [
@@ -79,6 +83,7 @@ def test_batched_tape_matches_interpreted(name):
         np.testing.assert_array_equal(g_c, g_i)
         np.testing.assert_array_equal(pot_c.potential_batched(z),
                                       pot_i.potential_batched(z))
+    assert pot_c.metrics_view()["tape_modes"]["batched-3"] == "fast", name
     # batched evaluation must also agree with C single-row evaluations
     for row in range(z.shape[0]):
         v_row, g_row = pot_i.potential_and_grad(z[row])
