@@ -39,7 +39,8 @@ one rendering pass over it prints the program:
   reduced with the same :func:`~repro.autodiff.tensor.unbroadcast`, skipped
   statically where the traced shapes prove it is the identity; a stacked
   group's VJP is computed once per operand, and every parent folds its
-  contributions left to right in the interpreter's order).
+  contributions left to right in the interpreter's order; the gradients of
+  a group of cell reads add into their parent with one ``np.add.at``).
 
 The compiled program freezes the traced control flow, so it is only valid
 for inputs with the trace's shape and dtype — :class:`CompiledTape.matches`
@@ -52,9 +53,11 @@ that guard; the first-call validation contract in
 from __future__ import annotations
 
 import heapq
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -763,13 +766,29 @@ class _Lowering:
         axes = tuple(a for a, i in enumerate(index) if not isinstance(i, slice))
         return axes or None
 
-    def int_order(self, box: "_Box") -> Tuple[int, ...]:
-        """Axis order of a getitem group's stacked source that puts the
-        member axis, then the int-indexed axes, first."""
-        rep = box.members[0]
-        axes = self.int_axes(rep.op_ctx[0])
-        rest = tuple(a for a in range(rep.parents[0].data.ndim) if a not in axes)
-        return (0,) + tuple(a + 1 for a in axes + rest)
+    def int_view(self, index, ndim: int, lead: int = 0) -> str:
+        """``%s`` template viewing an array with ``lead`` leading axes and
+        then ``ndim`` indexed ones so that the int axes of the basic
+        ``index`` follow the leading axes: fancy indexing them puts the
+        read cells on one axis, the sliced axes after it."""
+        axes = self.int_axes(index)
+        rest = tuple(a for a in range(ndim) if a not in axes)
+        order = tuple(range(lead)) + tuple(a + lead for a in axes + rest)
+        return "%s" if order == tuple(sorted(order)) else f"np.transpose(%s, {_lit(order)})"
+
+    def int_columns(self, indices: Sequence) -> Tuple[str, ...]:
+        """Constant index arrays of the cells basic ``indices`` (all with
+        the same int axes) read: one array per int axis."""
+        axes = self.int_axes(indices[0])
+        rows = [i if isinstance(i, tuple) else (i,) for i in indices]
+        return tuple(self.index_const([row[a] for row in rows]) for a in axes)
+
+    def index_const(self, index: Sequence[int]) -> str:
+        """The constant slot of an index array, shared by equal arrays."""
+        key = tuple(index)
+        if key not in self._indices:
+            self._indices[key] = self.const(np.array(index, dtype=np.intp))
+        return self._indices[key]
 
     @staticmethod
     def shifted(axis, ndim: int):
@@ -791,24 +810,23 @@ class _Lowering:
             return ("row", box.var, row, len(box.members))
         return ("name", box.var)
 
-    def gather(self, cells: Sequence[tuple], shape: Tuple[int, ...]) -> _Expr:
-        """Expression of the ``(len(cells),) + shape`` array holding ``cells``.
-
-        The pool is the stacked sources, then one array of the whole-value
-        cells, then one baked array of the constant cells; a compile-time
-        index array picks the cells out of it unless they already are the
-        pool (or a slice of one source) in order.
-        """
+    def pool(self, cells: Sequence[tuple], shape: Tuple[int, ...]
+             ) -> Tuple[List[str], Tuple[str, ...], List[int], int]:
+        """The array holding the sources of ``cells`` (each ``shape``-d):
+        ``(parts, operands, rows, size)``, its ``%s`` parts to concatenate
+        (the stacked sources, then one array of the whole-value cells, then
+        one baked array of the distinct constant cells) with their
+        operands, each cell's row in it, and its length."""
         rows: Dict[str, int] = {}
         names: Dict[str, int] = {}
-        consts: List[np.ndarray] = []
+        consts: Dict[int, Tuple[int, np.ndarray]] = {}
         for cell in cells:
             if cell[0] == "row":
                 rows.setdefault(cell[1], cell[3])
             elif cell[0] == "name":
                 names.setdefault(cell[1], len(names))
             else:
-                consts.append(cell[1])
+                consts.setdefault(id(cell[1]), (len(consts), cell[1]))
         parts: List[str] = []
         operands: List[str] = []
         start: Dict[str, int] = {}
@@ -827,28 +845,36 @@ class _Lowering:
         if consts:
             parts.append("%s")
             operands.append(self.const(np.stack(
-                [np.broadcast_to(c, shape) for c in consts]).astype(float)))
+                [np.broadcast_to(c, shape) for _, c in consts.values()]).astype(float)))
             size += len(consts)
-        index, k = [], 0
+        index = []
         for cell in cells:
             if cell[0] == "row":
                 index.append(start[cell[1]] + cell[2])
             elif cell[0] == "name":
                 index.append(named_at + names[cell[1]])
             else:
-                index.append(const_at + k)
-                k += 1
-        pool = parts[0] if len(parts) == 1 else f"np.concatenate(({', '.join(parts)}))"
+                index.append(const_at + consts[id(cell[1])][0])
+        return parts, tuple(operands), index, size
+
+    @staticmethod
+    def concat(parts: List[str]) -> str:
+        return parts[0] if len(parts) == 1 else f"np.concatenate(({', '.join(parts)}))"
+
+    def gather(self, cells: Sequence[tuple], shape: Tuple[int, ...]) -> _Expr:
+        """Expression of the ``(len(cells),) + shape`` array holding ``cells``:
+        a compile-time index array picks them out of their :meth:`pool`
+        unless they already are the pool (or a slice of one source) in
+        order."""
+        parts, operands, index, size = self.pool(cells, shape)
+        pool = self.concat(parts)
         lo, hi = index[0], index[0] + len(index)
         if index == list(range(lo, hi)):
             if hi - lo == size:
-                return pool, tuple(operands)
+                return pool, operands
             if len(parts) == 1:
-                return f"{pool}[{lo}:{hi}]", tuple(operands)
-        key = tuple(index)
-        if key not in self._indices:
-            self._indices[key] = self.const(np.array(index, dtype=np.intp))
-        return f"{pool}[%s]", tuple(operands) + (self._indices[key],)
+                return f"{pool}[{lo}:{hi}]", operands
+        return f"{pool}[%s]", operands + (self.index_const(index),)
 
     def stacked_operand(self, units: List[_Unit], expr: _Expr) -> str:
         """Name a gathered operand, reusing an identical earlier gather."""
@@ -884,25 +910,20 @@ class _Lowering:
         elementwise = op in self._ELEMENTWISE
         units: List[_Unit] = []
         if op == "getitem":
-            # the int-indexed axes move to the front, so fancy indexing puts
-            # the member axis first and the sliced axes after it
-            axes = self.int_axes(rep.op_ctx[0])
-            index = [[(i if isinstance(i, tuple) else (i,))[a] for a in axes]
-                     for i in (m.op_ctx[0] for m in members)]
-            box.index = (self.const(np.arange(n)),) + tuple(
-                self.const(np.array(col, dtype=np.intp)) for col in zip(*index))
-            order = self.int_order(box)
+            index, parent = rep.op_ctx[0], rep.parents[0]
+            columns = self.int_columns([m.op_ctx[0] for m in members])
             cells = [self.cell(m.parents[0]) for m in members]
-            if cells[0][0] == "name" and all(c == cells[0] for c in cells):
-                src, index_ops, order = cells[0][1], box.index[1:], \
-                    tuple(a - 1 for a in order[1:])
+            if all(c == cells[0] for c in cells):
+                _, src, operands = self.as_expr(cells[0])
+                view = self.int_view(index, parent.data.ndim) % src
             else:
-                src = self.stacked_operand(
-                    units, self.gather(cells, rep.parents[0].data.shape))
-                index_ops = box.index
-            view = "%s" if order == tuple(sorted(order)) else f"np.transpose(%s, {_lit(order)})"
-            slots = ", ".join(["%s"] * len(index_ops))
-            units.append(_assign(box.var, (f"{view}[{slots}]", (src,) + index_ops)))
+                # several sources: index their pool by (source row, cells)
+                parts, operands, rows, _ = self.pool(cells, parent.data.shape)
+                operands = (self.stacked_operand(units, (self.concat(parts), operands)),)
+                columns = (self.index_const(rows),) + columns
+                view = self.int_view(index, parent.data.ndim, lead=1)
+            slots = ", ".join(["%s"] * len(columns))
+            units.append(_assign(box.var, (f"{view}[{slots}]", operands + columns)))
             return units
 
         def same(datas):
@@ -995,15 +1016,10 @@ class _Lowering:
             return [], (f"np.reshape(%s, {_lit(pshape)})", (g,))
         if op == "stack":
             return [], (f"np.take(%s, {pos}, axis={ctx[0] % rep.data.ndim + 1})", (g,))
-        # getitem: each member's ``0.0 + g`` store, in its own zero row (a
-        # basic index never repeats a cell, so this is ``np.add.at`` on zeros)
-        t = self.temp()
-        slots = ", ".join(["%s"] * len(box.index)) % box.index
-        order = self.int_order(box)
-        store = (_Stmt(t, "0.0 + %s", (g,), index=slots) if order == tuple(sorted(order))
-                 else _Stmt(None, f"np.transpose(%s, {_lit(order)})[{slots}] = 0.0 + %s",
-                            (t, g)))
-        return [_Stmt(t, f"np.zeros({_lit(pshape)})", ()), store], ("%s", (t,))
+        # getitem: row ``r`` is what member ``r`` stores at the cells it
+        # read, in an otherwise zero array (``np.add.at`` on zeros stores
+        # ``0.0 + g``); the parent adds it with :meth:`scatter`
+        return [], ("(0.0 + %s)", (g,))
 
     # -- reverse-program streams ----------------------------------------
     @staticmethod
@@ -1015,43 +1031,43 @@ class _Lowering:
             return [], f"%s[{cell[2]}]", (cell[1],)
         return [], "%s", (cell[1],)
 
+    def materialize(self, units: List[_Unit], cell: tuple) -> tuple:
+        """A contribution as a whole name or stacked row: an expression is
+        assigned to a temporary first."""
+        if cell[0] != "expr":
+            return cell
+        stmts, template, operands = self.as_expr(cell)
+        name = self.temp()
+        units.append(_Unit(name, stmts + [_Stmt(name, template, operands)],
+                           inlinable=not stmts))
+        return ("name", name)
+
     def accumulate(self, gvar: str, streams: List[List[tuple]],
                    shape: Tuple[int, ...], stacked: bool) -> List[_Unit]:
         """Units folding each member's contribution stream into ``gvar``.
 
         ``streams[r]`` holds member ``r``'s contributions in the
-        interpreter's accumulation order.  A lone node whose stream is all
-        per-op expressions, or shorter than a fold (:data:`FOLD_MIN_TERMS`),
-        accumulates with ``+`` as the per-op emitter always has (a stacked
-        row enters as ``s[r]``); otherwise the stream rows are gathered
-        into one array and folded left to right by ``np.add.accumulate``
-        along axis 0.  Members with shorter streams are padded at the end
-        with ``-0.0``, the exact additive identity (``x + -0.0 == x``
-        bitwise, signed zeros included).
+        interpreter's accumulation order.  A lone node's stream folds as in
+        :meth:`fold`.  A group's streams are gathered into one array and
+        folded left to right by ``np.add.accumulate`` along axis 0; members
+        with shorter streams are padded at the end with ``-0.0``, the exact
+        additive identity (``x + -0.0 == x`` bitwise, signed zeros
+        included).  Where that array would pass :data:`MAX_STACKED_CELLS`,
+        or a stream holds ``getitem`` cells, each member's stream folds
+        alone and the results are stacked.
         """
+        if not stacked:
+            return self.fold(gvar, streams[0], shape)
         units: List[_Unit] = []
-        if not stacked and (len(streams[0]) < FOLD_MIN_TERMS
-                            or all(cell[0] != "row" for cell in streams[0])):
-            for i, cell in enumerate(streams[0]):
-                stmts, template, operands = self.as_expr(cell)
-                if i:
-                    stmts.append(_Stmt(gvar, "%s + " + template, (gvar,) + operands))
-                else:
-                    stmts.append(_Stmt(gvar, template, operands))
-                units.append(_Unit(gvar, stmts, inlinable=not i and len(stmts) == 1))
-            return units
-
-        def materialize(cell):
-            if cell[0] != "expr":
-                return cell
-            stmts, template, operands = self.as_expr(cell)
-            name = self.temp()
-            units.append(_Unit(name, stmts + [_Stmt(name, template, operands)],
-                               inlinable=not stmts))
-            return ("name", name)
-
-        streams = [[materialize(cell) for cell in stream] for stream in streams]
         depth = max(len(stream) for stream in streams)
+        if (any(cell[0] == "cell" for stream in streams for cell in stream)
+                or (depth > 1 and depth * len(streams) * math.prod(shape) > MAX_STACKED_CELLS)):
+            names = [("name", self.temp()) for _ in streams]
+            for (_, name), stream in zip(names, streams):
+                units.extend(self.fold(name, stream, shape))
+            units.append(_assign(gvar, self.gather(names, shape)))
+            return units
+        streams = [[self.materialize(units, cell) for cell in stream] for stream in streams]
         if depth == 1:
             units.append(_assign(gvar, self.gather([s[0] for s in streams], shape)))
             return units
@@ -1059,11 +1075,73 @@ class _Lowering:
         template, operands = self.gather(
             [stream[i] if i < len(stream) else pad
              for i in range(depth) for stream in streams], shape)
-        if stacked:
-            template = f"np.reshape({template}, {_lit((depth, len(streams)) + shape)})"
+        template = f"np.reshape({template}, {_lit((depth, len(streams)) + shape)})"
         units.append(_assign(gvar, (f"np.add.accumulate({template}, axis=0)[-1]",
                                     operands)))
         return units
+
+    def fold(self, gvar: str, stream: List[tuple], shape: Tuple[int, ...]) -> List[_Unit]:
+        """Units folding one value's contribution stream into ``gvar``.
+
+        Each maximal run of ``getitem`` cells (same int axes) adds in one
+        :meth:`scatter`.  Any other run that is all per-op expressions,
+        shorter than a fold (:data:`FOLD_MIN_TERMS`) or larger than
+        :data:`MAX_STACKED_CELLS` accumulates with ``+`` as the per-op
+        emitter always has (a stacked row enters as ``s[r]``); the rest is
+        gathered, after the running sum, into one array folded left to
+        right by ``np.add.accumulate`` along axis 0.
+        """
+        units: List[_Unit] = []
+        started = False
+        for axes, run in groupby(stream, key=lambda cell: cell[0] == "cell"
+                                 and self.int_axes(cell[4])):
+            run = list(run)
+            terms = len(run) + started
+            if axes:
+                units.append(self.scatter(gvar, run, shape, started))
+            elif (terms < FOLD_MIN_TERMS or terms * math.prod(shape) > MAX_STACKED_CELLS
+                  or all(cell[0] != "row" for cell in run)):
+                for cell in run:
+                    stmts, template, operands = self.as_expr(cell)
+                    if started:
+                        stmts.append(_Stmt(gvar, "%s + " + template, (gvar,) + operands))
+                    else:
+                        stmts.append(_Stmt(gvar, template, operands))
+                    units.append(_Unit(gvar, stmts, inlinable=not started and len(stmts) == 1))
+                    started = True
+            else:
+                cells = [("name", gvar)] * started + [self.materialize(units, cell)
+                                                      for cell in run]
+                template, operands = self.gather(cells, shape)
+                units.append(_assign(gvar, (f"np.add.accumulate({template}, axis=0)[-1]",
+                                            operands)))
+            started = True
+        return units
+
+    def scatter(self, gvar: str, run: List[tuple], shape: Tuple[int, ...],
+                started: bool) -> _Unit:
+        """One unit adding a run of ``getitem`` cells to ``gvar``.
+
+        Cell ``("cell", s, r, n, index)`` is a zero array holding row ``r``
+        of ``s`` at the cells the basic ``index`` read, and that row is
+        ``0.0 + g``, never ``-0.0``.  Adding ``+0.0`` changes only a
+        ``-0.0``, and no partial sum after a stored value is ``-0.0``, so
+        folding the run into ``gvar`` is ``gvar + 0.0`` and then adding
+        each stored row at its cells in run order: one unbuffered
+        ``np.add.at``, which adds a cell read twice twice, in order.  A run
+        that starts the stream adds into zeros.
+        """
+        index = run[0][4]
+        axes = self.int_axes(index)
+        columns = self.int_columns([cell[4] for cell in run])
+        rows, operands = self.gather([("row",) + cell[1:4] for cell in run],
+                                     tuple(d for a, d in enumerate(shape) if a not in axes))
+        slots = ", ".join(["%s"] * len(columns))
+        return _Unit(gvar, [
+            _Stmt(gvar, "%s + 0.0", (gvar,)) if started
+            else _Stmt(gvar, f"np.zeros({_lit(shape)})", ()),
+            _Stmt(None, f"np.add.at({self.int_view(index, len(shape))}, ({slots},), {rows})",
+                  (gvar,) + columns + operands)], inlinable=False)
 
 
 # ----------------------------------------------------------------------
@@ -1077,9 +1155,9 @@ class _Lowering:
 #: into a lone node accumulates with ``+``.
 FOLD_MIN_TERMS = 8
 
-#: element cap of one stacked single-cell ``getitem`` group's reverse
-#: contribution (one zero-padded parent-shaped row per member); larger
-#: groups are split.
+#: element cap of the array one gradient's contributions are gathered into
+#: for an ``np.add.accumulate`` fold (streams × members × value size);
+#: past it, each member's stream folds with ``+``.
 MAX_STACKED_CELLS = 1 << 20
 
 
@@ -1095,8 +1173,7 @@ class _Box:
     nodes, first to last.
     """
 
-    __slots__ = ("kind", "members", "first", "var", "gvar", "links",
-                 "p", "cond", "index")
+    __slots__ = ("kind", "members", "first", "var", "gvar", "links", "p", "cond")
 
     def __init__(self, kind: str, members: List[Tensor], first: int,
                  links: Sequence[Tensor] = ()):
@@ -1107,7 +1184,6 @@ class _Box:
         self.var = self.gvar = ""
         self.p: Tuple[str, ...] = ()  # a group's stacked operand names
         self.cond: Optional[str] = None
-        self.index: Tuple[str, ...] = ()
 
     @property
     def operands(self) -> List[Tensor]:
@@ -1202,19 +1278,11 @@ def _plan(low: "_Lowering", sched: List[Tensor]) -> List[_Box]:
         if len(keep) == len(kept):
             break
         kept = keep
-    groups: List[List[int]] = []
-    for members in kept:
-        step = len(members)
-        if sched[members[0]].op == "getitem":
-            size = sched[members[0]].parents[0].data.size
-            step = max(1, MAX_STACKED_CELLS // max(1, size))
-        groups.extend(chunk for start in range(0, len(members), step)
-                      for chunk in [members[start:start + step]] if len(chunk) > 1)
 
     boxes: List[_Box] = []
     box_of = [-1] * n
     where: Dict[int, Tuple[_Box, Optional[int]]] = {}
-    for members in groups:
+    for members in kept:
         box = _Box("group", [sched[i] for i in members], members[0])
         for row, i in enumerate(members):
             box_of[i] = len(boxes)
@@ -1233,9 +1301,6 @@ def _plan(low: "_Lowering", sched: List[Tensor]) -> List[_Box]:
             where[id(node)] = (_Box("node", [node], i), None)
             boxes.append(where[id(node)][0])
     low.where = where
-    if not groups:
-        # a fold sits where its last link was recorded, after all its terms
-        return sorted(boxes, key=lambda box: box.first)
 
     # emission order: dependencies first, ties by schedule position
     pending = [0] * len(boxes)
@@ -1380,6 +1445,7 @@ def _lower_traced(out, root, recorded, z0: np.ndarray) -> CompiledTape:
                     push(parent, (oidx[id(node)], j), ("expr", stmts, template, operands))
             elif box.kind == "group":
                 rep, n = box.members[0], len(box.members)
+                getitem = low.op_of(rep) == "getitem"
                 for j, parent in enumerate(rep.parents):
                     if id(parent) not in low.dynamic:
                         continue
@@ -1388,7 +1454,10 @@ def _lower_traced(out, root, recorded, z0: np.ndarray) -> CompiledTape:
                     backward_units.append(_Unit(name, stmts + [_Stmt(name, *expr)],
                                                 inlinable=not stmts))
                     for r, m in enumerate(box.members):
-                        push(m.parents[j], (oidx[id(m)], j), ("row", name, r, n))
+                        # a read's contribution: row r at the cells it read
+                        cell = (("cell", name, r, n, m.op_ctx[0]) if getitem
+                                else ("row", name, r, n))
+                        push(m.parents[j], (oidx[id(m)], j), cell)
             else:
                 # every link of a fold passes its gradient through unchanged
                 for i, link in enumerate(box.links):

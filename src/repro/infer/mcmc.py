@@ -65,14 +65,6 @@ CHAIN_METHODS = ("sequential", "vectorized")
 
 MCMC_CHECKPOINT_FORMAT = "repro-mcmc-checkpoint"
 
-#: NumPy error handling around the chain loops.  A divergent trajectory
-#: overflows the kinetic energy (``HMC._kinetic``); the kernels already
-#: treat the resulting non-finite energy as a divergence, so the overflow
-#: warning is noise.  Set once per fit: a per-call ``np.errstate`` would
-#: tax the leapfrog hot path.
-SAMPLER_ERRSTATE = {"over": "ignore"}
-
-
 class _ChainCollector:
     """Accumulates one chain's retained draws and sampler stats.
 
@@ -374,7 +366,11 @@ class MCMC:
                 num_samples=self.num_samples, thinning=self.thinning,
                 seed=self.seed, resumed=resume is not None) as span:
             try:
-                with np.errstate(**SAMPLER_ERRSTATE):
+                # A divergent trajectory overflows the kinetic energy
+                # (``HMC._kinetic``); the kernels treat the non-finite energy
+                # as a divergence, so the warning is noise.  Silenced once
+                # per fit: a per-call ``np.errstate`` would tax the leapfrog.
+                with np.errstate(over="ignore"):
                     if self.chain_method == "vectorized" and self.num_chains > 1:
                         self._run_vectorized(rngs, init_params, resume_chains, ckpt)
                     else:

@@ -417,9 +417,62 @@ def ragged(t):
     return finish(parts)
 
 
+def cell_reads(t):
+    # a vector read cell by cell into a fold, some cells twice and one read
+    # scaled by -0.0: the reads' gradients scatter into the vector's
+    p = cells(t)
+    v = ops.exp(ops.mul(ops.stack([ops.getitem(p, k % 12) for k in range(40)]), 0.3))
+    acc = ops.mul(ops.getitem(p, 0), 0.5)
+    for i in range(60):
+        acc = ops.add(acc, ops.mul(ops.getitem(v, 7 * i % 40), -0.0 if i == 5 else 0.1 * i))
+    return acc
+
+
+def dense_and_cells(t):
+    # a vector whose gradient takes whole-vector rows, then cell reads,
+    # then more rows: the scatter and the row fold continue a running sum
+    p = cells(t)
+    v = ops.exp(ops.mul(ops.stack([ops.getitem(p, k) for k in range(10)]), 0.4))
+    early = [ops.sum_(ops.mul(v, 0.1 * (i + 1)), axis=0) for i in range(9)]
+    reads = [ops.mul(ops.getitem(v, i), 1.0 + i) for i in range(10)]
+    late = [ops.sum_(ops.mul(ops.exp(ops.mul(v, 0.05 * i)), 2.0), axis=0) for i in range(9)]
+    return finish(early + reads + late)
+
+
+def row_sources(t):
+    # cells read from rows of a group (eight vectors computed by one op):
+    # one read group over all rows, another over the same rows, and reads
+    # of one shared row; each row's gradient takes several cells
+    p = cells(t)
+    vec = ops.stack([ops.getitem(p, k) for k in range(4)])
+    rows = [ops.exp(ops.mul(vec, 0.2 + 0.1 * i)) for i in range(8)]
+    parts = [ops.mul(ops.getitem(r, i % 4), 1.5) for i, r in enumerate(rows)]
+    parts += [ops.sin(ops.getitem(r, (i + 1) % 4)) for i, r in enumerate(rows)]
+    parts += [ops.getitem(rows[0], k) for k in range(4)]
+    return finish(parts)
+
+
+def mixed_axes(t):
+    # ``m[i]`` and ``m[:, j]`` reads of one matrix and of the rows of a
+    # group of matrices: cells over different axes never share a scatter
+    p = cells(t)
+    grid = ops.stack([ops.getitem(p, k) for k in range(6)])
+    grid = ops.reshape(grid, (2, 3) + grid.shape[1:])
+    mats = [ops.exp(ops.mul(grid, 0.3 + 0.1 * i)) for i in range(8)]
+    parts = []
+    for m in mats + [grid] * 8:
+        parts += [ops.sum_(ops.getitem(m, len(parts) % 2), axis=0),
+                  ops.sum_(ops.getitem(m, (slice(None), len(parts) % 3)), axis=0)]
+    return finish(parts)
+
+
 SUPERWORD_CASES = {
     **{f"copies-{n}": copies(n) for n in (1, 2, 7, 8, 9, 64)},
+    "cell-reads": cell_reads,
     "columns": columns,
+    "dense-and-cells": dense_and_cells,
+    "mixed-axes": mixed_axes,
+    "row-sources": row_sources,
     "elementwise-zoo": zoo,
     "ragged-streams": ragged,
     "fold": fold,
@@ -480,3 +533,106 @@ def test_lowering_span_reports_stacked_statements():
     assert (attrs["groups"], attrs["grouped"]) == (tape.stats.groups, tape.stats.grouped)
     # nine copies of each op stack into one statement per op
     assert tape.stats.grouped >= 9 * tape.stats.groups
+
+
+def backward_folds(tape):
+    """``np.add.accumulate`` folds of the reverse program (the value
+    program is the forward half of the value-and-gradient one)."""
+    vg, val = tape.source.split("def _tape_val")
+    return vg.count("np.add.accumulate(") - val.count("np.add.accumulate(")
+
+
+@pytest.mark.parametrize("case", ["copies-9", "elementwise-zoo", "interleaved",
+                                  "ragged-streams", "row-sources"])
+@pytest.mark.parametrize("z0", [Z_SINGLE, Z_BATCHED], ids=["single", "batched-3"])
+def test_gathered_gradient_cap_folds_with_add(monkeypatch, case, z0):
+    from repro.autodiff import compile as compile_module
+
+    fn = SUPERWORD_CASES[case]
+    assert backward_folds(compile_tape(fn, z0)) > 0
+    monkeypatch.setattr(compile_module, "MAX_STACKED_CELLS", 1)
+    tape = compile_tape(fn, z0)
+    # past the cap no gradient is gathered into one array: every stream
+    # folds with ``+``, and the results stay bitwise
+    assert backward_folds(tape) == 0
+    for dz in (0.0, 0.13):
+        v_c, g_c = tape.value_and_grad(z0 + dz)
+        v_i, g_i = interpreted(fn, z0 + dz)
+        assert np.array_equal(v_c, v_i) and np.array_equal(g_c, g_i), (case, dz)
+
+
+def test_cell_reads_scatter_in_linear_memory():
+    # n reads of an n-vector: each read's gradient is a zero vector with one
+    # cell set, so a reverse pass holding them would need n * n floats
+    import tracemalloc
+
+    n = 2000
+    w = np.linspace(0.5, 1.5, n)
+
+    def fn(t):
+        v = ops.exp(ops.mul(ops.getitem(t, 0), np.linspace(-1.0, 1.0, n)))
+        acc = ops.mul(ops.getitem(t, 1), 0.5)
+        for k in range(n):
+            acc = ops.add(acc, ops.mul(ops.getitem(v, k), w[k]))
+        return acc
+
+    z = np.array([0.3, 0.7])
+    tape = compile_tape(fn, z)
+    v_i, g_i = interpreted(fn, z)
+    tracemalloc.start()
+    try:
+        v_c, g_c = tape.value_and_grad(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(v_c, v_i) and np.array_equal(g_c, g_i)
+    assert peak < 40 * n * 8, peak
+    assert tape.stats.forward_lines < 20
+
+
+def test_scatter_folds_cell_contributions_exactly():
+    # what the reverse program's scatter relies on: a fold of zero arrays
+    # each holding ``0.0 + g`` at one cell equals ``acc + 0.0`` followed by
+    # ``np.add.at`` of the stored values in order, bit for bit (signed
+    # zeros, infinities and NaNs included; a cell may be read twice)
+    rng = np.random.default_rng(0)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, 1.0])
+
+    def draw(size):
+        x = rng.normal(size=size) * 10.0 ** rng.integers(-5, 5, size=size)
+        mask = rng.random(size) < 0.4
+        x[mask] = rng.choice(special, size=mask.sum())
+        return x
+
+    with np.errstate(all="ignore"):
+        for _ in range(2000):
+            size, m = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            cells_read, g, acc = rng.integers(0, size, size=m), draw(m), draw(size)
+            fresh = rng.random() < 0.5      # the run starts the gradient
+            folded = None if fresh else acc
+            for cell, value in zip(cells_read, g):
+                contribution = np.zeros(size)
+                np.add.at(contribution, cell, value)
+                folded = contribution if folded is None else folded + contribution
+            scattered = np.zeros(size) if fresh else acc + 0.0
+            np.add.at(scattered, cells_read, 0.0 + g)
+            assert folded.tobytes() == scattered.tobytes()
+
+
+def test_stream_padding_bakes_one_constant_row():
+    # 64 vector members; eight take a third gradient contribution, so the
+    # other 56 streams are padded with -0.0 — baked once, not once a cell
+    def fn(t):
+        p = cells(t)
+        v = ops.stack([ops.getitem(p, k % 12) for k in range(50)])
+        a = [ops.exp(ops.mul(v, 0.01 * i)) for i in range(64)]
+        parts = [ops.sum_(ops.mul(x, x), axis=0) for x in a]
+        return finish(parts + [ops.sum_(ops.sin(x), axis=0) for x in a[:8]])
+
+    tape = compile_tape(fn, Z_SINGLE)
+    v_c, g_c = tape.value_and_grad(Z_SINGLE)
+    v_i, g_i = interpreted(fn, Z_SINGLE)
+    assert np.array_equal(v_c, v_i) and np.array_equal(g_c, g_i)
+    pads = [c for c in tape._consts if isinstance(c, np.ndarray) and c.dtype == float
+            and c.size and not c.any() and np.signbit(c).all()]
+    assert pads and all(len(c) == 1 for c in pads), [c.shape for c in pads]
