@@ -4,7 +4,9 @@ For each Table 5 entry the same NUTS configuration runs four chains twice —
 ``chain_method="sequential"`` and ``chain_method="vectorized"`` — under the
 same seed.  The vectorized engine must produce *identical* draws (it answers
 every synchronized evaluation of all chains with one batched tape) and be at
-least 2x faster in aggregate.
+least 2x faster in aggregate.  Each vectorized fit also records the batch
+widths its potential classified: one width (the chain count) must serve the
+straggler batches too, which ``check_bench_regressions.py`` gates as a count.
 
 ``REPRO_BENCH_ITERS`` cuts the iteration counts (CI smoke runs use 20) so the
 script's wiring is exercised on every push without burning minutes.
@@ -47,7 +49,7 @@ def _run(entry, data, warmup, samples, chain_method):
                 num_chains=NUM_CHAINS, seed=0, chain_method=chain_method)
     start = time.perf_counter()
     mcmc.run()
-    return mcmc, time.perf_counter() - start
+    return mcmc, time.perf_counter() - start, sorted(potential._batched_mode)
 
 
 def test_vectorized_chain_speedup(benchmark):
@@ -57,22 +59,22 @@ def test_vectorized_chain_speedup(benchmark):
             entry = get(name)
             data = entry.data()
             warmup, samples = _iters(entry.config)
-            seq, seq_time = _run(entry, data, warmup, samples, "sequential")
-            vec, vec_time = _run(entry, data, warmup, samples, "vectorized")
+            seq, seq_time, _ = _run(entry, data, warmup, samples, "sequential")
+            vec, vec_time, widths = _run(entry, data, warmup, samples, "vectorized")
             seq_draws = seq.get_samples(group_by_chain=True)
             vec_draws = vec.get_samples(group_by_chain=True)
             identical = all(
                 np.allclose(vec_draws[site], seq_draws[site], atol=1e-12)
                 for site in seq_draws
             )
-            rows.append((entry.name, seq_time, vec_time, identical))
+            rows.append((entry.name, seq_time, vec_time, identical, widths))
         return rows
 
     rows = benchmark.pedantic(run_table, rounds=1, iterations=1)
     lines = [f"{'entry':<28} {'sequential':>12} {'vectorized':>12} {'speedup':>9}  "
              f"({NUM_CHAINS} chains, NUTS, same seed)"]
     speedups = []
-    for name, seq_time, vec_time, identical in rows:
+    for name, seq_time, vec_time, identical, _ in rows:
         speedup = seq_time / vec_time
         speedups.append(speedup)
         lines.append(f"{name:<28} {seq_time:10.2f}s {vec_time:10.2f}s {speedup:8.2f}x"
@@ -85,8 +87,9 @@ def test_vectorized_chain_speedup(benchmark):
         "num_chains": NUM_CHAINS,
         "rows": [{"entry": name, "sequential_seconds": seq_time,
                   "vectorized_seconds": vec_time, "speedup": seq_time / vec_time,
-                  "identical_draws": bool(identical)}
-                 for name, seq_time, vec_time, identical in rows],
+                  "identical_draws": bool(identical),
+                  "classified_widths": widths}
+                 for name, seq_time, vec_time, identical, widths in rows],
         "geometric_mean_speedup": mean_speedup,
         # the regression guard (check_bench_regressions.py) gates on this;
         # cut runs record no threshold — timings are meaningless there
@@ -95,6 +98,6 @@ def test_vectorized_chain_speedup(benchmark):
 
     # The vectorized path is only a valid optimisation if it is a bitwise
     # re-ordering of the same computation.
-    assert all(identical for *_, identical in rows)
+    assert all(identical for *_, identical, _ in rows)
     if FULL_RUN:
         assert mean_speedup >= 2.0, f"expected >=2x aggregate speedup, got {mean_speedup:.2f}x"

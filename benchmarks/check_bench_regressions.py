@@ -29,7 +29,9 @@ loads whichever of the known artifacts exist in the directory and fails
   twin's, the same cap at N=100 and N=500) stayed within it — a count, so
   runner noise cannot flake it;
 * ``BENCH_vectorized.json`` — the geometric-mean multi-chain speedup stayed
-  >= the recorded assertion threshold, when the file records one;
+  >= the recorded assertion threshold, when the file records one, and no
+  vectorized fit classified more than one batch width (straggler batches
+  are served by the chain-count width — a count, so noise cannot flake it);
 * ``BENCH_obs_overhead.json`` — the default (telemetry-off) evaluation path
   stayed within the recorded overhead cap of the engine-dispatch floor and
   telemetry never perturbed an evaluation result;
@@ -219,6 +221,12 @@ def _check_vectorized(payload: dict, problems: List[str]) -> None:
         problems.append(
             f"BENCH_vectorized: geometric_mean_speedup={speedup!r} fell below "
             f"the recorded threshold {threshold!r}")
+    for row in payload.get("rows", []):
+        widths = row.get("classified_widths", [])
+        if len(widths) > 1:
+            problems.append(
+                f"BENCH_vectorized: {row.get('entry')} classified batch widths "
+                f"{widths!r}; one width must serve every batch size")
 
 
 CHECKS: Dict[str, Callable[[dict, List[str]], None]] = {

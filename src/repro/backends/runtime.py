@@ -89,6 +89,18 @@ for _name in stanlib.KNOWN_DISTRIBUTIONS:
 # ----------------------------------------------------------------------
 # standard-library dispatch and user-function support
 # ----------------------------------------------------------------------
+def _is_per_chain(x, batch: int) -> bool:
+    """Whether ``x`` carries the leading chain axis of a batched evaluation.
+
+    Derived tensors don't inherit ``is_batched`` from the substituted leaves,
+    but under a batched evaluation every graph-connected tensor descends from
+    batched latents, so a leading axis of length ``batch`` is the chain axis.
+    """
+    return isinstance(x, Tensor) and (
+        getattr(x, "is_batched", False)
+        or (x.data.ndim >= 1 and x.data.shape[0] == batch and x._requires_graph()))
+
+
 def _call(name: str, *args):
     """Dispatch a Stan standard-library call by name.
 
@@ -99,10 +111,22 @@ def _call(name: str, *args):
     reduced value is size 1).  ``sum``/``mean`` therefore reduce per chain,
     and any other call whose result loses the chain axis aborts the batched
     evaluation so the potential falls back to the per-chain row loop.
+    Arguments count as per-chain by the rule of :func:`_is_per_chain`, so
+    sums of per-chain terms (which lose the ``is_batched`` flag) still reduce
+    per chain.
     """
     batch = current_batch_size()
-    if batch is not None and any(
-            isinstance(a, Tensor) and getattr(a, "is_batched", False) for a in args):
+    if batch is not None and any(_is_per_chain(a, batch) for a in args):
+        if name == "log_sum_exp" and len(args) > 1:
+            # Binary ``log_sum_exp(a, b)`` over per-chain terms: stack the
+            # terms on a trailing axis and reduce per chain below (the
+            # scalar library's leading-axis stack would reduce over the
+            # chain axis too).
+            terms = [as_tensor(a) for a in args]
+            shape = np.broadcast_shapes(*(t.data.shape for t in terms))
+            args = (ops.stack([t if t.data.shape == shape
+                               else ops.mul(t, np.ones(shape)) for t in terms],
+                              axis=-1),)
         if name in ("sum", "mean", "log_sum_exp") and len(args) == 1:
             x = as_tensor(args[0])
             reduce = {"sum": ops.sum_, "mean": ops.mean,
@@ -298,15 +322,7 @@ def _index_update(base, indices: Tuple, value):
     norm = tuple(_normalize_index(i) for i in indices)
     batch = current_batch_size()
     base_batched = isinstance(base, Tensor) and getattr(base, "is_batched", False)
-    value_batched = batch is not None and isinstance(value, Tensor) and (
-        getattr(value, "is_batched", False)
-        # Derived tensors don't inherit ``is_batched`` from the substituted
-        # leaves, but under a batched evaluation every graph-connected tensor
-        # descends from batched latents, so a leading axis of length ``batch``
-        # is the chain axis.
-        or (value.data.ndim >= 1 and value.data.shape[0] == batch
-            and value._requires_graph())
-    )
+    value_batched = batch is not None and _is_per_chain(value, batch)
     if batch is not None and (base_batched or value_batched):
         # Vectorized multi-chain evaluation: the indices address event axes,
         # so the write must go to ``[:, norm]`` with the leading chain axis

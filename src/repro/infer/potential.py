@@ -26,12 +26,17 @@ their trailing axes only, and a single reverse pass seeded with ones yields
 the per-chain gradients — chains never interact, so the rows of ``dU/dZ`` are
 exactly the per-chain gradients.
 
-Because the model is arbitrary Python, batching is *optimistic*: on the first
-batched call for a given chain count the result is validated against the
-per-row sequential oracle; if the model does something that does not broadcast
-along the chain axis (axis-0 indexing of locals, data-dependent branching on
-latents, matrix ops that contract the wrong axis, ...) the potential silently
-falls back to an API-compatible row loop, keeping semantics identical.
+Because the model is arbitrary Python, batching is *optimistic*: the first
+batched call validates the vectorized evaluation at its row count (the
+potential's one classified *width*) against the per-row sequential oracle; if
+the model does something that does not broadcast along the chain axis (axis-0
+indexing of locals, data-dependent branching on latents, matrix ops that
+contract the wrong axis, ...) the potential silently falls back to an
+API-compatible row loop, keeping semantics identical.  Every later batch is
+served at a classified width — padded with copies of its last row, or split
+into width-sized blocks — so no batched program ever runs at a shape it was
+not validated at, and straggler chains or large diagnostic batches never pay
+a second validation.
 
 Discrete-latent enumeration
 ---------------------------
@@ -232,11 +237,12 @@ class Potential:
             span.set(sites=len(self.sites),
                      enumerated=self.enum_plan is not None)
         self._vg = value_and_grad(self._neg_log_joint_tensor)
-        # Batched-evaluation mode per chain count: "fast" once validated
-        # against the sequential oracle, "loop" if the model does not batch.
+        # Batched-evaluation mode per classified width (row count): "fast"
+        # once validated against the sequential oracle, "loop" if the model
+        # does not batch.  Every batch size is served from these widths.
         self._batched_mode: Dict[int, str] = {}
         self._constrain_batched_ok: Optional[bool] = None
-        # Compiled-tape states, keyed ("single",) / ("batched", C): each is
+        # Compiled-tape states, keyed ("single",) / ("batched", width): each is
         # {"tape": CompiledTape|None, "mode": None|"fast"|"value_fast"|"off"}
         # relative to its interpreted oracle.  Cleared whenever the graph
         # structure changes (enumeration-strategy demotion).
@@ -874,7 +880,7 @@ class Potential:
     # the compiled engine (fused tape programs; repro.autodiff.compile)
     # ------------------------------------------------------------------
     # Each graph the potential evaluates repeatedly — the single-row tape and
-    # the per-chain-count batched tapes (including the factorized C×B
+    # the batched tape of each classified width (including the factorized C×B
     # contraction, which is part of the batched graph) — can be lowered once
     # into a fused straight-line NumPy program.  Acceptance follows the same
     # tolerance-tiered contract as every other optimistic fast path, with the
@@ -1080,18 +1086,18 @@ class Potential:
         """One-line evaluation-tier summary, e.g. ``compiled:fast vec:fast``.
 
         Reports the engine plus the single-evaluation tape tier, the batched
-        tier for ``num_chains`` (when classified), and the enumeration
-        strategy for enumerated potentials.  Consumed by the live progress
-        meter and the telemetry report.
+        tier of the width that serves ``num_chains`` rows (once a width is
+        classified), and the enumeration strategy for enumerated potentials.
+        Consumed by the live progress meter and the telemetry report.
         """
         parts = [self.engine_config.engine]
         single = self._tapes.get(("single",))
         if single is not None and single["mode"] is not None:
             parts[0] = f"{self.engine_config.engine}:{single['mode']}"
-        if num_chains is not None:
-            batched = self._batched_mode.get(num_chains)
-            if batched is not None:
-                parts.append(f"vec:{batched}")
+        if num_chains is not None and num_chains > 1:
+            width = self._serving_width(num_chains)
+            if width is not None:
+                parts.append(f"vec:{self._batched_mode[width]}")
         if self.enum_plan is not None:
             parts.append(f"enum:{self.enum_strategy}")
         return " ".join(parts)
@@ -1233,7 +1239,7 @@ class Potential:
 
         Under ``engine="compiled"`` the whole batched graph — including the
         factorized C×B contraction when that strategy is active — is lowered
-        into one fused program per chain count, validated against the
+        into one fused program per classified width, validated against the
         interpreted batched tape under the tiered contract.
         """
         if self.engine_config.engine != "compiled":
@@ -1253,15 +1259,18 @@ class Potential:
     def potential_and_grad_batched(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Potential energies ``(C,)`` and gradients ``(C, dim)`` for a batch ``z``.
 
-        The first call for a given chain count validates the vectorized
-        evaluation against the per-row sequential oracle under the
-        tolerance-tiered contract (see module constants): values must match
-        **bitwise** (they feed sampler threshold decisions); gradients may
-        match bitwise (``"fast"`` — the tape serves everything) or within the
-        documented tolerance (``"value_fast"`` — value-only consumers keep
-        the tape, gradient consumers take the row loop so trajectories stay
-        bitwise identical between chain methods); anything else falls back to
-        an equivalent row loop.
+        The first batched call classifies its row count as the potential's
+        width: the vectorized evaluation is validated against the per-row
+        sequential oracle under the tolerance-tiered contract (see module
+        constants).  Values must match **bitwise** (they feed sampler
+        threshold decisions); gradients may match bitwise (``"fast"`` — the
+        tape serves everything) or within the documented tolerance
+        (``"value_fast"`` — value-only consumers keep the tape, gradient
+        consumers take the row loop so trajectories stay bitwise identical
+        between chain methods); anything else falls back to an equivalent
+        row loop.  Every later batch, of any size, is served at a classified
+        width (see :meth:`_serving_width`); a single row takes the single
+        tape.
         """
         z = np.asarray(z, dtype=float)
         if z.ndim != 2:
@@ -1278,31 +1287,70 @@ class Potential:
 
     def _potential_and_grad_batched_impl(self, z: np.ndarray, c: int
                                          ) -> Tuple[np.ndarray, np.ndarray]:
-        if c == 1:
+        if c <= 1:
             # A single row gains nothing from the batched tape (and vectorized
             # NUTS runs shrink to one straggler chain at the end of every run)
             # — the sequential evaluation is the cheaper identical computation.
             return self._potential_and_grad_batched_loop(z)
-        mode = self._batched_mode.get(c)
-        if mode == "fast":
+        width = self._serving_width(c)
+        if width is None:
+            with self._validation_lock:
+                if self._serving_width(c) is None:
+                    self._classify_batched(c, z.shape[1])
+            return self._potential_and_grad_batched_impl(z, c)
+        if self._batched_mode[width] == "fast":
             try:
-                return self._potential_and_grad_batched_fast(z)
+                return self._in_blocks(self._potential_and_grad_batched_fast,
+                                       z, width)
             except Exception as exc:
                 # A state-dependent branch may only trigger away from the
                 # validation point (e.g. a latent crossing a control-flow
-                # boundary); demote this batch size to the row loop for good.
-                self._demote_batched(c, reason=exc)
-                return self._potential_and_grad_batched_loop(z)
-        if mode in ("loop", "value_fast"):
-            return self._potential_and_grad_batched_loop(z)
-        with self._validation_lock:
-            if self._batched_mode.get(c) is None:
-                self._classify_batched(c, z.shape[1])
-        return self._potential_and_grad_batched_impl(z, c)
+                # boundary); demote this width to the row loop for good.
+                self._demote_batched(width, reason=exc)
+        return self._potential_and_grad_batched_loop(z)
+
+    def _serving_width(self, c: int) -> Optional[int]:
+        """The classified width that serves a ``c``-row batch.
+
+        The smallest width ``>= c`` (the batch is padded up to it), else the
+        largest width (the batch is split into blocks of it); ``None`` until
+        the first classification.  Rows never interact in the batched graph
+        — plain models broadcast, and the enumerated C×B graph contracts
+        each chain separately — so padding reuses exactly the evidence that
+        lets a width serve batches of its own row count.
+        """
+        fits = [w for w in self._batched_mode if w >= c]
+        return min(fits) if fits else max(self._batched_mode, default=None)
+
+    def _in_blocks(self, fn: Callable, z: np.ndarray, width: int
+                   ) -> Tuple[np.ndarray, ...]:
+        """``fn`` over ``z`` in ``width``-row blocks, cut back to ``z``'s rows.
+
+        ``fn`` maps a ``(width, dim)`` block to a tuple of arrays whose
+        leading axis is the row axis.  The last block is padded with copies
+        of its last real row, so every call runs at the validated shape and
+        padding never feeds the program a point the batch did not contain.
+        """
+        parts = []
+        for start in range(0, z.shape[0], width):
+            block = z[start:start + width]
+            rows = block.shape[0]
+            if rows < width:
+                block = np.concatenate(
+                    [block, np.repeat(block[-1:], width - rows, axis=0)])
+                self.metrics.inc("batched.padded_rows", width - rows)
+            parts.append(tuple(out[:rows] for out in fn(block)))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def _classify_batched(self, c: int, dim: int) -> None:
-        """Validate the vectorized evaluation for chain count ``c`` and set
-        its tier — at a *canonical* probe batch, not the caller's point.
+        """Validate the vectorized evaluation at width ``c`` and set its tier
+        — at a *canonical* probe batch, not the caller's point.
+
+        A potential classifies once, at the row count of its first batched
+        call, and only while its (possibly shared) tier table holds no width;
+        every other batch size is then padded or split onto that width.
 
         The tier must be a pure function of the potential: a checkpointed
         run classifies on its first warmup batch while a resumed run
@@ -1369,11 +1417,11 @@ class Potential:
                  grads_within_tolerance=bool(grads_tol))
         self.metrics.set_info(f"batched.{c}", self._batched_mode[c])
 
-    def _demote_batched(self, c: int, reason) -> None:
-        """Permanently demote chain count ``c`` to the row loop at runtime."""
-        self._batched_mode[c] = "loop"
-        self.metrics.set_info(f"batched.{c}", "loop")
-        self.telemetry.event("batched.demote", num_chains=c,
+    def _demote_batched(self, width: int, reason) -> None:
+        """Permanently demote ``width`` to the row loop at runtime."""
+        self._batched_mode[width] = "loop"
+        self.metrics.set_info(f"batched.{width}", "loop")
+        self.telemetry.event("batched.demote", num_chains=width,
                              reason=f"{type(reason).__name__}: {reason}")
 
     def share_batched_classification(self, store: Dict[int, str]) -> None:
@@ -1384,13 +1432,16 @@ class Potential:
         values — so potentials over same-shaped data for the same model can
         share one table instead of each paying the full
         ``VALIDATION_PROBES``-probe row-loop comparison on first batched
-        use (the serving layer's cold-dataset k-hat tax).  Tiers this
-        potential already established are merged in without overwriting the
-        store's; afterwards classification results (including runtime
-        demotions, which are conservative) are written straight into the
-        shared dict, visible to every sharer.  The runtime demote-on-error
-        guard still protects each potential individually if the structural
-        assumption is ever wrong for a particular dataset.
+        use (the serving layer's cold-dataset k-hat tax).  The store's widths
+        serve every batch size of every sharer (padded or split onto them,
+        see :meth:`_serving_width`), so a potential that adopts a non-empty
+        store never classifies.  Tiers this potential already established
+        are merged in without overwriting the store's; afterwards
+        classification results (including runtime demotions, which are
+        conservative) are written straight into the shared dict, visible to
+        every sharer.  The runtime demote-on-error guard still protects each
+        potential individually if the structural assumption is ever wrong
+        for a particular dataset.
         """
         with self._validation_lock:
             for count, mode in self._batched_mode.items():
@@ -1402,8 +1453,10 @@ class Potential:
 
         The diagnostics path (PSIS reweighting of guide draws) needs large
         batches of densities but never their gradients; skipping the reverse
-        pass roughly halves the cost.  Reuses (and, on first call, triggers)
-        the fast/loop classification of :meth:`potential_and_grad_batched`.
+        pass roughly halves the cost.  Served like
+        :meth:`potential_and_grad_batched`, at a classified width in padded
+        blocks; it classifies (through that method, at this batch's row
+        count) only when no width exists yet.
         """
         z = np.asarray(z, dtype=float)
         if z.ndim != 2:
@@ -1411,34 +1464,40 @@ class Potential:
         c = z.shape[0]
         if c and z.shape[1]:
             self._ensure_enum_strategy(z[0])
-        mode = self._batched_mode.get(c)
-        if mode is None:
+        width = self._serving_width(c)
+        if width is None:
             return self.potential_and_grad_batched(z)[0]
         self.metrics.inc("value_evals", c)
         start = time.perf_counter()
         try:
-            return self._potential_batched_impl(z, c, mode)
+            return self._potential_batched_impl(z, width)
         finally:
             self.metrics.inc("tape_seconds", time.perf_counter() - start)
 
-    def _potential_batched_impl(self, z: np.ndarray, c: int, mode: str) -> np.ndarray:
-        if mode in ("fast", "value_fast"):
+    def _potential_batched_impl(self, z: np.ndarray, width: int) -> np.ndarray:
+        if z.shape[0] > 1 and self._batched_mode[width] in ("fast", "value_fast"):
             # ``value_fast``: the tape's *values* validated bitwise against
             # the oracle (only its gradients sit in the tolerance tier), so
             # value-only consumers keep the batched evaluation.
-            if self.engine_config.engine == "compiled":
-                out = self._compiled_value(("batched", c), z)
-                if out is not None:
-                    return np.asarray(out, dtype=float)
             try:
-                with no_grad(), np.errstate(all="ignore"):
-                    out = self._neg_log_joint_tensor_batched(as_tensor(z))
-                return np.asarray(out.data, dtype=float)
+                return self._in_blocks(
+                    lambda block: (self._batched_values(block),), z, width)[0]
             except Exception as exc:
-                self._demote_batched(c, reason=exc)
+                self._demote_batched(width, reason=exc)
         with no_grad():
-            return np.array([self._compiled_or_interpreted_value(z[i])
-                             for i in range(c)])
+            return np.array([self._compiled_or_interpreted_value(zi) for zi in z])
+
+    def _batched_values(self, z: np.ndarray) -> np.ndarray:
+        if self.engine_config.engine == "compiled":
+            out = self._compiled_value(("batched", z.shape[0]), z)
+            if out is not None:
+                return np.asarray(out, dtype=float)
+        # Recorded like the validated gradient tape, not under no_grad: the
+        # runtime recognizes derived per-chain tensors by their graph
+        # provenance, which no_grad erases.
+        with np.errstate(all="ignore"):
+            out = self._neg_log_joint_tensor_batched(Tensor(z, requires_grad=True))
+        return np.asarray(out.data, dtype=float)
 
     def _compiled_or_interpreted_value(self, zi: np.ndarray) -> float:
         if self.engine_config.engine == "compiled":
@@ -1446,6 +1505,11 @@ class Potential:
             if out is not None:
                 return float(out)
         return float(self._neg_log_joint_tensor(as_tensor(zi)).data)
+
+    def _constrained_rows(self, z: np.ndarray) -> Dict[str, np.ndarray]:
+        """Per-row :meth:`constrained_dict` of a batch, stacked per site."""
+        rows = [self.constrained_dict(zi) for zi in z]
+        return {name: np.array([row[name] for row in rows]) for name in self.sites}
 
     def constrained_dict_batched(self, z: np.ndarray) -> Dict[str, np.ndarray]:
         """Constrained NumPy values for a ``(C, dim)`` batch (no grad).
@@ -1470,23 +1534,20 @@ class Potential:
                 if self._constrain_batched_ok is None:
                     with self._validation_lock:
                         if self._constrain_batched_ok is None:
-                            rows = [self.constrained_dict(z[i])
-                                    for i in range(z.shape[0])]
+                            rows = self._constrained_rows(z)
                             self._constrain_batched_ok = all(
-                                np.allclose(out[name][i], rows[i][name],
+                                np.allclose(out[name], rows[name],
                                             rtol=1e-8, atol=1e-10, equal_nan=True)
-                                for i in range(z.shape[0]) for name in rows[i]
+                                for name in self.sites
                             )
                             if not self._constrain_batched_ok:
                                 # The oracle rows were just computed — reuse them.
-                                return {name: np.array([row[name] for row in rows])
-                                        for name in self.sites}
+                                return rows
                 if self._constrain_batched_ok:
                     return out
             except Exception:
                 self._constrain_batched_ok = False
-        rows = [self.constrained_dict(z[i]) for i in range(z.shape[0])]
-        return {name: np.array([row[name] for row in rows]) for name in self.sites}
+        return self._constrained_rows(z)
 
 
 def make_potential(model: Callable, *model_args, observed: Optional[Dict[str, Any]] = None,

@@ -115,6 +115,64 @@ def test_batched_constrained_dict_matches_rowwise():
             np.testing.assert_allclose(batched[name][i], value)
 
 
+def test_constrained_dict_batched_check_catches_one_perturbed_row(monkeypatch):
+    """The first-call check compares each site's stacked rows at once; one
+    perturbed row in one site must still select the row loop."""
+    pot = _eight_schools_potential()
+    z = np.random.default_rng(3).normal(size=(5, pot.dim))
+    original = pot.constrain_batched
+
+    def perturbed(zt):
+        constrained, log_det = original(zt)
+        constrained["tau"].data[2] += 1e-3
+        return constrained, log_det
+
+    monkeypatch.setattr(pot, "constrain_batched", perturbed)
+    batched = pot.constrained_dict_batched(z)
+    assert pot._constrain_batched_ok is False
+    for i in range(5):
+        for name, value in pot.constrained_dict(z[i]).items():
+            np.testing.assert_array_equal(batched[name][i], value)
+
+
+def test_binary_log_sum_exp_reduces_per_chain():
+    """``log_sum_exp(a, b)`` over derived per-chain terms (sums that lost the
+    ``is_batched`` flag) reduces each chain on its own."""
+    from repro.autodiff import Tensor
+    from repro.backends.runtime import _call
+    from repro.ppl.primitives import FastLogDensityContext
+
+    leaf = Tensor(np.random.default_rng(4).normal(size=(3, 1)), requires_grad=True)
+    a, b = leaf + 1.0, leaf * 2.0 - 0.5
+    for args in ((a, b), (0.0, a)):  # a plain scalar broadcasts per chain
+        with FastLogDensityContext(batch_size=3):
+            out = _call("log_sum_exp", *args)
+        assert out.data.shape == (3, 1) and out.is_batched
+        expected = [_call("log_sum_exp", *(x.data[i, 0] if isinstance(x, Tensor)
+                                           else x for x in args)).data
+                    for i in range(3)]
+        np.testing.assert_array_equal(out.data[:, 0], expected)
+
+
+@pytest.mark.parametrize("name", ["eight_schools_noncentered", "gauss_mix_marginal"])
+def test_interpreted_value_path_keeps_per_chain_rules(name):
+    """The interpreted value-only batched path records the graph like the
+    validated gradient tape: under no_grad a derived per-chain cell write
+    raised (demoting the width) and a derived ``log_sum_exp`` mixed chains."""
+    from repro.posteriordb import datagen
+
+    data = (EIGHT_SCHOOLS_DATA if name == "eight_schools_noncentered"
+            else datagen.gauss_mix_enum_data(1, n=16))
+    pot = compile_model(models.get(name)).condition(data).potential(
+        0, engine="interpreted")
+    rng = np.random.default_rng(6)
+    pot.potential_and_grad_batched(rng.normal(size=(4, pot.dim)))
+    z = rng.normal(size=(6, pot.dim))
+    np.testing.assert_array_equal(pot.potential_batched(z),
+                                  [pot.potential(zi) for zi in z])
+    assert pot._batched_mode == {4: "fast"}
+
+
 # ----------------------------------------------------------------------
 # vectorized vs sequential chains
 # ----------------------------------------------------------------------
@@ -250,3 +308,107 @@ def test_advi_multi_sample_elbo_uses_batched_path():
     n = len(data)
     true_mean = (data.sum() / 1.0) / (1 / 4.0 + n)
     assert draws.mean() == pytest.approx(true_mean, abs=0.2)
+
+
+# ----------------------------------------------------------------------
+# one classified width serves every batch size
+# ----------------------------------------------------------------------
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Row counts passed to ``Potential._classify_batched``, in call order."""
+    from repro.infer import potential as potential_mod
+
+    calls = []
+    original = potential_mod.Potential._classify_batched
+
+    def counting(self, c, dim):
+        calls.append(c)
+        return original(self, c, dim)
+
+    monkeypatch.setattr(potential_mod.Potential, "_classify_batched", counting)
+    return calls
+
+
+def _width_reuse_potential(name):
+    from repro.posteriordb import datagen
+
+    if name == "eight_schools_centered":
+        return _eight_schools_potential()
+    if name == "multimodal":
+        return compile_model(models.get(name)).potential({})
+    if name == "gauss_mix_marginal":  # per-chain binary log_sum_exp batches
+        return compile_model(models.get(name)).potential(
+            datagen.gauss_mix_enum_data(1, n=16))
+    return compile_model(models.get(name), enum="auto").condition(
+        datagen.hmm_k_data(0, t=12)).potential(0)
+
+
+@pytest.mark.parametrize("name, tier", [
+    ("eight_schools_centered", "fast"),
+    ("gauss_mix_marginal", "fast"),
+    ("multimodal", "loop"),
+    ("hmm_k_enum", "value_fast"),
+])
+def test_one_width_serves_every_batch_size(name, tier, classify_calls):
+    """After a 4-row call, smaller batches are padded up to width 4 and
+    larger ones split into 4-row blocks — bitwise equal to per-row
+    evaluation, with no second classification."""
+    pot = _width_reuse_potential(name)
+    z0 = pot.initial_unconstrained()
+    rng = np.random.default_rng(2)
+    pot.potential_and_grad_batched(z0 + 0.1 * rng.normal(size=(4, pot.dim)))
+    assert pot._batched_mode == {4: tier}
+    for c in (2, 3, 5, 9):
+        z = z0 + 0.3 * rng.normal(size=(c, pot.dim))
+        values, grads = pot.potential_and_grad_batched(z)
+        rows = [pot.potential_and_grad(zi) for zi in z]
+        np.testing.assert_array_equal(values, [u for u, _ in rows])
+        np.testing.assert_array_equal(grads, np.array([g for _, g in rows]))
+        np.testing.assert_array_equal(pot.potential_batched(z), values)
+        assert pot.eval_tier(c).split()[1] == f"vec:{tier}"
+    z = z0 + 0.3 * rng.normal(size=(1000, pot.dim))
+    np.testing.assert_array_equal(pot.potential_batched(z),
+                                  [pot.potential(zi) for zi in z])
+    assert classify_calls == [4]
+    assert pot._batched_mode == {4: tier}
+    # 2 + 1 + 3 + 3 rows pad each batched pass over c in (2, 3, 5, 9):
+    # values and gradients on "fast", values only on "value_fast"
+    padded = {"fast": 18, "value_fast": 9, "loop": 0}[tier]
+    assert pot.metrics.value("batched.padded_rows") == padded
+
+
+def test_vectorized_fit_keeps_one_batched_tape(classify_calls):
+    """Straggler batches (3, 2 rows) reuse the 4-row tape of a vectorized
+    fit, and the draws stay identical to the sequential chain method."""
+    from repro.posteriordb import datagen
+
+    compiled = compile_model(models.get("gauss_mix_marginal"))
+    data = datagen.gauss_mix_enum_data(1, n=16)
+    draws, pots = {}, {}
+    for chain_method in ("sequential", "vectorized"):
+        pots[chain_method] = pot = compiled.potential(data)
+        mcmc = MCMC(NUTS(pot, max_tree_depth=4), num_warmup=15, num_samples=10,
+                    num_chains=4, seed=5, chain_method=chain_method).run()
+        draws[chain_method] = mcmc.get_samples(group_by_chain=True)
+    for site, value in draws["sequential"].items():
+        np.testing.assert_array_equal(draws["vectorized"][site], value)
+    vec = pots["vectorized"]
+    assert classify_calls == [4]
+    assert vec._batched_mode == {4: "fast"}
+    batched_keys = [key for key in vec.metrics_view()["tape_modes"]
+                    if key.startswith("batched-")]
+    assert batched_keys == ["batched-4"]
+    assert vec.metrics.value("batched.padded_rows") > 0
+
+
+def test_psis_after_vi_fit_runs_no_classification(classify_calls):
+    """A 1000-draw PSIS diagnostic after a 4-particle VI fit is served by
+    the fit's width in 4-row blocks instead of classifying 1000 rows."""
+    compiled = compile_model(models.get("eight_schools_noncentered"))
+    vi = compiled.condition(EIGHT_SCHOOLS_DATA).fit(
+        "vi", guide="auto_normal", num_steps=30, num_particles=4, seed=0)
+    assert classify_calls == [4]
+    psis = vi.psis_diagnostic(1000)
+    assert classify_calls == [4]
+    assert np.isfinite(psis.khat)
+    assert vi.potential._batched_mode == {4: "fast"}

@@ -694,7 +694,8 @@ class TestLoopBinding:
 # ----------------------------------------------------------------------
 def test_cold_datasets_share_batched_classification(trained, monkeypatch):
     """Every per-dataset potential adopts the model-wide tier table, so the
-    probe classification runs once per model, not once per cache entry."""
+    probe classification runs once per model, not once per cache entry, and
+    the model-wide width serves every row count of every dataset."""
     from repro.infer import potential as potential_mod
 
     pot_a = trained.potential_for(perturbed(1))
@@ -702,13 +703,13 @@ def test_cold_datasets_share_batched_classification(trained, monkeypatch):
     # all potentials share the *same* tier table object
     assert pot_a._batched_mode is trained.batched_tiers
     assert pot_b._batched_mode is trained.batched_tiers
+    # training classified one width: the row count of its VI particle batch
+    widths = set(trained.batched_tiers)
+    assert len(widths) == 1
 
-    z = np.zeros((4, pot_a.dim))
-    pot_a.potential_and_grad_batched(z)
-    assert 4 in trained.batched_tiers  # first batched use classified c=4
-
-    # the second dataset's potential must go straight to the shared tier —
-    # re-classification would mean the fast path isn't shared at all
+    # cold datasets must go straight to the shared width — a classification
+    # would mean the fast path isn't shared at all — and an unseen row count
+    # (3) is padded onto it, bitwise equal to per-row evaluation
     calls = []
     original = potential_mod.Potential._classify_batched
 
@@ -718,11 +719,11 @@ def test_cold_datasets_share_batched_classification(trained, monkeypatch):
 
     monkeypatch.setattr(potential_mod.Potential, "_classify_batched",
                         counting)
-    values, grads = pot_b.potential_and_grad_batched(z)
+    for pot, rows in ((pot_a, 4), (pot_b, 4), (pot_b, 3)):
+        z = np.random.default_rng(rows).normal(size=(rows, pot.dim))
+        values, grads = pot.potential_and_grad_batched(z)
+        per_row = [pot.potential_and_grad(zi) for zi in z]
+        np.testing.assert_array_equal(values, [u for u, _ in per_row])
+        np.testing.assert_array_equal(grads, np.array([g for _, g in per_row]))
     assert calls == []
-    assert values.shape == (4,) and grads.shape == z.shape
-
-    # an unseen chain count still classifies (and publishes to the store)
-    pot_b.potential_and_grad_batched(np.zeros((3, pot_b.dim)))
-    assert calls == [3]
-    assert 3 in trained.batched_tiers
+    assert set(trained.batched_tiers) == widths
