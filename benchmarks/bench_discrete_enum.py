@@ -3,8 +3,8 @@
 The flagship "model class Stan forbids" of the paper: models with bounded
 ``int`` parameters.  Each registered workload pair runs NUTS twice —
 
-* the enumerated formulation (``int`` parameters, ``enumerate="parallel"``,
-  exact marginalization by the engine), and
+* the enumerated formulation (``int`` parameters, ``enum="auto"``, exact
+  marginalization by the engine), and
 * the hand-marginalized formulation (``log_sum_exp`` algebra in the model
   block, the rewrite Stan forces on users today)
 
@@ -82,7 +82,6 @@ def test_hmm_enumeration_runs_without_forward_algorithm(benchmark):
     """The HMM workload: exact path-sum by enumeration, no hand-written
     forward algorithm, posterior over the emission means recovered."""
     from repro.core import compile_model
-    from repro.engine import EngineConfig
 
     entry = get("hmm_enum-synthetic_hmm")
     scale = SCALE
@@ -90,7 +89,7 @@ def test_hmm_enumeration_runs_without_forward_algorithm(benchmark):
     def run_hmm():
         compiled = compile_model(entry.source, backend="numpyro",
                                  scheme="comprehensive", name=entry.name,
-                                 engine=EngineConfig(enumerate=entry.enumerate))
+                                 enum=entry.enum)
         model = compiled.condition(entry.data())
         fit = model.fit("nuts",
                         num_warmup=max(int(entry.config.num_warmup * scale), 10),
@@ -114,8 +113,8 @@ def test_hmm_enumeration_runs_without_forward_algorithm(benchmark):
         assert summary["mu[0]"]["mean"] < 0 < summary["mu[1]"]["mean"]
 
 
-def test_factorized_enumeration_scales_linearly(benchmark):
-    """The asymptotic gate for the factorized engine (BENCH_enum_scaling.json).
+def test_structured_enumeration_scales_linearly(benchmark):
+    """The asymptotic gate for the structured engine (BENCH_enum_scaling.json).
 
     Measures steady-state ``potential_and_grad`` cost of the mixture at
     N=250 vs N=500 (per-element enumeration) and the 4-state HMM at T=100 vs
@@ -123,7 +122,7 @@ def test_factorized_enumeration_scales_linearly(benchmark):
     is unrepresentable, so a regression back to the exponential path cannot
     even complete.  Runs under **both** evaluation engines (the interpreted
     tape and the fused compiled tape) and asserts, for each, that the
-    factorized strategy resolved and that cost grows at most linearly
+    contract strategy resolved and that cost grows at most linearly
     (x2 slack for timer noise) in N / T at fixed K, i.e. the measured
     O(N*K) / O(T*K^2) asymptotic.
     """
@@ -153,14 +152,14 @@ def test_factorized_enumeration_scales_linearly(benchmark):
                 "strategies": list(scaling.strategies),
                 "engine": scaling.engine,
             }
-            assert scaling.strategies == ("factorized", "factorized"), scaling
+            assert scaling.strategies == ("contract", "contract"), scaling
             # Linear growth in the element count at fixed K: doubling the
             # size must cost at most ~2x (the joint table would be 2^250
             # times worse for the mixture step alone).
             assert scaling.cost_ratio <= bound, scaling
     lines.append("[cost grows linearly in N/T under both engines: per-element "
                  "O(N*K) and chain-elimination O(T*K^2), never the K^N table]")
-    record("BENCH_enum_scaling — factorized enumeration asymptotics", lines)
+    record("BENCH_enum_scaling — structured enumeration asymptotics", lines)
     record_json("BENCH_enum_scaling.json", payload)
 
 
@@ -172,7 +171,7 @@ def test_unrepresentable_table_workloads_match_hand_marginalization(benchmark):
     """The enum-scaling gate: mixture at N=500 and the 4-state HMM at T=200.
 
     The joint assignment tables would hold 2^500 and 4^200 entries — only
-    the factorized path can run these — and the recovered posteriors must
+    the contract path can run these — and the recovered posteriors must
     agree with the hand-marginalized twins within Monte Carlo error.
     CI runs this in the dedicated ``enum-scaling`` job under a wall-clock
     budget; the smoke job skips it (cut draw counts would make the
@@ -209,7 +208,7 @@ def test_unrepresentable_table_workloads_match_hand_marginalization(benchmark):
             "enum_strategy": comp.enum_strategy,
             "engine": comp.engine,
         }
-        assert comp.enum_strategy == "factorized", (name, comp.enum_strategy)
+        assert comp.enum_strategy == "contract", (name, comp.enum_strategy)
         # the whole point: the joint table is unrepresentable at these sizes
         assert comp.table_size > 10 ** 100, (name, comp.table_size)
         assert comp.max_mcse_sigmas < 4.0, (name, comp.max_mcse_sigmas)
@@ -280,8 +279,8 @@ def test_contract_workloads_match_hand_marginalization(benchmark):
     """The contract-strategy gate: factorial HMM at T=100, tree mix at N=200.
 
     The joint assignment tables would hold 4^100 and 2^200 entries — beyond
-    both the joint engine and the strict factorized engine (cross-site /
-    cross-element coupling) — and the posteriors recovered through greedy
+    the joint engine, with cross-site / cross-element coupling that needs a
+    general elimination order — and the posteriors recovered through greedy
     tensor variable elimination must agree with the hand-marginalized twins
     (product-chain forward algorithm / upward belief propagation) within
     Monte Carlo error.  Runs in the dedicated ``enum-scaling`` CI job.

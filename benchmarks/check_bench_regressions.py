@@ -11,11 +11,12 @@ loads whichever of the known artifacts exist in the directory and fails
 * ``BENCH_discrete.json`` — every workload's ``max_mcse_sigmas`` < 4 (the
   honest two-finite-runs agreement metric), ``accuracy_passed`` true, and
   responsibilities present;
-* ``BENCH_enum_scaling.json`` — both workloads resolved the ``factorized``
+* ``BENCH_enum_scaling.json`` — both workloads resolved the ``contract``
   strategy and per-evaluation cost grew at most linearly (the recorded
   ``cost_ratio`` <= its recorded bound);
 * ``BENCH_enum_scaling_posteriors.json`` — the unrepresentable-table
-  workloads stayed factorized and within ``max_mcse_sigmas`` < 4;
+  workloads stayed on the contraction path and within
+  ``max_mcse_sigmas`` < 4;
 * ``BENCH_enum_contract.json`` — the cross-site-coupled workloads
   (factorial HMM, tree-coupled mixture) resolved the ``contract`` strategy
   and both the wall-clock cost ratio and the deterministic planner cost
@@ -78,10 +79,10 @@ def _check_discrete(payload: dict, problems: List[str]) -> None:
 def _check_enum_scaling(payload: dict, problems: List[str]) -> None:
     for name, row in payload.get("workloads", {}).items():
         strategies = row.get("strategies", [])
-        if any(s != "factorized" for s in strategies):
+        if any(s != "contract" for s in strategies):
             problems.append(
                 f"BENCH_enum_scaling: {name} strategies={strategies!r} "
-                "(regressed off the factorized path)")
+                "(regressed off the contraction path)")
         ratio = row.get("cost_ratio")
         bound = row.get("cost_ratio_bound")
         if ratio is None or bound is None or ratio > bound:
@@ -92,10 +93,10 @@ def _check_enum_scaling(payload: dict, problems: List[str]) -> None:
 
 def _check_enum_posteriors(payload: dict, problems: List[str]) -> None:
     for name, row in payload.get("workloads", {}).items():
-        if row.get("enum_strategy") != "factorized":
+        if row.get("enum_strategy") != "contract":
             problems.append(
                 f"BENCH_enum_scaling_posteriors: {name} "
-                f"strategy={row.get('enum_strategy')!r} (expected factorized)")
+                f"strategy={row.get('enum_strategy')!r} (expected contract)")
         sigmas = row.get("max_mcse_sigmas")
         if sigmas is None or sigmas >= MCSE_SIGMAS_THRESHOLD:
             problems.append(

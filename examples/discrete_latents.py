@@ -2,9 +2,9 @@
 
 A 2-component Gaussian mixture written the natural way — with an
 ``int<lower=1, upper=2>`` assignment parameter per observation — compiled
-with ``enumerate="factorized"``.  The factorized enumeration engine detects
-that the assignments are conditionally independent and marginalizes each
-element in O(N*K): the full run uses N=120 observations, whose *joint*
+with ``enum="auto"``.  The enumeration engine detects that the assignments
+are conditionally independent and marginalizes them in one O(N*K) block:
+the full run uses N=120 observations, whose *joint*
 assignment table would hold 2^120 rows — no table-based engine could even
 represent it.  NUTS runs unchanged on the continuous parameters, and
 ``infer_discrete`` recovers the per-observation assignment posteriors
@@ -89,7 +89,7 @@ def main() -> None:
     warmup = ITERS or 150
     samples = ITERS or 150
 
-    enum_model = compile_model(MIXTURE_ENUM, enumerate="factorized").condition(data)
+    enum_model = compile_model(MIXTURE_ENUM, enum="auto").condition(data)
     enum_fit = enum_model.fit("nuts", num_warmup=warmup, num_samples=samples, seed=0)
     marginal_fit = compile_model(MIXTURE_MARGINAL).condition(data).fit(
         "nuts", num_warmup=warmup, num_samples=samples, seed=0)
@@ -99,7 +99,7 @@ def main() -> None:
     print(f"enumeration strategy : {potential.enum_strategy} "
           f"({potential.factorization_note})")
     print(f"joint table avoided  : ~10^{table_digits - 1} assignments "
-          f"(2^{n}); factorized batch: "
+          f"(2^{n}); contraction batch: "
           f"{potential.factorization.batch_rows if potential.factorization else '-'} rows")
     for label, fit in (("enumerated", enum_fit), ("hand-marginalized", marginal_fit)):
         s = fit.posterior.summary()

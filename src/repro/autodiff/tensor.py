@@ -83,8 +83,8 @@ class Tensor:
     # is left unassigned unless a batched evaluation sets it, so ordinary
     # tensors pay no cost: read it with ``getattr(t, "is_batched", False)``.
     # ``enum_elements`` marks an enumerated array-site value whose elements
-    # are represented by distinct leaf tensors (the factorized enumeration
-    # engine's dependency-analysis substitution; see repro.enum.factorize):
+    # are represented by distinct leaf tensors (the enumeration engine's
+    # dependency-analysis substitution; see repro.enum.factorize):
     # the runtime's ``_index`` helper returns the per-element leaf so the
     # autodiff graph records *which element* each log-prob term touched.
     # ``op``/``op_ctx`` are set only while the tape compiler's tracing sink is

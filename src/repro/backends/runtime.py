@@ -394,10 +394,9 @@ def _is_chain_scalar(x, batch) -> bool:
 def _is_row_scalar(x, batch) -> bool:
     """A per-row scalar of the enumeration tape: a batched ``(rows,)`` tensor.
 
-    Enumerated array elements (``z[i]``) are Stan scalars, but the
-    factorized/contract engines evaluate them as one column per enumeration
-    row — products of two such columns are per-row scalar products, never a
-    dot product.
+    Enumerated array elements (``z[i]``) are Stan scalars, but the contract
+    engine evaluates them as one column per enumeration row — products of
+    two such columns are per-row scalar products, never a dot product.
     """
     return (
         isinstance(x, Tensor)

@@ -164,7 +164,7 @@ class CompiledModel:
                   engine: Union[None, str, EngineConfig] = None) -> Potential:
         """Potential-energy object over the model's latent parameters.
 
-        With ``enumerate="parallel"`` the potential is the **exact marginal**
+        With ``enum="auto"`` the potential is the **exact marginal**
         over the model's discrete latent sites (see :mod:`repro.enum`), so
         gradient-based inference runs unchanged on the continuous remainder.
         ``engine`` overrides the evaluation engine recorded at compile time
@@ -823,51 +823,46 @@ def compile_model(source_or_program, backend: str = "numpyro", scheme: str = "co
     method, table cap and validation tolerances.
 
     ``enum`` configures discrete-latent enumeration — pass a strategy name
-    (``"auto"``/``"contract"``/``"factorized"``/``"parallel"``/``"off"``) or
-    a full :class:`~repro.engine.EnumConfig` carrying the strategy, the
-    table cap, and the cross-validation knobs.  ``enum="auto"`` (the
-    recommended spelling) resolves in a documented order: general tensor
-    variable elimination over the model's discrete factor graph (greedy
-    contraction ordering; handles chains, trees, grids and multi-site
-    coupling such as factorial HMMs), which itself degenerates to the
-    independent-block/chain factorized engine when the structure is that
-    simple, then the joint assignment table, then a
-    :class:`~repro.enum.TableSizeError` naming the cap knob.  The resolved
-    strategy and the planner's cost estimate are stamped into every fit's
+    (``"auto"``/``"contract"``/``"parallel"``/``"off"``) or a full
+    :class:`~repro.engine.EnumConfig` carrying the strategy, the table cap,
+    and the cross-validation knobs.  ``enum="auto"`` (the recommended
+    spelling) resolves in a documented order: tensor variable elimination
+    over the model's discrete factor graph (independent elements in
+    ``O(N*K)``, chains by the forward algorithm in ``O(T*K^2)``, and a
+    greedy contraction order for trees, grids and multi-site coupling such
+    as factorial HMMs), then the joint assignment table, then a
+    :class:`~repro.enum.TableSizeError` naming the cap knob.
+    ``enum="parallel"`` forces the joint-table engine (exponential in
+    array-site length, bitwise-stable draws).  The resolved strategy and the
+    planner's cost estimate are stamped into every fit's
     ``metadata["enum"]``.
 
     The legacy ``enumerate=`` / ``max_enum_table_size=`` keywords keep
     working as once-warned shims mapped onto the config:
-    ``enumerate="factorized"`` maps to the independent-block/chain engine
-    (``O(N*K)`` / forward-algorithm ``O(T*K^2)``), ``enumerate="parallel"``
-    forces the joint-table engine (exponential in array-site length,
-    bitwise-stable draws), and ``max_enum_table_size`` caps the joint table
-    (default :data:`repro.enum.DEFAULT_MAX_TABLE_SIZE`); the structured
-    strategies are exempt from the cap until they actually fall back.
+    ``enumerate="factorized"`` resolves to ``enum="auto"``,
+    ``enumerate="parallel"`` to ``enum="parallel"``, and
+    ``max_enum_table_size`` caps the joint table (default
+    :data:`repro.enum.DEFAULT_MAX_TABLE_SIZE`); the structured strategy is
+    exempt from the cap until it actually falls back.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if enumerate not in (None, "parallel", "factorized"):
-        raise ValueError(
-            f'unknown enumerate mode {enumerate!r}; expected None, "parallel" '
-            'or "factorized"')
+    config = EngineConfig.coerce(engine, enumerate=enumerate,
+                                 max_enum_table_size=max_enum_table_size)
     if enumerate is not None:
         warn_once(
             "compile_model-enumerate-kwarg",
             "compile_model(enumerate=...) is deprecated; pass "
-            "enum=EnumConfig(strategy=...) — \"factorized\" and \"parallel\" "
-            "map onto the corresponding strategies, and enum=\"auto\" "
-            "additionally enables general tensor variable elimination")
+            "enum=EnumConfig(strategy=...) — \"factorized\" resolves to "
+            "enum=\"auto\" and \"parallel\" to enum=\"parallel\"")
     if max_enum_table_size is not None:
         warn_once(
             "compile_model-max-enum-table-size-kwarg",
             "compile_model(max_enum_table_size=...) is deprecated; pass "
             "enum=EnumConfig(max_table_size=...) — the kwarg is mapped onto "
             "the enumeration config")
-    config = EngineConfig.coerce(engine, enumerate=enumerate,
-                                 max_enum_table_size=max_enum_table_size)
     if enum is not None:
         config = config.replace(enum=EnumConfig.coerce(enum))
     telemetry = as_telemetry(obs)

@@ -1154,7 +1154,7 @@ model {
 # writes the model the obvious way (int state path, categorical transitions);
 # the marginal twin is the hand-written forward algorithm the paper's users
 # had to produce — a triple nested loop of log_sum_exp algebra.  The
-# factorized engine detects the chain coupling z[t] ~ f(z[t-1]) and
+# contraction engine detects the chain coupling z[t] ~ f(z[t-1]) and
 # eliminates it in O(T*K^2); the joint table would hold K^T entries.
 register("hmm_k_enum", """
 data {

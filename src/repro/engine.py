@@ -5,8 +5,8 @@ that accumulated on :func:`repro.compile_model` /
 :class:`repro.infer.Potential` (``enumerate=``, ``max_enum_table_size=``,
 ``chain_method=``, ...) with a single declarative value:
 
->>> from repro import EngineConfig, compile_model
->>> cfg = EngineConfig(engine="compiled", enumerate="factorized")
+>>> from repro import EngineConfig, EnumConfig, compile_model
+>>> cfg = EngineConfig(engine="compiled", enum=EnumConfig(strategy="auto"))
 >>> compiled = compile_model(source, engine=cfg)
 
 ``engine`` selects how the log-density tape is evaluated:
@@ -31,12 +31,15 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Union
 
 ENGINES = ("interpreted", "compiled")
+#: accepted spellings of the deprecated ``enumerate=`` option, the one table
+#: every entry point validates against (through :class:`EngineConfig`);
+#: :meth:`EngineConfig.resolved_enum` maps them onto :class:`EnumConfig`.
 ENUMERATE_MODES = (None, "parallel", "factorized")
 CHAIN_METHODS = ("sequential", "vectorized")
 #: accepted :class:`EnumConfig` strategies.  ``"auto"`` resolves, in order:
-#: general tensor-contraction elimination -> the strict factorized engine ->
-#: the joint assignment table -> error (TableSizeError when nothing fits).
-ENUM_STRATEGIES = ("auto", "contract", "factorized", "parallel", "off")
+#: tensor variable elimination -> the joint assignment table -> error
+#: (TableSizeError when nothing fits).
+ENUM_STRATEGIES = ("auto", "contract", "parallel", "off")
 
 
 @dataclass(frozen=True)
@@ -52,12 +55,11 @@ class EnumConfig:
     Parameters
     ----------
     strategy:
-        ``"auto"`` (default; resolution order contract -> factorized ->
-        joint table -> error), ``"contract"`` (general tensor variable
-        elimination with a greedy contraction order — trees, grids,
-        factorial HMMs), ``"factorized"`` (the strict independent/chain
-        engine), ``"parallel"`` (the joint assignment table) or ``"off"``
-        (reject discrete parameters).
+        ``"auto"`` (default; resolution order contract -> joint table ->
+        error), ``"contract"`` (tensor variable elimination with a greedy
+        contraction order — independent elements, chains, trees, grids,
+        factorial HMMs), ``"parallel"`` (the joint assignment table) or
+        ``"off"`` (reject discrete parameters).
     max_table_size:
         Cap on the joint enumeration table *and* on any single intermediate
         the contraction planner may materialize (``None`` = engine default,
@@ -146,9 +148,9 @@ class EngineConfig:
     engine:
         ``"compiled"`` (fused tape programs, default) or ``"interpreted"``.
     enumerate:
-        Discrete-latent marginalization: ``None`` (reject int parameters),
-        ``"parallel"`` (joint assignment table) or ``"factorized"``
-        (recommended; per-element / chain-structured elimination).
+        Deprecated discrete-latent spelling: ``None`` (reject int
+        parameters), ``"parallel"`` (joint assignment table) or
+        ``"factorized"`` (resolves to ``EnumConfig(strategy="auto")``).
     chain_method:
         Default multi-chain execution for MCMC fits: ``"sequential"`` or
         ``"vectorized"``.
@@ -234,15 +236,16 @@ class EngineConfig:
 
         An explicit ``enum`` config wins (inheriting ``max_enum_table_size``
         when it does not set its own cap); otherwise the legacy
-        ``enumerate`` spelling maps onto the matching strategy (``None`` ->
-        ``"off"``), preserving the historical semantics exactly.
+        ``enumerate`` spelling maps onto a strategy: ``None`` -> ``"off"``,
+        ``"parallel"`` -> ``"parallel"``, ``"factorized"`` -> ``"auto"``.
         """
         if self.enum is not None:
             if self.enum.max_table_size is None and \
                     self.max_enum_table_size is not None:
                 return self.enum.replace(max_table_size=self.max_enum_table_size)
             return self.enum
-        legacy = "off" if self.enumerate is None else self.enumerate
+        legacy = {None: "off", "parallel": "parallel",
+                  "factorized": "auto"}[self.enumerate]
         return EnumConfig(strategy=legacy,
                           max_table_size=self.max_enum_table_size)
 

@@ -18,32 +18,32 @@ Pieces
   evaluates all joint assignments (plus the trace reduction
   :func:`enum_trace_log_density` and the convenience
   :func:`enum_log_density`).
-* :func:`~repro.enum.factorize.analyze_factorization` /
-  :class:`~repro.enum.factorize.FactorizationPlan` — the factorized engine:
-  element-level dependency analysis over the autodiff graph partitions
-  discrete sites into conditionally-independent blocks (per-element
-  enumeration, O(N*K)) and chain-structured blocks eliminated by a
-  logsumexp-matmul recursion (the forward algorithm, O(T*K^2)), replacing
-  the exponential joint table wherever the structure allows.
+* :func:`~repro.enum.factorize.collect_term_structure` — element-level
+  dependency analysis: one model run with per-element leaf tensors, each
+  log-prob term classified by the enumerated elements its autodiff graph
+  touches.
 * :func:`~repro.enum.contract.analyze_contraction` /
-  :class:`~repro.enum.contract.ContractionPlan` — general tensor variable
-  elimination: the per-element log factors form a factor graph (unary +
-  n-ary, cross-site allowed); a greedy min-fill elimination order executes
-  as batched logsumexp contractions on the autodiff tape, handling trees,
-  bounded-treewidth grids and factorial-HMM multi-site coupling, and
-  delegating to :class:`FactorizationPlan` (bitwise-identical) when the
-  structure is an independent block or a chain.
+  :class:`~repro.enum.contract.ContractionPlan` — the structured engine,
+  tensor variable elimination: the per-element log factors form a factor
+  graph (unary + n-ary, cross-site allowed).  Each site's isolated elements
+  (mixtures, zero inflation) reduce as one O(N*K) logsumexp block; the
+  coupled rest is eliminated in a greedy min-fill order as batched
+  logsumexp contractions on the autodiff tape — chains in O(T*K^2) (the
+  forward algorithm), trees, bounded-treewidth grids and factorial-HMM
+  multi-site coupling — replacing the exponential joint table wherever the
+  structure allows.
 * :func:`~repro.enum.discrete.infer_discrete` — the post-pass recovering
   per-draw discrete posteriors (marginal responsibilities / joint MAP /
   exact samples) from the continuous draws of a marginalized fit; on
-  structured potentials it runs forward-backward / Viterbi / backward
-  sampling on the per-component factors — generalized to a calibrated
-  elimination tree under the contract strategy — instead of materializing
-  the table.
+  contract potentials it reads isolated elements out as one softmax per
+  site and calibrates the elimination tree for the coupled rest
+  (forward-backward / Viterbi / backward sampling on a chain) instead of
+  materializing the table.
 
 The compile-side entry point is ``compile_model(source, enum="auto")`` (an
-:class:`repro.engine.EnumConfig` strategy; the legacy ``enumerate=`` kwarg
-keeps working as a deprecated shim); the density-side integration lives in
+:class:`repro.engine.EnumConfig` strategy; ``enum="parallel"`` forces the
+joint table, and the legacy ``enumerate=`` kwarg keeps working as a
+deprecated shim); the density-side integration lives in
 :class:`repro.infer.Potential`, whose marginalized evaluation contracts (or
 ``logsumexp``-es) the enumeration structure so NUTS/HMC/VI run unchanged.
 """
@@ -56,13 +56,7 @@ from repro.enum.plan import (
     TableSizeError,
     site_support,
 )
-from repro.enum.factorize import (
-    DEFAULT_MAX_BATCH_ROWS,
-    FactorBundle,
-    FactorizationError,
-    FactorizationPlan,
-    analyze_factorization,
-)
+from repro.enum.factorize import DEFAULT_MAX_BATCH_ROWS, FactorizationError
 from repro.enum.contract import (
     ContractFactors,
     ContractionError,
@@ -82,12 +76,9 @@ __all__ = [
     "DiscreteSiteInfo",
     "EnumerationError",
     "EnumerationPlan",
-    "FactorBundle",
     "FactorizationError",
-    "FactorizationPlan",
     "TableSizeError",
     "analyze_contraction",
-    "analyze_factorization",
     "plan_elimination",
     "site_support",
     "enum_sites",

@@ -1,58 +1,58 @@
-"""General tensor variable elimination with a greedy contraction order.
+"""Tensor variable elimination with a greedy contraction order.
 
-:mod:`repro.enum.factorize` proves two shapes — independent elements and
-2-colored path chains — and falls back to the exponential joint table for
-everything else.  This module removes the shape zoo: the per-element
-log-factors collected by :func:`repro.enum.factorize.collect_term_structure`
-are treated as a *general factor graph* (unary plus n-ary factors over
-enumerated elements, ``n >= 2`` and cross-site allowed), an elimination
-order is chosen with an opt_einsum-style greedy heuristic (score = size of
-the intermediate produced by eliminating a variable, deterministic
-tie-break by site/element order), and the order executes as a sequence of
+The structured enumeration engine.  The per-element log-factors collected by
+:func:`repro.enum.factorize.collect_term_structure` are treated as a
+*general factor graph* (unary plus n-ary factors over enumerated elements,
+``n >= 2`` and cross-site allowed), an elimination order is chosen with an
+opt_einsum-style greedy heuristic (score = size of the intermediate
+produced by eliminating a variable, deterministic tie-break by
+site/element order), and the order executes as a sequence of
 broadcast-``add`` / ``logsumexp`` contractions on the autodiff tape, so
-NUTS/VI gradients flow through unchanged.  Trees eliminate leaf-first in
+NUTS/VI gradients flow through unchanged.  Chains eliminate endpoint-first
+(the forward algorithm, ``O(T * K^2)``), trees leaf-first in
 ``O(N * K^2)``, factorial HMMs (two coupled chains) in ``O(T * K^3)``
 cliques, bounded-treewidth grids in ``O(N * K^(w+1))`` — sizes whose joint
 table is astronomically unrepresentable.
 
+A variable that appears in no n-ary factor is *isolated* (every mixture and
+zero-inflation element is one).  Isolated variables need no order: each
+site's isolated variables are eliminated together as one ``(K, n)`` gather
+from the site's prior-plus-unary block, one ``logsumexp`` over the support
+axis and one sum — ``O(N * K)`` in a handful of tape ops.  Only the coupled
+rest goes through the greedy planner.
+
 Layout: every enumerated element is a *variable* ``(site, elem)``.  A
 greedy proper coloring of the co-occurrence graph assigns each variable a
 mixed-radix *digit* of the batch row index (co-occurring variables always
-get distinct digits), so one gridded model execution with
-``batch_rows = prod(radix)`` rows enumerates every joint assignment any
-single factor needs; factor tables are then gathered straight out of the
-collected row vectors with stride arithmetic (``ops.getitem`` keeps the
-gather differentiable).
-
-The strict engine's shapes are *degenerate orders* of this one:
-:func:`analyze_contraction` first offers the collected terms to the strict
-classifier and only plans a general contraction when that refuses — so
-chain/independent models keep executing the proven code path bitwise while
-everything else graduates from the joint table to the planner.
+get distinct digits; isolated variables ride digit 0), so one gridded
+model execution with ``batch_rows = prod(radix)`` rows enumerates every
+joint assignment any single factor needs; factor tables are then gathered
+straight out of the collected row vectors with stride arithmetic
+(``ops.getitem`` keeps the gather differentiable).
 
 :class:`ContractFactors` re-exposes the same factor tables as NumPy arrays
 with the elimination order attached; :func:`repro.enum.discrete.infer_discrete`
-runs calibration over the elimination tree (a backward pass) for exact
-marginals, max-product MAP, and joint posterior sampling — the
-forward-backward/Viterbi/FFBS of the chain engine, generalized.
+reads the isolated variables out as one softmax per site and runs
+calibration over the elimination tree (a backward pass) for exact
+marginals, max-product MAP, and joint posterior sampling of the coupled
+rest — forward-backward/Viterbi/FFBS on a chain, generalized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp as _np_logsumexp
 
 from repro.autodiff import ops
+from repro.autodiff.compile import _lse
 from repro.autodiff.tensor import Tensor, as_tensor
 from repro.enum.factorize import (
     DEFAULT_MAX_BATCH_ROWS,
     CollectedTerm,
     FactorizationError,
-    FactorizationPlan,
-    classify_factorization,
+    _reduce_rows,
     collect_term_structure,
 )
 from repro.enum.plan import DEFAULT_MAX_TABLE_SIZE, EnumerationPlan
@@ -106,8 +106,8 @@ def plan_elimination(variables: Sequence[Var], cards: Mapping[Var, int],
     opt_einsum-style greedy path: at each step eliminate the variable whose
     combined clique's *message* (the produced intermediate, size = product
     of the live neighbours' cardinalities) is smallest, breaking ties by the
-    deterministic ``variables`` order — on a path this reproduces the
-    endpoint-first left-to-right order of the chain engine.  Fill-in edges
+    deterministic ``variables`` order — on a path this is the endpoint-first
+    left-to-right order of the forward algorithm.  Fill-in edges
     are tracked so later scores see earlier messages.  Raises
     :class:`ContractionError` as soon as any clique table would exceed
     ``max_table_size``, reporting the greedy path cost accumulated so far.
@@ -164,13 +164,11 @@ def plan_elimination(variables: Sequence[Var], cards: Mapping[Var, int],
 
 
 class ContractionPlan:
-    """The general tensor-variable-elimination layout for one model.
+    """The tensor-variable-elimination layout for one enumerated model.
 
-    Built by :func:`analyze_contraction` when the strict classifier refuses
-    the structure.  Mirrors :class:`~repro.enum.factorize.FactorizationPlan`'s
-    execution interface — ``batch_rows`` / :meth:`grids` /
-    :meth:`check_terms` / :meth:`contract` / :meth:`posterior_factors` — so
-    :class:`repro.infer.Potential` drives both through the same code path.
+    Built by :func:`analyze_contraction`.  :class:`repro.infer.Potential`
+    drives it through ``batch_rows`` / :meth:`grids` / :meth:`check_terms` /
+    :meth:`contract` / :meth:`posterior_factors`.
     """
 
     #: resolved-strategy tag read by the potential / metadata stamping.
@@ -181,13 +179,11 @@ class ContractionPlan:
                  max_table_size: Optional[int] = None):
         self.plan = plan
         self.terms = list(terms)
-        order_index: Dict[Var, int] = {}
         variables: List[Var] = []
         cards: Dict[Var, int] = {}
         for site in plan.sites:
             for n in range(max(site.numel, 1)):
                 v = (site.name, n)
-                order_index[v] = len(variables)
                 variables.append(v)
                 cards[v] = site.cardinality
         self.variables: Tuple[Var, ...] = tuple(variables)
@@ -195,18 +191,27 @@ class ContractionPlan:
 
         scopes = [ct.scope for ct in self.terms
                   if ct.kind == "factor" and len(ct.scope) >= 2]
-        self.order = plan_elimination(self.variables, cards, scopes,
-                                      max_table_size=max_table_size)
-
-        # Mixed-radix digit assignment: greedy proper coloring of the
-        # co-occurrence graph in deterministic variable order, so every
-        # factor's scope variables ride distinct digits of the batch row.
         cooc: Dict[Var, set] = {v: set() for v in variables}
         for scope in scopes:
             for u in scope:
                 for w in scope:
                     if u != w:
                         cooc[u].add(w)
+        #: per site, the elements that appear in no n-ary factor; each
+        #: site's isolated elements are eliminated as one block.
+        self.isolated: Dict[str, Tuple[int, ...]] = {
+            site.name: tuple(n for n in range(max(site.numel, 1))
+                             if not cooc[(site.name, n)])
+            for site in plan.sites}
+        #: the variables the greedy planner orders, in variable order.
+        self.coupled: Tuple[Var, ...] = tuple(v for v in variables if cooc[v])
+        self.order = plan_elimination(self.coupled, cards, scopes,
+                                      max_table_size=max_table_size)
+
+        # Mixed-radix digit assignment: greedy proper coloring of the
+        # co-occurrence graph in deterministic variable order, so every
+        # factor's scope variables ride distinct digits of the batch row
+        # (an isolated variable has no neighbours, so it rides digit 0).
         colors: Dict[Var, int] = {}
         for v in self.variables:
             used = {colors[u] for u in cooc[v] if u in colors}
@@ -237,19 +242,30 @@ class ContractionPlan:
     # description / bookkeeping
     # ------------------------------------------------------------------
     def describe(self) -> str:
-        n_nary = sum(1 for ct in self.terms
-                     if ct.kind == "factor" and len(ct.scope) >= 2)
-        return (f"general contraction: {len(self.variables)} variables over "
-                f"{len(self.plan.sites)} site(s), {n_nary} coupling "
-                f"factor(s); greedy elimination cost {self.order.cost} "
-                f"entries, max intermediate {self.order.max_intermediate}")
+        parts = []
+        n_isolated = sum(len(elems) for elems in self.isolated.values())
+        if n_isolated:
+            parts.append(f"{n_isolated} isolated variable(s) eliminated as "
+                         "one logsumexp block per site (O(N*K))")
+        if self.coupled:
+            n_nary = sum(1 for ct in self.terms
+                         if ct.kind == "factor" and len(ct.scope) >= 2)
+            parts.append(f"{len(self.coupled)} coupled variable(s), {n_nary} "
+                         f"coupling factor(s), greedy elimination cost "
+                         f"{self.order.cost} entries, max intermediate "
+                         f"{self.order.max_intermediate}")
+        return (f"tensor variable elimination over {len(self.plan.sites)} "
+                f"site(s): " + "; ".join(parts))
 
     def __repr__(self) -> str:
         return f"ContractionPlan({self.describe()}; batch_rows={self.batch_rows})"
 
     def cost_estimate(self) -> int:
-        """Total contraction table cost (entries summed over eliminations)."""
-        return int(self.order.cost)
+        """Total contraction table cost: ``K`` entries per isolated variable
+        plus the clique entries summed over the greedy eliminations."""
+        isolated = sum(len(elems) * self.plan.site(name).cardinality
+                       for name, elems in self.isolated.items())
+        return int(isolated + self.order.cost)
 
     # ------------------------------------------------------------------
     # the substitution grids
@@ -291,17 +307,22 @@ class ContractionPlan:
                 raise FactorizationError(
                     f"term {role.position} is {name!r}, analysis saw {role.name!r}")
 
-    def _extract(self, terms: Sequence[Tensor], total_rows: int,
-                 offset: int) -> Tuple[Optional[Tensor], Dict[Var, Tensor],
-                                       List[Tuple[Tuple[Var, ...], Tensor]]]:
-        """Constant total, per-variable unary factors, and n-ary factor tables.
+    def _extract(self, terms: Sequence[Tensor], total_rows: int, offset: int
+                 ) -> Tuple[Optional[Tensor], Dict[str, Tensor], Dict[Var, Tensor],
+                            List[Tuple[Tuple[Var, ...], Tensor]]]:
+        """Constant total, isolated blocks, coupled unary and n-ary factors.
 
         ``offset = c * batch_rows`` addresses one chain's rows inside a
-        multi-chain ``C * batch_rows`` tape, exactly like the factorized
-        engine's extraction.  A factor over scope ``(v_1, ..., v_m)`` is
-        gathered at rows ``offset + sum_i a_i * stride(digit(v_i))`` — the
-        proper coloring guarantees the scope's digits are distinct, so the
-        gather enumerates the full ``(K_1, ..., K_m)`` table.
+        multi-chain ``C * batch_rows`` tape; a constant term that rides
+        that batch axis (it depends on per-chain continuous values)
+        contributes its ``offset`` row.  Each site with isolated elements
+        gets one ``(rows, n)`` block: its declaration prior plus the
+        stacked unary factors of those elements.  A coupled variable's
+        unary factor is gathered from the prior and its unary terms at its
+        own digit's rows, and a factor over scope ``(v_1, ..., v_m)`` at
+        rows ``offset + sum_i a_i * stride(digit(v_i))`` — the proper
+        coloring keeps the scope's digits distinct, so the gather
+        enumerates the full ``(K_1, ..., K_m)`` table.
         """
         const_total: Optional[Tensor] = None
         prior_blocks: Dict[str, Tensor] = {}
@@ -312,7 +333,7 @@ class ContractionPlan:
             if ct.kind == "const":
                 if term.data.ndim >= 1 and term.data.shape[0] == total_rows \
                         and total_rows > self.batch_rows:
-                    reduced = FactorizationPlan._reduce_rows(term, total_rows)
+                    reduced = _reduce_rows(term, total_rows)
                     reduced = ops.getitem(reduced, offset)
                 else:
                     reduced = term.sum() if term.data.ndim > 0 else term
@@ -331,27 +352,48 @@ class ContractionPlan:
                         f"expected ({total_rows}, {numel})")
                 prior_blocks[ct.site] = term
             else:
-                reduced = FactorizationPlan._reduce_rows(term, total_rows)
+                reduced = _reduce_rows(term, total_rows)
                 if len(ct.scope) == 1:
                     unary_vecs.setdefault(ct.scope[0], []).append(reduced)
                 else:
                     nary_groups.setdefault(ct.scope, []).append(reduced)
 
-        unary: Dict[Var, Tensor] = {}
+        blocks: Dict[str, Tensor] = {}
         for site in self.plan.sites:
             prior = prior_blocks.get(site.name)
             if prior is None:
                 raise FactorizationError(
                     f"site {site.name!r} produced no declaration-prior term")
-            k = site.cardinality
-            for n in range(max(site.numel, 1)):
-                v = (site.name, n)
-                stride = self._strides[self._colors[v]]
-                row_idx = offset + np.arange(k) * stride
-                col = ops.getitem(prior, (row_idx, np.full(k, n, dtype=int)))
-                for extra in unary_vecs.get(v, ()):
-                    col = ops.add(col, ops.getitem(extra, row_idx))
-                unary[v] = col
+            elems = self.isolated[site.name]
+            if not elems:
+                continue
+            if len(elems) < max(site.numel, 1):
+                prior = ops.getitem(prior, (slice(None), np.asarray(elems)))
+            if any((site.name, n) in unary_vecs for n in elems):
+                columns: List[Tensor] = []
+                zero_col: Optional[Tensor] = None
+                for n in elems:
+                    parts = unary_vecs.get((site.name, n))
+                    if parts is None:
+                        if zero_col is None:
+                            zero_col = as_tensor(np.zeros(total_rows))
+                        columns.append(zero_col)
+                        continue
+                    total = parts[0]
+                    for extra in parts[1:]:
+                        total = ops.add(total, extra)
+                    columns.append(total)
+                prior = ops.add(prior, ops.stack(columns, axis=1))
+            blocks[site.name] = prior
+
+        unary: Dict[Var, Tensor] = {}
+        for v in self.coupled:
+            k = self.cards[v]
+            row_idx = offset + np.arange(k) * self._strides[self._colors[v]]
+            col = ops.getitem(prior_blocks[v[0]], (row_idx, np.full(k, v[1], dtype=int)))
+            for extra in unary_vecs.get(v, ()):
+                col = ops.add(col, ops.getitem(extra, row_idx))
+            unary[v] = col
 
         nary: List[Tuple[Tuple[Var, ...], Tensor]] = []
         for scope, parts in nary_groups.items():
@@ -365,7 +407,15 @@ class ContractionPlan:
                 a = np.arange(self.cards[v]).reshape(axes)
                 idx = idx + a * self._strides[self._colors[v]]
             nary.append((scope, ops.getitem(total, idx)))
-        return const_total, unary, nary
+        return const_total, blocks, unary, nary
+
+    def _isolated_columns(self, name: str, block: Tensor, offset: int) -> Tensor:
+        """``(K, n)`` log factors of a site's isolated elements: digit 0 has
+        stride 1, so rows ``offset .. offset + K - 1`` enumerate them."""
+        k = self.plan.site(name).cardinality
+        row_idx = offset + np.arange(k)
+        cols = np.arange(len(self.isolated[name]))
+        return ops.getitem(block, (row_idx[:, None], cols[None, :]))
 
     # ------------------------------------------------------------------
     # the contraction (exact marginal log joint)
@@ -374,20 +424,26 @@ class ContractionPlan:
                  total_rows: Optional[int] = None) -> Tensor:
         """Exact marginal log joint (a scalar tensor) from collected terms.
 
-        Executes the planned elimination order: each step pulls every live
-        factor touching the step variable, aligns them onto the clique scope
-        (sorted scopes make alignment a pure reshape-with-singleton-axes —
-        no transposes), sums by broadcast, and ``logsumexp``-reduces the
+        The constant terms first, then each site's isolated block (one
+        ``logsumexp`` over the support axis, summed), then the planned
+        elimination order: each step pulls every live factor touching the
+        step variable, aligns them onto the clique scope (sorted scopes
+        make alignment a pure reshape-with-singleton-axes — no
+        transposes), sums by broadcast, and ``logsumexp``-reduces the
         variable's axis.  The resulting message re-enters the factor pool;
         an empty-scope message closes a connected component and adds to the
         running total.  Every op is differentiable, so the tape carries
         exact gradients of the marginal.
         """
-        const_total, unary, nary = self._extract(
+        const_total, blocks, unary, nary = self._extract(
             terms, total_rows or self.batch_rows, offset)
         total = const_total if const_total is not None else as_tensor(0.0)
+        for name, block in blocks.items():
+            per_element = ops.logsumexp(
+                self._isolated_columns(name, block, offset), axis=0)
+            total = ops.add(total, ops.sum_(per_element))
         pool: List[Tuple[Tuple[Var, ...], Tensor]] = \
-            [((v,), unary[v]) for v in self.variables]
+            [((v,), unary[v]) for v in self.coupled]
         pool.extend(nary)
         for step in self.order.steps:
             group = [f for f in pool if step.var in f[0]]
@@ -417,36 +473,48 @@ class ContractionPlan:
         """NumPy factor tables of one gridded execution, order attached.
 
         The discrete posterior conditional on the continuous draw is the
-        normalized factor graph itself; :class:`ContractFactors` runs
-        calibration over the elimination tree for exact marginals, MAP, and
-        joint sampling.
+        normalized factor graph itself: isolated elements are independent
+        categoricals in their ``(n, K)`` block, and :class:`ContractFactors`
+        runs calibration over the elimination tree for the coupled rest.
         """
-        _, unary, nary = self._extract(terms, self.batch_rows, offset)
-        factors: List[Tuple[Tuple[Var, ...], np.ndarray]] = []
-        for v in self.variables:
-            factors.append(((v,), np.array(unary[v].data, dtype=float)))
+        _, blocks, unary, nary = self._extract(terms, self.batch_rows, offset)
+        isolated = {
+            name: (np.asarray(self.isolated[name], dtype=int),
+                   np.array(self._isolated_columns(name, block, offset).data).T)
+            for name, block in blocks.items()}
+        factors: List[Tuple[Tuple[Var, ...], np.ndarray]] = [
+            ((v,), np.array(unary[v].data, dtype=float)) for v in self.coupled]
         for scope, t in nary:
             factors.append((scope, np.array(t.data, dtype=float)))
         return ContractFactors(steps=self.order.steps, cards=dict(self.cards),
-                               factors=factors)
+                               factors=factors, isolated=isolated)
 
 
 @dataclass
 class ContractFactors:
     """One draw's discrete-posterior factor graph plus its elimination order.
 
-    The generalization of the chain engine's
-    :class:`~repro.enum.factorize.FactorBundle`: calibration over the
-    elimination tree (one forward sweep in step order, one backward sweep in
-    reverse) yields exact per-variable marginals; a max-product forward
-    sweep with reverse-order backtracking yields the joint MAP; reverse-order
-    conditional sampling from the sum-product cliques yields exact joint
-    posterior draws (FFBS on a chain is the special case).
+    Isolated variables read out as one ``(n, K)`` softmax per site.  For the
+    coupled rest, calibration over the elimination tree (one forward sweep
+    in step order, one backward sweep in reverse) yields exact
+    per-variable marginals; a max-product forward sweep with reverse-order
+    backtracking yields the joint MAP; reverse-order conditional sampling
+    from the sum-product cliques yields exact joint posterior draws (FFBS
+    on a chain is the special case).
     """
 
     steps: Tuple[EliminationStep, ...]
     cards: Dict[Var, int]
     factors: List[Tuple[Tuple[Var, ...], np.ndarray]]
+    #: ``{site: (element indices, (n, K) log factors)}`` of the isolated
+    #: variables, in site order.
+    isolated: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    def _isolated_probs(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+        """``{site: (element indices, (n, K) probabilities)}``."""
+        with np.errstate(all="ignore"):
+            return {site: (idx, np.exp(logits - _lse(logits, axis=1, keepdims=True)))
+                    for site, (idx, logits) in self.isolated.items()}
 
     def _forward(self, use_max: bool = False
                  ) -> Tuple[List[np.ndarray], List[np.ndarray], List[Optional[int]]]:
@@ -479,7 +547,7 @@ class ContractFactors:
                 if use_max:
                     msg = phi.max(axis=axis)
                 else:
-                    msg = _np_logsumexp(phi, axis=axis)
+                    msg = _lse(phi, axis=axis)
                 cliques.append(phi)
                 messages.append(msg)
                 parents.append(None)
@@ -509,7 +577,7 @@ class ContractFactors:
                 keep = {pstep.clique.index(u) for u in step.message}
                 drop = tuple(ax for ax in range(len(pstep.clique))
                              if ax not in keep)
-                back = _np_logsumexp(beliefs[p], axis=drop) if drop else beliefs[p]
+                back = _lse(beliefs[p], axis=drop) if drop else beliefs[p]
                 msg = messages[si]
                 dead = np.isneginf(msg)
                 back = np.where(dead, -np.inf,
@@ -519,15 +587,18 @@ class ContractFactors:
 
     def marginals(self) -> Dict[Var, np.ndarray]:
         """Exact ``{variable: (K,) posterior probabilities}``."""
-        beliefs = self._beliefs()
         out: Dict[Var, np.ndarray] = {}
+        for site, (idx, probs) in self._isolated_probs().items():
+            for n, row in zip(idx, probs):
+                out[(site, int(n))] = row
+        beliefs = self._beliefs()
         with np.errstate(all="ignore"):
             for si, step in enumerate(self.steps):
                 b = beliefs[si]
                 axis = step.axis()
                 drop = tuple(ax for ax in range(b.ndim) if ax != axis)
-                lm = _np_logsumexp(b, axis=drop) if drop else b
-                lm = lm - _np_logsumexp(lm)
+                lm = _lse(b, axis=drop) if drop else b
+                lm = lm - _lse(lm)
                 out[step.var] = np.exp(lm)
         return out
 
@@ -546,21 +617,34 @@ class ContractFactors:
         return assign
 
     def map_assignment(self) -> Dict[Var, int]:
-        """The joint posterior mode via max-product + backtracking."""
+        """The joint posterior mode: per-element argmax of the isolated
+        variables, max-product + backtracking for the coupled rest."""
+        assign: Dict[Var, int] = {}
+        for site, (idx, probs) in self._isolated_probs().items():
+            for n, pick in zip(idx, np.argmax(probs, axis=1)):
+                assign[(site, int(n))] = int(pick)
         cliques, _, _ = self._forward(use_max=True)
-        return self._backtrack(cliques, lambda vec: int(np.argmax(vec)))
+        assign.update(self._backtrack(cliques, lambda vec: int(np.argmax(vec))))
+        return assign
 
     def sample(self, rng: np.random.Generator) -> Dict[Var, int]:
-        """One exact joint posterior draw via conditional sampling."""
+        """One exact joint posterior draw: the isolated variables first (site
+        order, then element order), then conditional sampling of the coupled
+        rest in reverse elimination order."""
+        assign: Dict[Var, int] = {}
+        for site, (idx, probs) in self._isolated_probs().items():
+            for n, row in zip(idx, probs):
+                assign[(site, int(n))] = int(rng.choice(row.size, p=row / row.sum()))
         cliques, _, _ = self._forward()
 
         def pick(vec: np.ndarray) -> int:
             with np.errstate(all="ignore"):
-                probs = np.exp(vec - _np_logsumexp(vec))
+                probs = np.exp(vec - _lse(vec))
             probs = probs / probs.sum()
             return int(rng.choice(probs.size, p=probs))
 
-        return self._backtrack(cliques, pick)
+        assign.update(self._backtrack(cliques, pick))
+        return assign
 
 
 def analyze_contraction(model: Callable, plan: EnumerationPlan,
@@ -571,25 +655,17 @@ def analyze_contraction(model: Callable, plan: EnumerationPlan,
                         rng_seed: int = 0,
                         max_batch_rows: Optional[int] = None,
                         max_table_size: Optional[int] = None,
-                        telemetry=None):
+                        telemetry=None) -> ContractionPlan:
     """Plan elimination for a model's discrete factor graph.
 
     Collects the per-element log-factor structure once
-    (:func:`~repro.enum.factorize.collect_term_structure`) and first offers
-    it to the strict chain/independent classifier: shapes the proven
-    factorized engine handles come back as a
-    :class:`~repro.enum.factorize.FactorizationPlan` and execute bitwise
-    identically to ``enumerate="factorized"`` — the special cases are
-    degenerate elimination orders, so there is nothing to re-derive.  Only
-    structure the strict classifier refuses (trees, 3-way terms, cross-site
-    coupling, factorial HMMs) is planned as a general
+    (:func:`~repro.enum.factorize.collect_term_structure`) and plans it as a
     :class:`ContractionPlan`.  Raises :class:`FactorizationError` (or its
     subclass :class:`ContractionError` with the greedy cost report) when no
-    elimination strategy fits; callers fall back to the joint table.
+    elimination fits; callers fall back to the joint table.
 
-    ``telemetry`` receives the same ``enum.analyze`` span as
-    :func:`~repro.enum.factorize.analyze_factorization`, with the resolved
-    strategy and — for general contractions — the planner cost estimate.
+    ``telemetry`` receives an ``enum.analyze`` span with the resolved
+    strategy, the isolated-variable count and the planner cost estimate.
     """
     from repro.obs import as_telemetry
 
@@ -599,20 +675,11 @@ def analyze_contraction(model: Callable, plan: EnumerationPlan,
         collected = collect_term_structure(
             model, plan, model_args=model_args, model_kwargs=model_kwargs,
             observed=observed, constrained=constrained, rng_seed=rng_seed)
-        try:
-            result = classify_factorization(collected, plan,
-                                            max_batch_rows=max_batch_rows)
-            span.set(strategy="factorized",
-                     chain_blocks=len(result.chains),
-                     independent_sites=sum(
-                         1 for elems in result.independent.values() if elems))
-            return result
-        except FactorizationError:
-            pass
         result = ContractionPlan(plan, collected,
                                  max_batch_rows=max_batch_rows,
                                  max_table_size=max_table_size)
         span.set(strategy="contract",
-                 elimination_cost=result.order.cost,
+                 isolated=sum(len(e) for e in result.isolated.values()),
+                 elimination_cost=result.cost_estimate(),
                  max_intermediate=result.order.max_intermediate)
         return result

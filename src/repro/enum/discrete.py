@@ -11,19 +11,18 @@ posterior conditional on that draw's continuous parameters and reads out
 * ``"sample"`` — one seeded exact sample from the joint assignment posterior
   per draw (the analogue of Pyro's ``infer_discrete``).
 
-On a **factorized** potential the per-draw posterior is never materialized as
-a joint table: independent elements are exact categoricals in their ``(K,)``
-log factors, and chain-structured sites run the classic trio on their unary/
-pairwise potentials — forward-**backward** for marginals, max-product with
-backtracking (Viterbi) for MAP, forward-filter backward-sampling for exact
-samples — all ``O(T * K^2)`` per draw.  On a **contract** potential (general
-tensor variable elimination) the same trio generalizes to the elimination
-tree: a backward pass over the recorded elimination steps calibrates every
-clique (marginals), max-product with reverse-order backtracking gives the
-joint MAP, and reverse-order conditional sampling from the sum-product
-cliques gives exact joint samples — cost bounded by the greedy contraction
-cost, never the joint table.  Joint-table potentials keep the original path
-(one vectorized table execution per draw, softmax over rows).
+On a **contract** potential (the structured engine) the per-draw posterior is
+never materialized as a joint table: isolated elements (mixture components,
+zero-inflation flags) are exact categoricals, read out as one ``(n, K)``
+softmax per site, and the coupled rest runs the classic trio generalized to
+the elimination tree — a backward pass over the recorded elimination steps
+calibrates every clique (marginals; forward-backward on a chain), max-product
+with reverse-order backtracking gives the joint MAP (Viterbi), and
+reverse-order conditional sampling from the sum-product cliques gives exact
+joint samples (forward-filter backward-sampling) — cost bounded by the
+greedy contraction cost, never the joint table.  Joint-table potentials keep
+the original path (one vectorized table execution per draw, softmax over
+rows).
 
 The RNG for ``"sample"`` is derived from ``[seed, 0x454E554D]`` ("ENUM"), so
 recovering discrete sites never perturbs any engine's draw streams and is
@@ -69,115 +68,6 @@ class DiscretePosterior:
                 for name, probs in self.marginals.items()}
 
 
-# ----------------------------------------------------------------------
-# chain-structured posteriors (forward-backward / Viterbi / FFBS)
-# ----------------------------------------------------------------------
-def _chain_messages(unary: np.ndarray, pairwise: np.ndarray) -> np.ndarray:
-    """Forward (filtering) log messages ``alpha``: ``(T, K)``."""
-    t_len = unary.shape[0]
-    alpha = np.empty_like(unary)
-    alpha[0] = unary[0]
-    for t in range(1, t_len):
-        alpha[t] = sps.logsumexp(alpha[t - 1][:, None] + pairwise[t - 1], axis=0) \
-            + unary[t]
-    return alpha
-
-
-def chain_marginals(unary: np.ndarray, pairwise: np.ndarray) -> np.ndarray:
-    """Per-element posterior marginals of a chain: ``(T, K)`` probabilities.
-
-    The forward-backward algorithm on the chain's log potentials — the exact
-    smoothing marginals without materializing the ``K^T`` path table.
-    """
-    t_len = unary.shape[0]
-    alpha = _chain_messages(unary, pairwise)
-    beta = np.zeros_like(unary)
-    for t in range(t_len - 2, -1, -1):
-        beta[t] = sps.logsumexp(pairwise[t] + (unary[t + 1] + beta[t + 1])[None, :],
-                                axis=1)
-    log_marg = alpha + beta
-    log_marg -= sps.logsumexp(log_marg, axis=1, keepdims=True)
-    return np.exp(log_marg)
-
-
-def chain_map(unary: np.ndarray, pairwise: np.ndarray) -> np.ndarray:
-    """Joint MAP path of a chain (Viterbi): ``(T,)`` support indices."""
-    t_len = unary.shape[0]
-    score = unary[0].copy()
-    back = np.empty((t_len - 1, unary.shape[1]), dtype=int)
-    for t in range(1, t_len):
-        cand = score[:, None] + pairwise[t - 1]
-        back[t - 1] = np.argmax(cand, axis=0)
-        score = cand[back[t - 1], np.arange(unary.shape[1])] + unary[t]
-    path = np.empty(t_len, dtype=int)
-    path[-1] = int(np.argmax(score))
-    for t in range(t_len - 2, -1, -1):
-        path[t] = back[t][path[t + 1]]
-    return path
-
-
-def chain_sample(unary: np.ndarray, pairwise: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One exact posterior path sample (forward filter, backward sample)."""
-    t_len, k = unary.shape
-    alpha = _chain_messages(unary, pairwise)
-    path = np.empty(t_len, dtype=int)
-    logits = alpha[-1] - sps.logsumexp(alpha[-1])
-    path[-1] = int(rng.choice(k, p=np.exp(logits)))
-    for t in range(t_len - 2, -1, -1):
-        logits = alpha[t] + pairwise[t][:, path[t + 1]]
-        logits -= sps.logsumexp(logits)
-        path[t] = int(rng.choice(k, p=np.exp(logits)))
-    return path
-
-
-def _fill_factorized_draw(bundle, plan: EnumerationPlan, mode: str,
-                          rng: np.random.Generator,
-                          values: Dict[str, np.ndarray],
-                          marginals: Dict[str, np.ndarray],
-                          c: int, d: int) -> None:
-    """One draw's discrete posterior from a :class:`~repro.enum.FactorBundle`.
-
-    Deterministic component order — sites in plan order, independent block
-    first, then that site's chains — so the ``"sample"`` RNG stream is
-    reproducible for a fixed seed.
-    """
-    chains_by_site: Dict[str, list] = {}
-    for chain in bundle.chains:
-        chains_by_site.setdefault(chain[0], []).append(chain)
-    for site in plan.sites:
-        name = site.name
-        numel = max(site.numel, 1)
-        flat_vals = np.empty(numel)
-        flat_marg = np.empty((numel, site.cardinality))
-        indep = bundle.independent.get(name)
-        if indep is not None:
-            idx, factors = indep
-            probs = np.exp(factors - sps.logsumexp(factors, axis=1, keepdims=True))
-            flat_marg[idx] = probs
-            if mode == "sample":
-                picks = np.array([rng.choice(site.cardinality, p=row / row.sum())
-                                  for row in probs], dtype=int)
-            else:
-                # MAP of independent elements is the per-element argmax, which
-                # coincides with the "marginal" mode convention.
-                picks = np.argmax(probs, axis=1)
-            flat_vals[idx] = site.support[picks]
-        for _, order, unary, pairwise in chains_by_site.get(name, []):
-            probs = chain_marginals(unary, pairwise)
-            flat_marg[np.asarray(order)] = probs
-            if mode == "max":
-                picks = chain_map(unary, pairwise)
-            elif mode == "sample":
-                picks = chain_sample(unary, pairwise, rng)
-            else:
-                picks = np.argmax(probs, axis=1)
-            flat_vals[np.asarray(order)] = site.support[picks]
-        values[name][c, d] = flat_vals.reshape(site.event_shape)
-        marginals[name][c, d] = flat_marg.reshape(
-            site.event_shape + (site.cardinality,))
-
-
 def _fill_contract_draw(bundle, plan: EnumerationPlan, mode: str,
                         rng: np.random.Generator,
                         values: Dict[str, np.ndarray],
@@ -185,11 +75,13 @@ def _fill_contract_draw(bundle, plan: EnumerationPlan, mode: str,
                         c: int, d: int) -> None:
     """One draw's discrete posterior from a calibrated elimination tree.
 
-    ``bundle`` is a :class:`~repro.enum.contract.ContractFactors`; its
-    backward pass over the elimination steps yields exact per-variable
+    ``bundle`` is a :class:`~repro.enum.contract.ContractFactors`: one
+    softmax per site for the isolated elements and a backward pass over the
+    elimination steps for the coupled rest yield exact per-variable
     marginals, the joint MAP, and exact joint samples without ever forming
     the assignment table.  The ``"sample"`` RNG stream is reproducible: the
-    bundle samples variables in reverse elimination order, and draws are
+    bundle samples the isolated elements in site then element order, then
+    the coupled variables in reverse elimination order, and draws are
     processed in ``(chain, draw)`` order.
     """
     marg = bundle.marginals()
@@ -201,15 +93,13 @@ def _fill_contract_draw(bundle, plan: EnumerationPlan, mode: str,
         assign = None
     for site in plan.sites:
         name = site.name
-        numel = max(site.numel, 1)
-        flat_vals = np.empty(numel)
-        flat_marg = np.empty((numel, site.cardinality))
-        for n in range(numel):
-            probs = marg[(name, n)]
-            flat_marg[n] = probs
-            pick = assign[(name, n)] if assign is not None else int(np.argmax(probs))
-            flat_vals[n] = site.support[pick]
-        values[name][c, d] = flat_vals.reshape(site.event_shape)
+        elems = range(max(site.numel, 1))
+        flat_marg = np.stack([marg[(name, n)] for n in elems])
+        if assign is None:
+            picks = np.argmax(flat_marg, axis=1)
+        else:
+            picks = np.array([assign[(name, n)] for n in elems])
+        values[name][c, d] = site.support[picks].reshape(site.event_shape)
         marginals[name][c, d] = flat_marg.reshape(
             site.event_shape + (site.cardinality,))
 
@@ -232,8 +122,9 @@ def infer_discrete(potential, unconstrained: np.ndarray, mode: str = "marginal",
     plan: Optional[EnumerationPlan] = getattr(potential, "enum_plan", None)
     if plan is None:
         raise ValueError(
-            "infer_discrete needs an enumerated potential (built with "
-            'enumerate="parallel"); this model has no discrete latent sites')
+            'infer_discrete needs an enumerated potential (built with enum="auto", '
+            'or enum="parallel" for the joint table); this model has no '
+            "discrete latent sites")
     z = np.asarray(unconstrained, dtype=float)
     if z.ndim == 2:
         z = z[None]
@@ -252,11 +143,10 @@ def infer_discrete(potential, unconstrained: np.ndarray, mode: str = "marginal",
         site.name: np.empty((chains, draws) + site.event_shape + (site.cardinality,))
         for site in plan.sites
     }
-    # Structured (factorized/contract) potentials never materialize the
-    # joint table: the backward pass runs per component — or over the
-    # elimination tree — on the draw's log factors instead.  The strategy
-    # resolves lazily, so gate on the capability and let the first
-    # factorized_factors call decide (it returns None for joint-table
+    # Contract potentials never materialize the joint table: the backward
+    # pass runs over the elimination tree on the draw's log factors instead.
+    # The strategy resolves lazily, so gate on the capability and let the
+    # first factorized_factors call decide (it returns None for joint-table
     # potentials, including never-evaluated ones that resolve right here).
     structured = hasattr(potential, "factorized_factors") \
         and getattr(potential, "enum_plan", None) is not None
@@ -265,12 +155,8 @@ def infer_discrete(potential, unconstrained: np.ndarray, mode: str = "marginal",
             if structured:
                 bundle = potential.factorized_factors(z[c, d])
                 if bundle is not None:
-                    if hasattr(bundle, "steps"):
-                        _fill_contract_draw(bundle, plan, mode, rng, values,
-                                            marginals, c, d)
-                    else:
-                        _fill_factorized_draw(bundle, plan, mode, rng, values,
-                                              marginals, c, d)
+                    _fill_contract_draw(bundle, plan, mode, rng, values,
+                                        marginals, c, d)
                     continue
                 # the potential demoted itself mid-pass; use the table
                 structured = False

@@ -1,50 +1,35 @@
-"""Factorized enumeration: plate-aware marginalization and variable elimination.
+"""Element-level dependency analysis of an enumerated model's log-prob terms.
 
 The joint assignment table of :class:`~repro.enum.plan.EnumerationPlan` is
 exact but exponential: an array site ``int z[N]`` with per-element support
 ``K`` contributes ``K ** N`` table rows.  Hand marginalization — the
 ``log_sum_exp`` algebra Stan forces on users — is ``O(N * K)`` for mixtures
 and ``O(T * K^2)`` for HMMs, because the per-element (or per-transition)
-factors are conditionally independent given the continuous parameters.  This
-module recovers those asymptotics automatically, the way funsor-style tensor
-variable elimination does:
+factors are conditionally independent given the continuous parameters.
+Recovering those asymptotics automatically, the way funsor-style tensor
+variable elimination does, starts with knowing which elements each term
+touches.
 
-1.  **Dependency analysis** (:func:`analyze_factorization`): the model runs
-    once with every discrete site represented by *per-element leaf tensors*
-    (the runtime's ``_index`` returns the element's own leaf), so walking the
-    autodiff graph of each collected log-prob term tells exactly which
-    elements it touched — the same exact graph-walk classification the joint
-    engine uses, refined to element granularity.  Terms touching one element
-    are unary factors; terms touching two elements of the same site are
-    pairwise factors and induce an edge in the element-interaction graph.
-    Connected components must be isolated vertices (independent elements) or
-    simple paths (chains); anything else — a term using a whole array
-    (``sum(z)``), coupling two sites, or touching three or more elements —
-    raises :class:`FactorizationError` and the caller falls back to the
-    joint table.
+:func:`collect_term_structure` runs the model once with every discrete site
+represented by *per-element leaf tensors* (the runtime's ``_index`` returns
+the element's own leaf), so walking the autodiff graph of each collected
+log-prob term tells exactly which elements it touched — the same exact
+graph-walk classification the joint engine uses, refined to element
+granularity.  Each term becomes a :class:`CollectedTerm`: a constant, a
+site's own declaration prior, or a factor over the elements in its scope
+(any arity, cross-site allowed).  Structure no elimination can handle — a
+term using a whole array (``sum(z)``), a multi-dimensional site, or a
+declaration prior that depends on another site — raises
+:class:`FactorizationError` and the caller falls back to the joint table.
 
-2.  **Sum-product evaluation** (:class:`FactorizationPlan`): one model
-    execution with a *periodic grid* substituted at each site — batch axis of
-    ``B = max(K_s or K_s^2)`` rows, where element ``n``'s column cycles
-    through its support so that rows ``0..K-1`` (or ``0..K^2-1`` for the
-    two-coloring of chain elements) enumerate every needed local assignment.
-    The collected terms are then *contracted* instead of summed into a joint
-    table: independent elements reduce with one ``logsumexp`` per element
-    (``O(N * K)``), chains reduce by eliminating one element at a time with a
-    logsumexp-matmul recursion — the forward algorithm emerges as the
-    elimination order, ``O(T * K^2)``.
-
-The contraction is built from differentiable ops, so HMC/NUTS gradients flow
-through it unchanged; :meth:`FactorizationPlan.posterior_factors` exposes the
-same per-element/chain factors as NumPy arrays for the ``infer_discrete``
-backward pass (marginals / Viterbi MAP / forward-filter backward-sample
-without ever materializing the joint table).
+:mod:`repro.enum.contract` turns the collected terms into a factor graph
+and eliminates it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +37,9 @@ from repro.autodiff import ops
 from repro.autodiff.tensor import Tensor, as_tensor
 from repro.enum.plan import EnumerationError, EnumerationPlan
 
-#: cap on the factorized batch axis (``max_s K_s`` or ``K_s^2``); a chain
-#: whose squared cardinality exceeds this does not profit from elimination.
+#: cap on the gridded batch axis (the product of the mixed-radix digits —
+#: ``K`` for isolated elements, ``K^2`` for a chain); a structure needing more
+#: rows does not profit from elimination.
 DEFAULT_MAX_BATCH_ROWS = 10_000
 
 
@@ -62,27 +48,14 @@ class FactorizationError(EnumerationError):
 
 
 @dataclass(frozen=True)
-class TermRole:
-    """Classification of one collected log-prob term (by execution position)."""
-
-    position: int
-    name: Optional[str]
-    kind: str                      # "const" | "site_prior" | "unary" | "pair"
-    site: Optional[str] = None
-    elems: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class CollectedTerm:
     """Strategy-neutral classification of one collected log-prob term.
 
-    The shared first stage of both analyzers (the strict factorized engine
-    and the general contraction planner of :mod:`repro.enum.contract`):
-    ``kind`` is ``"const"`` (touches no enumerated element),
-    ``"site_prior"`` (a site's own declaration prior, elementwise by
-    construction) or ``"factor"`` (touches the enumerated elements in
-    ``scope``, sorted by site plan-order then element index — any arity,
-    cross-site allowed).
+    The first stage of the contraction planner of :mod:`repro.enum.contract`:
+    ``kind`` is ``"const"`` (touches no enumerated element), ``"site_prior"``
+    (a site's own declaration prior, elementwise by construction) or
+    ``"factor"`` (touches the enumerated elements in ``scope``, sorted by
+    site plan-order then element index — any arity, cross-site allowed).
     """
 
     position: int
@@ -90,18 +63,6 @@ class CollectedTerm:
     kind: str                      # "const" | "site_prior" | "factor"
     site: Optional[str] = None
     scope: Tuple[Tuple[str, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class ChainBlock:
-    """One path component of a site's element-interaction graph."""
-
-    site: str
-    order: Tuple[int, ...]         # elements in path-traversal order
-    #: 2-coloring along the path: color 0 rides the ``r // K`` digit of the
-    #: batch row, color 1 the ``r % K`` digit — adjacent elements always have
-    #: different colors, so every pairwise factor is a full ``(K, K)`` block.
-    colors: Dict[int, int] = field(default_factory=dict)
 
 
 def _walk_elements(term: Tensor, leaf_ids: Mapping[int, Tuple[str, int]],
@@ -127,382 +88,18 @@ def _walk_elements(term: Tensor, leaf_ids: Mapping[int, Tuple[str, int]],
     return elems, whole
 
 
-def _path_components(numel: int, edges: set) -> Tuple[List[Tuple[int, ...]], List[int]]:
-    """Split elements into path-ordered chain components and isolated vertices.
-
-    Raises :class:`FactorizationError` if any component is not a simple path
-    (a cycle, or an element coupled to three or more neighbours).
-    """
-    adj: Dict[int, set] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    for node, nbrs in adj.items():
-        if len(nbrs) > 2:
-            raise FactorizationError(
-                f"element {node} interacts with {len(nbrs)} other elements "
-                f"({sorted(nbrs)}); variable elimination here handles "
-                "chain-structured coupling only")
-    chains: List[Tuple[int, ...]] = []
-    visited: set = set()
-    endpoints = sorted(n for n, nbrs in adj.items() if len(nbrs) == 1)
-    for start in endpoints:
-        if start in visited:
-            continue
-        path = [start]
-        visited.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = [n for n in adj[cur] if n != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-            visited.add(cur)
-        chains.append(tuple(path))
-    cyclic = set(adj) - visited
-    if cyclic:
+def _reduce_rows(term: Tensor, rows: int) -> Tensor:
+    """Sum a term's trailing (event) axes down to a ``(rows,)`` vector."""
+    if term.data.ndim == 0:
         raise FactorizationError(
-            f"elements {sorted(cyclic)} form a coupling cycle; only "
-            "chain-structured (acyclic path) coupling is eliminable")
-    independent = [n for n in range(numel) if n not in adj]
-    return chains, independent
-
-
-class FactorizationPlan:
-    """The factorized evaluation layout for one enumerated model.
-
-    Built by :func:`analyze_factorization`.  Holds the per-term roles (in
-    execution order), the chain/independent partition per site, and the
-    periodic substitution grids; :meth:`contract` turns the terms collected
-    from one gridded model execution into the exact marginal log joint.
-    """
-
-    def __init__(self, plan: EnumerationPlan, terms: List[TermRole],
-                 chains: List[ChainBlock],
-                 independent: Dict[str, Tuple[int, ...]],
-                 max_batch_rows: Optional[int] = None):
-        self.plan = plan
-        self.terms = terms
-        self.chains = chains
-        self.independent = independent
-        self._chain_sites = {c.site for c in chains}
-        self._colors: Dict[Tuple[str, int], int] = {}
-        for chain in chains:
-            for elem, color in chain.colors.items():
-                self._colors[(chain.site, elem)] = color
-        cap = DEFAULT_MAX_BATCH_ROWS if max_batch_rows is None else int(max_batch_rows)
-        rows, worst = 1, None
-        for site in plan.sites:
-            if site.name in self._chain_sites:
-                need, why = site.cardinality ** 2, f"K^2 = {site.cardinality}^2 (chain)"
-            else:
-                need, why = site.cardinality, f"K = {site.cardinality}"
-            if need > rows:
-                rows, worst = need, f"site {site.name!r} needs {why}"
-        if rows > cap:
-            raise FactorizationError(
-                f"factorized batch needs {rows} rows ({worst}), exceeding the "
-                f"cap of {cap}")
-        self.batch_rows = int(rows)
-        self._grid_cache: Optional[Dict[str, np.ndarray]] = None
-
-    # ------------------------------------------------------------------
-    # description / bookkeeping
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        parts = []
-        for site in self.plan.sites:
-            k = site.cardinality
-            n_chain = sum(len(c.order) for c in self.chains if c.site == site.name)
-            n_indep = len(self.independent.get(site.name, ()))
-            if n_chain:
-                parts.append(f"{site.name}: chain of {n_chain} elements "
-                             f"(O(T*K^2), K={k})" +
-                             (f" + {n_indep} independent" if n_indep else ""))
-            else:
-                parts.append(f"{site.name}: {n_indep} independent elements (O(N*K), K={k})")
-        return "; ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"FactorizationPlan({self.describe()}; batch_rows={self.batch_rows})"
-
-    #: resolved-strategy tag read by the potential / metadata stamping.
-    strategy = "factorized"
-
-    def cost_estimate(self) -> int:
-        """Total contraction table cost (entries summed over eliminations).
-
-        Comparable with :meth:`repro.enum.contract.ContractionPlan.cost_estimate`:
-        each independent element contributes its ``K``-entry table, each chain
-        the ``K^2`` tables of its ``T - 1`` eliminations plus the final ``K``.
-        """
-        total = 0
-        for site in self.plan.sites:
-            total += len(self.independent.get(site.name, ())) * site.cardinality
-        for chain in self.chains:
-            k = self.plan.site(chain.site).cardinality
-            total += k + max(len(chain.order) - 1, 0) * k * k
-        return int(total)
-
-    def _color(self, site: str, elem: int) -> int:
-        # independent elements share the color-1 (``r % K``) layout
-        return self._colors.get((site, elem), 1)
-
-    # ------------------------------------------------------------------
-    # the substitution grids
-    # ------------------------------------------------------------------
-    def grids(self) -> Dict[str, np.ndarray]:
-        """``{site: (batch_rows, numel)}`` periodic substitution values.
-
-        Element ``n``'s column cycles through the site's support: color-1
-        (and independent) elements as ``support[r % K]``, color-0 chain
-        elements as ``support[(r // K) % K]`` — so rows ``0..K-1`` enumerate
-        any single element and rows ``0..K^2-1`` enumerate any chain edge.
-        """
-        if self._grid_cache is None:
-            out: Dict[str, np.ndarray] = {}
-            r = np.arange(self.batch_rows)
-            for site in self.plan.sites:
-                k = site.cardinality
-                cols = np.empty((self.batch_rows, max(site.numel, 1)))
-                for n in range(max(site.numel, 1)):
-                    if self._color(site.name, n) == 0:
-                        cols[:, n] = site.support[(r // k) % k]
-                    else:
-                        cols[:, n] = site.support[r % k]
-                out[site.name] = cols
-            self._grid_cache = out
-        return self._grid_cache
-
-    # ------------------------------------------------------------------
-    # term extraction
-    # ------------------------------------------------------------------
-    def check_terms(self, names: Sequence[Optional[str]]) -> None:
-        """Verify a collected-term sequence matches the analysed structure."""
-        if len(names) != len(self.terms):
-            raise FactorizationError(
-                f"model produced {len(names)} log-prob terms, the factorization "
-                f"analysis saw {len(self.terms)} — assignment-dependent control "
-                "flow cannot be factorized")
-        for role, name in zip(self.terms, names):
-            if role.name != name:
-                raise FactorizationError(
-                    f"term {role.position} is {name!r}, analysis saw {role.name!r}")
-
-    @staticmethod
-    def _reduce_rows(term: Tensor, rows: int) -> Tensor:
-        """Sum a term's trailing (event) axes down to a ``(rows,)`` vector."""
-        if term.data.ndim == 0:
-            raise FactorizationError(
-                "an assignment-dependent term evaluated to a scalar under the "
-                "factorized grid (control flow collapsed the batch axis)")
-        if term.data.shape[0] != rows:
-            raise FactorizationError(
-                f"term rides {term.data.shape[0]} rows, expected {rows}")
-        if term.data.ndim > 1:
-            return ops.sum_(term, axis=tuple(range(1, term.data.ndim)))
-        return term
-
-    def _site_matrices(self, terms: Sequence[Tensor], total_rows: int,
-                       offset: int = 0) -> Tuple[Optional[Tensor], Dict[str, Tensor], Dict[Tuple[str, int, int], Tensor]]:
-        """Shared extraction: constant total, per-site ``(rows, numel)`` unary
-        factor blocks, and oriented ``(K, K)`` pairwise factors per chain edge.
-
-        ``terms`` is the collected term list of one model execution.  Under
-        the multi-chain tape the batch carries ``C * batch_rows`` rows
-        chain-major; ``offset = c * batch_rows`` selects chain ``c``'s rows
-        directly inside the ``getitem`` extractions (no per-term slicing), and
-        a constant term that rides the batch axis (it depends on per-chain
-        continuous values) contributes its ``offset`` row — within one
-        chain's block every row holds the same constant.
-        """
-        const_total: Optional[Tensor] = None
-        prior_blocks: Dict[str, Tensor] = {}
-        unary_lists: Dict[str, Dict[int, List[Tensor]]] = {}
-        pair_lists: Dict[Tuple[str, int, int], List[Tensor]] = {}
-        for role, raw in zip(self.terms, terms):
-            term = as_tensor(raw)
-            if role.kind == "const":
-                if term.data.ndim >= 1 and term.data.shape[0] == total_rows \
-                        and total_rows > self.batch_rows:
-                    reduced = self._reduce_rows(term, total_rows)
-                    reduced = ops.getitem(reduced, offset)
-                else:
-                    reduced = term.sum() if term.data.ndim > 0 else term
-                const_total = reduced if const_total is None else ops.add(const_total, reduced)
-            elif role.kind == "site_prior":
-                site = self.plan.site(role.site)
-                numel = max(site.numel, 1)
-                if term.data.ndim == 1:
-                    term = ops.reshape(term, (term.data.shape[0], 1))
-                elif term.data.ndim > 2:
-                    term = ops.sum_(term, axis=tuple(range(2, term.data.ndim)))
-                if term.data.shape != (total_rows, numel):
-                    raise FactorizationError(
-                        f"site prior {role.site!r} has shape {term.data.shape}, "
-                        f"expected ({total_rows}, {numel})")
-                prior_blocks[role.site] = term
-            elif role.kind == "unary":
-                reduced = self._reduce_rows(term, total_rows)
-                unary_lists.setdefault(role.site, {}).setdefault(
-                    role.elems[0], []).append(reduced)
-            else:  # pair
-                reduced = self._reduce_rows(term, total_rows)
-                u, v = role.elems
-                if self._color(role.site, u) != 0:
-                    u, v = v, u
-                pair_lists.setdefault((role.site, u, v), []).append(reduced)
-
-        factor_views: Dict[str, Tensor] = {}
-        for site in self.plan.sites:
-            name = site.name
-            numel = max(site.numel, 1)
-            prior = prior_blocks.get(name)
-            if prior is None:
-                raise FactorizationError(
-                    f"site {name!r} produced no declaration-prior term")
-            per_elem = unary_lists.get(name, {})
-            if per_elem:
-                columns: List[Tensor] = []
-                zero_col: Optional[Tensor] = None
-                for n in range(numel):
-                    parts = per_elem.get(n)
-                    if parts is None:
-                        if zero_col is None:
-                            zero_col = as_tensor(np.zeros(total_rows))
-                        columns.append(zero_col)
-                        continue
-                    total = parts[0]
-                    for extra in parts[1:]:
-                        total = ops.add(total, extra)
-                    columns.append(total)
-                unary = ops.stack(columns, axis=1)
-                combined = ops.add(prior, unary)
-            else:
-                combined = prior
-            factor_views[name] = combined
-
-        pair_factors: Dict[Tuple[str, int, int], Tensor] = {}
-        for (name, u, v), parts in pair_lists.items():
-            k = self.plan.site(name).cardinality
-            total = parts[0]
-            for extra in parts[1:]:
-                total = ops.add(total, extra)
-            block = ops.getitem(total, np.arange(offset, offset + k * k))
-            pair_factors[(name, u, v)] = ops.reshape(block, (k, k))
-        return const_total, factor_views, pair_factors
-
-    def _element_columns(self, name: str, combined: Tensor, elems: Sequence[int],
-                         offset: int = 0) -> Tensor:
-        """``(K, len(elems))`` per-element factors from a ``(rows, numel)`` block.
-
-        All requested elements must share a color (the row-extraction
-        pattern); callers split chain elements by color first.
-        """
-        site = self.plan.site(name)
-        k = site.cardinality
-        colors = {self._color(name, n) for n in elems}
-        assert len(colors) == 1, "elements of one extraction must share a color"
-        if colors.pop() == 0:
-            row_idx = offset + np.arange(k) * k
-        else:
-            row_idx = offset + np.arange(k)
-        return ops.getitem(combined, (row_idx[:, None], np.asarray(elems)[None, :]))
-
-    # ------------------------------------------------------------------
-    # the contraction (exact marginal log joint)
-    # ------------------------------------------------------------------
-    def contract(self, terms: Sequence[Tensor], offset: int = 0,
-                 total_rows: Optional[int] = None) -> Tensor:
-        """Exact marginal log joint (a scalar tensor) from collected terms.
-
-        Independent elements reduce with one ``logsumexp`` per element;
-        chains reduce with the logsumexp-matmul forward recursion (variable
-        elimination in path order).  Deterministic accumulation order: the
-        constant terms, then sites in plan order (independent block first,
-        then each chain).  ``offset``/``total_rows`` address one chain's rows
-        inside a multi-chain ``C * batch_rows`` tape.
-        """
-        const_total, factor_views, pair_factors = self._site_matrices(
-            terms, total_rows or self.batch_rows, offset=offset)
-        total = const_total if const_total is not None else as_tensor(0.0)
-
-        chains_by_site: Dict[str, List[ChainBlock]] = {}
-        for chain in self.chains:
-            chains_by_site.setdefault(chain.site, []).append(chain)
-
-        for site in self.plan.sites:
-            name = site.name
-            combined = factor_views[name]
-            indep = self.independent.get(name, ())
-            if indep:
-                cols = self._element_columns(name, combined, indep, offset=offset)
-                per_element = ops.logsumexp(cols, axis=0)
-                total = ops.add(total, ops.sum_(per_element))
-            for chain in chains_by_site.get(name, []):
-                def col(elem):
-                    return ops.reshape(
-                        self._element_columns(name, combined, [elem], offset=offset),
-                        (site.cardinality,))
-
-                alpha = col(chain.order[0])
-                for prev, cur in zip(chain.order, chain.order[1:]):
-                    u, v = (prev, cur) if self._color(name, prev) == 0 else (cur, prev)
-                    pair = pair_factors.get((name, u, v))
-                    if pair is None:
-                        raise FactorizationError(
-                            f"chain edge ({prev}, {cur}) of site {name!r} has no "
-                            "pairwise factor")
-                    step = pair if u == prev else ops.transpose(pair)
-                    alpha = ops.logsumexp(
-                        ops.add(ops.reshape(alpha, (site.cardinality, 1)), step),
-                        axis=0)
-                    alpha = ops.add(alpha, col(cur))
-                total = ops.add(total, ops.logsumexp(alpha))
-        return total
-
-    # ------------------------------------------------------------------
-    # posterior factors (the infer_discrete backward pass)
-    # ------------------------------------------------------------------
-    def posterior_factors(self, terms: Sequence[Tensor], offset: int = 0) -> "FactorBundle":
-        """NumPy per-element/chain log factors of one gridded execution.
-
-        The discrete posterior conditional on the continuous draw factorizes
-        the same way the density does: independent elements are categorical
-        in their ``(K,)`` factor; each chain is a small chain-structured MRF
-        with per-element unary ``(T, K)`` and per-edge pairwise
-        ``(T-1, K, K)`` log potentials (oriented along the path), ready for
-        forward-backward / Viterbi / backward sampling.
-        """
-        _, factor_views, pair_factors = self._site_matrices(
-            terms, self.batch_rows, offset=offset)
-        independent: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        chains: List[Tuple[str, Tuple[int, ...], np.ndarray, np.ndarray]] = []
-        for site in self.plan.sites:
-            name = site.name
-            combined = factor_views[name]
-            indep = self.independent.get(name, ())
-            if indep:
-                cols = self._element_columns(name, combined, indep, offset=offset)
-                independent[name] = (np.asarray(indep, dtype=int),
-                                     np.array(cols.data).T)     # (n_i, K)
-        for chain in self.chains:
-            site = self.plan.site(chain.site)
-            k = site.cardinality
-            unary = np.empty((len(chain.order), k))
-            combined = factor_views[chain.site]
-            for i, elem in enumerate(chain.order):
-                unary[i] = np.array(self._element_columns(
-                    chain.site, combined, [elem], offset=offset).data).reshape(k)
-            pairwise = np.empty((len(chain.order) - 1, k, k))
-            for i, (prev, cur) in enumerate(zip(chain.order, chain.order[1:])):
-                u, v = (prev, cur) if self._color(chain.site, prev) == 0 else (cur, prev)
-                pair = pair_factors[(chain.site, u, v)]
-                mat = np.array(pair.data)
-                pairwise[i] = mat if u == prev else mat.T
-            chains.append((chain.site, chain.order, unary, pairwise))
-        return FactorBundle(independent=independent, chains=chains)
+            "an assignment-dependent term evaluated to a scalar under the "
+            "enumeration grid (control flow collapsed the batch axis)")
+    if term.data.shape[0] != rows:
+        raise FactorizationError(
+            f"term rides {term.data.shape[0]} rows, expected {rows}")
+    if term.data.ndim > 1:
+        return ops.sum_(term, axis=tuple(range(1, term.data.ndim)))
+    return term
 
 
 def reset_generated_site_names() -> None:
@@ -520,53 +117,6 @@ def reset_generated_site_names() -> None:
     runtime._FRESH_COUNTER[0] = 0
 
 
-@dataclass
-class FactorBundle:
-    """Per-component log factors of one draw's discrete posterior."""
-
-    #: ``{site: (element_indices, (n_i, K) log factors)}``
-    independent: Dict[str, Tuple[np.ndarray, np.ndarray]]
-    #: ``(site, path order, (T, K) unary, (T-1, K, K) pairwise)`` per chain
-    chains: List[Tuple[str, Tuple[int, ...], np.ndarray, np.ndarray]]
-
-
-def analyze_factorization(model: Callable, plan: EnumerationPlan,
-                          model_args: Tuple = (), model_kwargs: Optional[Dict] = None,
-                          observed: Optional[Dict[str, Any]] = None,
-                          constrained: Optional[Mapping[str, Any]] = None,
-                          rng_seed: int = 0,
-                          max_batch_rows: Optional[int] = None,
-                          telemetry=None) -> FactorizationPlan:
-    """Partition a model's discrete elements into conditionally-independent blocks.
-
-    Runs the model once with per-element leaf tensors substituted at every
-    discrete site and classifies each collected log-prob term by walking its
-    autodiff graph back to the leaves (see module docstring).  Raises
-    :class:`FactorizationError` when the structure does not factorize —
-    callers fall back to the joint assignment table.
-
-    ``telemetry`` (a :class:`repro.obs.Telemetry`, or ``None``) receives an
-    ``enum.analyze`` span recording the outcome: the number of chain blocks
-    and independent elements on success, or the classified failure (the span
-    carries ``error=FactorizationError``; the caller records the fallback
-    reason in its own ``enum.demote`` event).
-    """
-    from repro.obs import as_telemetry
-
-    with as_telemetry(telemetry).span(
-            "enum.analyze", sites=len(plan.sites),
-            table_size=plan.table_size) as span:
-        result = _analyze_factorization_impl(
-            model, plan, model_args=model_args, model_kwargs=model_kwargs,
-            observed=observed, constrained=constrained, rng_seed=rng_seed,
-            max_batch_rows=max_batch_rows)
-        span.set(strategy="factorized",
-                 chain_blocks=len(result.chains),
-                 independent_sites=sum(
-                     1 for elems in result.independent.values() if elems))
-        return result
-
-
 def collect_term_structure(model: Callable, plan: EnumerationPlan,
                            model_args: Tuple = (),
                            model_kwargs: Optional[Dict] = None,
@@ -575,11 +125,10 @@ def collect_term_structure(model: Callable, plan: EnumerationPlan,
                            rng_seed: int = 0) -> List[CollectedTerm]:
     """Run the model once with per-element leaves and classify every term.
 
-    The strategy-neutral first stage shared by :func:`analyze_factorization`
-    and :func:`repro.enum.contract.analyze_contraction`: each collected
-    log-prob term is walked back through the autodiff graph to the enumerated
-    leaves it touches and recorded as a :class:`CollectedTerm`.  Raises
-    :class:`FactorizationError` for structure *no* elimination strategy can
+    The first stage of :func:`repro.enum.contract.analyze_contraction`: each
+    collected log-prob term is walked back through the autodiff graph to the
+    enumerated leaves it touches and recorded as a :class:`CollectedTerm`.
+    Raises :class:`FactorizationError` for structure *no* elimination can
     handle: multi-dimensional sites, terms using a whole enumerated array
     (``sum(z)``), and declaration priors that depend on other sites.
     """
@@ -592,7 +141,7 @@ def collect_term_structure(model: Callable, plan: EnumerationPlan,
         if len(site.event_shape) > 1:
             raise FactorizationError(
                 f"site {site.name!r} has event shape {site.event_shape}; "
-                "factorization handles scalar and 1-D array sites")
+                "elimination handles scalar and 1-D array sites")
         els = [Tensor(float(site.support[0])) for _ in range(max(site.numel, 1))]
         if site.event_shape:
             assembled = ops.stack(els)
@@ -646,69 +195,3 @@ def collect_term_structure(model: Callable, plan: EnumerationPlan,
         scope = tuple(sorted(elems, key=lambda ref: (site_order[ref[0]], ref[1])))
         collected.append(CollectedTerm(pos, name, "factor", scope=scope))
     return collected
-
-
-def classify_factorization(collected: Sequence[CollectedTerm],
-                           plan: EnumerationPlan,
-                           max_batch_rows: Optional[int] = None
-                           ) -> FactorizationPlan:
-    """The strict classifier: collected terms -> independent/chain plan.
-
-    Accepts only the shapes the proven sum-product engine handles — unary
-    factors plus single-site pairwise coupling whose interaction graph is a
-    disjoint union of simple paths.  Anything else (cross-site terms, 3-way
-    coupling, branching, cycles) raises :class:`FactorizationError`; the
-    general contraction planner picks those up when the strategy allows.
-    """
-    terms: List[TermRole] = []
-    edges: Dict[str, set] = {name: set() for name in plan.site_names}
-    for ct in collected:
-        if ct.kind == "site_prior":
-            terms.append(TermRole(ct.position, ct.name, "site_prior", site=ct.site))
-            continue
-        if ct.kind == "const":
-            terms.append(TermRole(ct.position, ct.name, "const"))
-            continue
-        sites_hit = {s for s, _ in ct.scope}
-        if len(sites_hit) > 1:
-            raise FactorizationError(
-                f"term {ct.name!r} couples elements across sites {sorted(sites_hit)}")
-        site = sites_hit.pop()
-        idx = tuple(sorted(j for _, j in ct.scope))
-        if len(idx) == 1:
-            terms.append(TermRole(ct.position, ct.name, "unary", site=site, elems=idx))
-        elif len(idx) == 2:
-            terms.append(TermRole(ct.position, ct.name, "pair", site=site, elems=idx))
-            edges[site].add(idx)
-        else:
-            raise FactorizationError(
-                f"term {ct.name!r} couples {len(idx)} elements {idx} of site "
-                f"{site!r}; only unary and pairwise (chain) coupling is "
-                "eliminable")
-
-    chains: List[ChainBlock] = []
-    independent: Dict[str, Tuple[int, ...]] = {}
-    for site in plan.sites:
-        numel = max(site.numel, 1)
-        paths, isolated = _path_components(numel, edges[site.name])
-        independent[site.name] = tuple(isolated)
-        for path in paths:
-            colors = {elem: i % 2 for i, elem in enumerate(path)}
-            chains.append(ChainBlock(site=site.name, order=path, colors=colors))
-    return FactorizationPlan(plan, terms, chains, independent,
-                             max_batch_rows=max_batch_rows)
-
-
-def _analyze_factorization_impl(model: Callable, plan: EnumerationPlan,
-                                model_args: Tuple = (),
-                                model_kwargs: Optional[Dict] = None,
-                                observed: Optional[Dict[str, Any]] = None,
-                                constrained: Optional[Mapping[str, Any]] = None,
-                                rng_seed: int = 0,
-                                max_batch_rows: Optional[int] = None
-                                ) -> FactorizationPlan:
-    collected = collect_term_structure(
-        model, plan, model_args=model_args, model_kwargs=model_kwargs,
-        observed=observed, constrained=constrained, rng_seed=rng_seed)
-    return classify_factorization(collected, plan,
-                                  max_batch_rows=max_batch_rows)

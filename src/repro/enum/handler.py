@@ -20,11 +20,11 @@ Two layouts are supported (see :mod:`repro.enum.plan`):
 
 Both layouts materialize the **joint** table (``prod_i K_i^numel_i`` rows)
 and therefore serve the ``"parallel"``/``"rows"`` strategies only; the
-``"factorized"`` strategy (:mod:`repro.enum.factorize`) substitutes periodic
+``"contract"`` strategy (:mod:`repro.enum.contract`) substitutes mixed-radix
 per-element grids through the fast log-density context instead and never
 builds the table.  The graph-walk term classification below
-(:func:`_depends_on`) is the site-granular ancestor of the factorized
-engine's element-granular analysis.
+(:func:`_depends_on`) is the site-granular ancestor of the element-granular
+analysis in :mod:`repro.enum.factorize`.
 """
 
 from __future__ import annotations

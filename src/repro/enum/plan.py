@@ -130,7 +130,7 @@ class EnumerationPlan:
         table_size = 1
         for site in self.sites:
             table_size *= site.num_assignments
-        # Python int arithmetic on purpose: a factorized plan may describe a
+        # Python int arithmetic on purpose: a contract plan may describe a
         # table (2^500 joint assignments) that is never materialized.
         self.table_size = int(table_size)
         if not defer_size_check:
@@ -146,13 +146,12 @@ class EnumerationPlan:
         """Raise :class:`TableSizeError` if the joint table exceeds the cap.
 
         Called at construction for joint-table plans and *lazily* — only when
-        a joint evaluation is actually needed — for factorized/contract
-        plans, whose table may be astronomically large without ever being
-        built.  ``factorization_note`` reports whether a structured strategy
-        was attempted and why it did not apply; ``strategy`` names the
-        strategy that was actually attempted (``"contract"``,
-        ``"factorized"``, ...) so the fallback diagnostic does not mislead
-        now that several structured strategies exist.
+        a joint evaluation is actually needed — for contract plans, whose
+        table may be astronomically large without ever being built.
+        ``factorization_note`` reports whether the structured strategy was
+        attempted and why it did not apply; ``strategy`` names the strategy
+        that was requested (``"auto"`` or ``"contract"``) so the fallback
+        diagnostic does not mislead.
         """
         if self.table_size <= self.max_table_size:
             return
@@ -162,14 +161,14 @@ class EnumerationPlan:
         if factorization_note is None:
             attempted = (f"the {strategy} strategy was not attempted"
                          if strategy else
-                         "no structured strategy (contract/factorized) was attempted")
+                         "tensor variable elimination was not attempted")
             factorization_note = (
                 f"{attempted} on this path — "
-                'recompile with enum="auto" (or the legacy '
-                'enumerate="factorized" spelling) so the contraction planner '
-                "eliminates conditionally-independent elements in O(N*K), "
-                "chains in O(T*K^2) and bounded-treewidth coupling in "
-                "O(N*K^w) without a joint table")
+                'recompile with enum="auto" (instead of the joint-table '
+                'enum="parallel") so the contraction planner eliminates '
+                "conditionally-independent elements in O(N*K), chains in "
+                "O(T*K^2) and bounded-treewidth coupling in O(N*K^w) without "
+                "a joint table")
         raise TableSizeError(
             f"joint enumeration table has {self.table_size} entries "
             f"({detail}), exceeding the cap of {self.max_table_size}. "

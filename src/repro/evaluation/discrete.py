@@ -5,8 +5,8 @@ unlocks model classes Stan forbids; the flagship example is discrete latent
 variables.  This experiment makes the claim quantitative on a registry
 workload pair: the *same* model written
 
-* with explicit ``int`` parameters, compiled with ``enumerate="parallel"``
-  (exact marginalization by the enumeration engine), versus
+* with explicit ``int`` parameters, compiled with ``enum="auto"`` (exact
+  marginalization by the enumeration engine), versus
 * with the marginalization done by hand in the model block
   (``log_sum_exp`` algebra — what Stan forces users to write today).
 
@@ -90,15 +90,9 @@ def run_discrete_comparison(enum_entry: Entry, marginal_entry: Entry,
     warmup = max(int(config.num_warmup * scale), 10)
     samples = max(int(config.num_samples * scale), 10)
 
-    if enum_entry.enum is not None:
-        enum_compiled = compile_model(
-            enum_entry.source, backend="numpyro", scheme="comprehensive",
-            name=enum_entry.name, enum=enum_entry.enum)
-    else:
-        enum_compiled = compile_model(
-            enum_entry.source, backend="numpyro", scheme="comprehensive",
-            name=enum_entry.name,
-            engine=EngineConfig(enumerate=enum_entry.enumerate))
+    enum_compiled = compile_model(
+        enum_entry.source, backend="numpyro", scheme="comprehensive",
+        name=enum_entry.name, enum=enum_entry.enum)
     enum_model = enum_compiled.condition(enum_entry.data())
     start = time.perf_counter()
     enum_fit = enum_model.fit("nuts", num_warmup=warmup, num_samples=samples,
@@ -157,7 +151,7 @@ WORKLOAD_PAIRS = (
 )
 
 #: pairs at sizes whose joint table (2^500, 4^200) is unrepresentable —
-#: only the factorized strategy can evaluate the enumerated side (the CI
+#: only the contract strategy can evaluate the enumerated side (the CI
 #: ``enum-scaling`` job runs these under a wall-clock budget).
 SCALING_PAIRS = (
     ("gauss_mix_enum-synthetic_mixture_large",
@@ -165,9 +159,9 @@ SCALING_PAIRS = (
     ("hmm_k_enum-synthetic_hmm4", "hmm_k_marginal-synthetic_hmm4"),
 )
 
-#: pairs whose discrete structure needs the general contraction engine
-#: (``enum="auto"`` resolves to ``"contract"``): a factorial HMM (two
-#: coupled chains, joint table 4^100) and a tree-coupled mixture (2^200).
+#: pairs whose discrete structure needs a general contraction order
+#: (cross-site or tree coupling): a factorial HMM (two coupled chains,
+#: joint table 4^100) and a tree-coupled mixture (2^200).
 #: The CI ``enum-scaling`` job asserts posterior agreement with the
 #: hand-marginalized twins.
 CONTRACT_PAIRS = (
@@ -194,7 +188,7 @@ def discrete_enumeration_experiment(scale: float = 1.0, seed: int = 0,
 class EnumScaling:
     """Measured per-evaluation cost of one workload at two sizes.
 
-    The factorized engine is ``O(N * K)`` for independent elements and
+    The contraction engine is ``O(N * K)`` for independent elements and
     ``O(T * K^2)`` for chains — *linear* in the element count at fixed K —
     while the joint table is ``K ** N``.  ``cost_ratio`` close to
     ``size_ratio`` certifies the linear asymptotic; a regression back to the
@@ -231,28 +225,23 @@ class EnumScaling:
 
 def measure_enum_cost(model_name: str, data_for_size, sizes: Tuple[int, int],
                       repeats: int = 3, seed: int = 0,
-                      engine: str = "interpreted",
-                      strategy: str = "factorized") -> EnumScaling:
+                      engine: str = "interpreted") -> EnumScaling:
     """Per-evaluation ``potential_and_grad`` cost of a workload at two sizes.
 
     ``data_for_size(size)`` builds the dataset; ``seed`` seeds the potential
     (dataset seeding is the caller's closure).  Both sizes must resolve to
-    the requested structured ``strategy`` (``"factorized"`` or
-    ``"contract"``) — a silent demotion mid-measurement would time the wrong
-    engine, so it raises here rather than relying on callers to inspect the
-    returned ``strategies``.  The first evaluation (strategy resolution +
-    analysis) is excluded; the steady-state cost is the *minimum* over
-    ``repeats`` timed evaluations, the usual robust-to-noise choice for
-    microbenchmarks.  ``engine`` selects the evaluation engine
+    the ``"contract"`` strategy under ``enum="auto"`` — a silent demotion
+    mid-measurement would time the wrong engine, so it raises here rather
+    than relying on callers to inspect the returned ``strategies``.  The
+    first evaluation (strategy resolution + analysis) is excluded; the
+    steady-state cost is the *minimum* over ``repeats`` timed evaluations,
+    the usual robust-to-noise choice for microbenchmarks.  ``engine``
+    selects the evaluation engine
     ("interpreted" or "compiled"); under ``"compiled"`` the warm-up
     evaluation also compiles and validates the tape, so the timed steady
     state is the fused program.
     """
-    if strategy == "factorized":
-        config = EngineConfig(engine=engine, enumerate="factorized")
-    else:
-        config = EngineConfig(engine=engine,
-                              enum=EnumConfig(strategy=strategy))
+    config = EngineConfig(engine=engine, enum=EnumConfig(strategy="auto"))
     times: list = []
     strategies: list = []
     planner_costs: list = []
@@ -263,10 +252,10 @@ def measure_enum_cost(model_name: str, data_for_size, sizes: Tuple[int, int],
         z0 = potential.initial_unconstrained()
         potential.potential_and_grad(z0)          # resolve + validate
         potential.potential_and_grad(z0)          # compile + validate tape
-        if potential.enum_strategy != strategy:
+        if potential.enum_strategy != "contract":
             raise RuntimeError(
                 f"{model_name} at size {size} resolved to "
-                f"{potential.enum_strategy!r}, not the {strategy} strategy "
+                f"{potential.enum_strategy!r}, not the contract strategy "
                 f"({potential.factorization_note}) — the cost measurement "
                 "would time the wrong engine")
         best = float("inf")
@@ -284,7 +273,7 @@ def measure_enum_cost(model_name: str, data_for_size, sizes: Tuple[int, int],
 
 def enum_scaling_experiment(repeats: int = 3, seed: int = 0,
                             engine: str = "interpreted") -> Dict[str, EnumScaling]:
-    """Measure the factorized engine's cost growth on both workload shapes.
+    """Measure the contraction engine's cost growth on both workload shapes.
 
     Mixture (independent elements) at N=250 vs N=500 and the 4-state HMM
     (chain elimination) at T=100 vs T=200 — every size far beyond what the
@@ -312,16 +301,16 @@ def contract_scaling_experiment(repeats: int = 3, seed: int = 0,
     tree-coupled mixture at N=100 vs N=200 — both at sizes whose joint
     table (``4^T`` / ``2^N``) is unrepresentable.  Greedy elimination keeps
     the per-evaluation cost linear in the element count at fixed treewidth,
-    so ``cost_ratio`` should track ``size_ratio`` exactly as in the
-    factorized special cases.
+    so ``cost_ratio`` should track ``size_ratio`` exactly as for the
+    mixture and the chain.
     """
     return {
         "factorial_hmm_enum": measure_enum_cost(
             "factorial_hmm_enum",
             lambda t: datagen.factorial_hmm_data(seed=seed, t=t), (50, 100),
-            repeats=repeats, seed=seed, engine=engine, strategy="contract"),
+            repeats=repeats, seed=seed, engine=engine),
         "tree_mix_enum": measure_enum_cost(
             "tree_mix_enum",
             lambda n: datagen.tree_mix_data(seed=seed, n=n), (100, 200),
-            repeats=repeats, seed=seed, engine=engine, strategy="contract"),
+            repeats=repeats, seed=seed, engine=engine),
     }

@@ -17,8 +17,8 @@ Two shapes cover the engine's envelope:
 * ``streaming_regression`` — a linear regression whose parameter space is
   fixed while ``N`` grows;
 * ``streaming_hmm`` — the corpus 2-state HMM with explicit ``int`` states,
-  compiled with ``enumerate="factorized"``: the discrete path is
-  marginalized out by the sum-product engine, so the unconstrained
+  compiled with ``enum="auto"``: the discrete path is marginalized out by
+  tensor variable elimination (the forward algorithm), so the unconstrained
   dimension stays 2 no matter how long the chain grows — exactly the fixed
   parameter space streaming SMC requires.
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core import compile_model
 from repro.corpus import models as corpus_models
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, EnumConfig
 from repro.evaluation.discrete import mcse_sigmas
 
 REGRESSION_SOURCE = """
@@ -109,7 +109,7 @@ def streaming_hmm(seed: int = 0,
     """The corpus K-state HMM as a growing observation stream.
 
     Uses the *enumerated* formulation (explicit ``int z[T]`` states,
-    ``hmm_k_enum``) under ``enumerate="factorized"``: the chain of discrete
+    ``hmm_k_enum``) under ``enum="auto"``: the chain of discrete
     states is eliminated in ``O(T * K^2)`` per evaluation, so the particles
     only carry the K emission means and ``extend()`` can grow ``T`` freely.
     The prior centers ``mu0 = (-2, 2)`` are far enough apart that the
@@ -144,7 +144,7 @@ def streaming_hmm(seed: int = 0,
                              # assimilation itself.  The refit twin runs the
                              # same engine, so the race stays fair.
                              engine=EngineConfig(engine="interpreted",
-                                                 enumerate="factorized"),
+                                                 enum=EnumConfig(strategy="auto")),
                              # enumerated gradients run per row (the batched
                              # tier caps at value_fast), so rejuvenation is
                              # the cost center — one shorter move round per

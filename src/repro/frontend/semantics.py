@@ -134,9 +134,9 @@ def _check_int_parameters(program: ast.Program, allow_enumeration: bool) -> None
 
     Stan rejects them outright; our enumeration engine accepts *bounded*
     integer parameters (finite support, marginalized exactly) when the
-    caller opted in with ``enumerate="factorized"`` or ``"parallel"``.
-    Unbounded declarations are rejected on every path — they have no exact
-    enumeration.
+    caller opted in with ``enum="auto"`` (or ``enum="parallel"`` for the
+    joint table).  Unbounded declarations are rejected on every path — they
+    have no exact enumeration.
     """
     for decl in program.parameters.decls:
         if not decl.base_type.is_integer:
@@ -146,9 +146,9 @@ def _check_int_parameters(program: ast.Program, allow_enumeration: bool) -> None
                 f"parameter {decl.name!r} is declared int; Stan requires continuous "
                 "parameters. Unlike Stan, this compiler can marginalize bounded "
                 "integer parameters exactly — recompile with "
-                'enumerate="factorized" (compile_model(source, '
-                'enumerate="factorized"); O(N*K)/O(T*K^2) sum-product '
-                'marginalization, or enumerate="parallel" for the joint-table '
+                'enum="auto" (compile_model(source, enum="auto"); tensor '
+                "variable elimination, O(N*K) for independent elements and "
+                'O(T*K^2) for chains, or enum="parallel" for the joint-table '
                 "engine) to enable the discrete-latent enumeration engine."
             )
         if decl.constraint.lower is None or decl.constraint.upper is None:

@@ -41,23 +41,24 @@ a second validation.
 Discrete-latent enumeration
 ---------------------------
 
-With ``enumerate="factorized"`` (or ``"parallel"``) a model may contain
-*discrete* latent sites with finite support (bounded ``int`` parameters).
-The potential then evaluates the **exact marginal** density, so HMC/NUTS/VI
-see a purely continuous, differentiable potential over the remaining
+With ``enum="auto"`` (or ``"parallel"``) a model may contain *discrete*
+latent sites with finite support (bounded ``int`` parameters).  The
+potential then evaluates the **exact marginal** density, so HMC/NUTS/VI see
+a purely continuous, differentiable potential over the remaining
 parameters.  Three evaluation strategies exist, following the same
 optimistic pattern as chain batching:
 
-* ``"factorized"`` — the sum-product engine (:mod:`repro.enum.factorize`):
-  a one-time dependency analysis over the autodiff graph partitions the
-  discrete elements into conditionally-independent blocks and
-  chain-structured blocks; per-element enumeration handles the former in
-  ``O(N * K)`` and a logsumexp-matmul elimination (the forward algorithm)
-  the latter in ``O(T * K^2)`` — no joint table is ever built, so sizes
-  like ``2^500`` assignments evaluate in milliseconds.  Cross-validated
-  against the joint oracle at small table sizes (tolerance tier — the two
-  strategies sum in different orders) with permanent demotion on mismatch;
-  structures that do not factorize fall back to the joint table.
+* ``"contract"`` — tensor variable elimination (:mod:`repro.enum.contract`):
+  a one-time element-level dependency analysis over the autodiff graph
+  (:mod:`repro.enum.factorize`) yields the discrete factor graph; each
+  site's isolated elements reduce as one ``O(N * K)`` logsumexp block and
+  the coupled rest is eliminated in a greedy order (a chain in
+  ``O(T * K^2)``, the forward algorithm) — no joint table is ever built, so
+  sizes like ``2^500`` assignments evaluate in milliseconds.
+  Cross-validated against the joint oracle at small table sizes (tolerance
+  tier — the two strategies sum in different orders) with permanent
+  demotion on mismatch; structures no elimination handles fall back to the
+  joint table.
 * ``"parallel"`` — one vectorized execution per density evaluation: the
   flattened joint table rides the batched-evaluation machinery (table rows
   behave exactly like chains), per-assignment log joints come back as a
@@ -71,7 +72,7 @@ optimistic pattern as chain batching:
 
 Under the multi-chain fast path the enumeration structure rides *behind*
 the chain axis: the joint-table tape evaluates ``(C * T, dim)`` rows
-(chain-major) reduced by a ``(C, T)`` logsumexp; the factorized tape
+(chain-major) reduced by a ``(C, T)`` logsumexp; the contraction tape
 evaluates ``C * B`` gridded rows and contracts each chain's slice
 separately.  Acceptance of either tape follows the tolerance-tiered
 validation contract defined below.
@@ -103,12 +104,6 @@ class DiscreteLatentError(RuntimeError):
     """Raised when a model has a discrete latent site on the non-enumerated path."""
 
 
-#: accepted values of the ``enumerate`` option.  ``"factorized"`` (the
-#: compiler default for enumerated models) adds the dependency-analysis +
-#: sum-product engine on top of the joint table; ``"parallel"`` keeps the
-#: PR-4 joint-table engine (bitwise-stable draws).
-ENUMERATE_MODES = (None, "parallel", "factorized")
-
 # ----------------------------------------------------------------------
 # The tolerance-tiered validation contract
 # ----------------------------------------------------------------------
@@ -132,16 +127,16 @@ ENUMERATE_MODES = (None, "parallel", "factorized")
 #   identical between chain methods.  This recovers the multi-chain C×T
 #   enumerated tape that a purely bitwise contract had to demote outright.
 #
-# Cross-*strategy* validation (factorized contraction vs joint table) cannot
+# Cross-*strategy* validation (contraction vs joint table) cannot
 # be bitwise by construction — the two sum the same terms in different orders
 # — so it uses the value tolerance tier below; within the chosen strategy,
 # every evaluation path is still held to the bitwise decision tier.
 GRAD_VALIDATION_RTOL = 1e-9
 GRAD_VALIDATION_ATOL = 1e-12
-#: factorized-vs-joint marginal agreement (different logsumexp orders).
+#: contraction-vs-joint marginal agreement (different logsumexp orders).
 ENUM_VALUE_RTOL = 1e-10
 ENUM_VALUE_ATOL = 1e-8
-#: largest joint table the factorized strategy is cross-validated against;
+#: largest joint table the contract strategy is cross-validated against;
 #: beyond it the oracle itself is intractable and the (exact, graph-walk
 #: based) dependency analysis is trusted.
 ENUM_VALIDATION_TABLE_CAP = 4096
@@ -169,9 +164,14 @@ class Potential:
                  engine: Union[None, str, "EngineConfig"] = None,
                  obs: Any = None,
                  enum: Union[None, str, "EnumConfig"] = None):
-        if enumerate not in ENUMERATE_MODES:
-            raise ValueError(
-                f"unknown enumerate mode {enumerate!r}; expected one of {ENUMERATE_MODES}")
+        #: the resolved evaluation-engine configuration.  ``engine`` accepts
+        #: an engine name or a full :class:`~repro.engine.EngineConfig`; the
+        #: legacy ``enumerate=`` / ``max_table_size=`` keywords override the
+        #: corresponding config fields when given (``EngineConfig`` rejects
+        #: unknown spellings), and ``enum=`` (a strategy name or
+        #: :class:`~repro.engine.EnumConfig`) overrides everything.
+        self.engine_config = EngineConfig.coerce(
+            engine, enumerate=enumerate, max_enum_table_size=max_table_size)
         if enumerate is not None:
             warn_once(
                 "potential-enumerate-kwarg",
@@ -182,13 +182,6 @@ class Potential:
                 "potential-max-table-size-kwarg",
                 "Potential(max_table_size=...) is deprecated; pass "
                 "enum=EnumConfig(max_table_size=...) instead.")
-        #: the resolved evaluation-engine configuration.  ``engine`` accepts
-        #: an engine name or a full :class:`~repro.engine.EngineConfig`; the
-        #: legacy ``enumerate=`` / ``max_table_size=`` keywords override the
-        #: corresponding config fields when given, and ``enum=`` (a strategy
-        #: name or :class:`~repro.engine.EnumConfig`) overrides everything.
-        self.engine_config = EngineConfig.coerce(
-            engine, enumerate=enumerate, max_enum_table_size=max_table_size)
         if enum is not None:
             self.engine_config = self.engine_config.replace(
                 enum=EnumConfig.coerce(enum))
@@ -216,13 +209,13 @@ class Potential:
         # the per-assignment rows oracle, "rows" if the model does not
         # vectorize across the table; ``None`` until the first evaluation.
         self._enum_mode: Optional[str] = None
-        # Marginalization strategy: "factorized" (sum-product contraction)
+        # Marginalization strategy: "contract" (tensor variable elimination)
         # or "joint" (assignment table); ``None`` until resolved on first use.
         self._marginal_mode: Optional[str] = None
-        #: the factorized evaluation layout (set when the dependency analysis
-        #: succeeds and the strategy validates; see repro.enum.factorize).
+        #: the contraction layout (a :class:`~repro.enum.ContractionPlan`, set
+        #: when the dependency analysis succeeds and the strategy validates).
         self.factorization = None
-        #: why the factorized strategy does / does not apply (human-readable;
+        #: why the contract strategy does / does not apply (human-readable;
         #: threaded into TableSizeError so the failure is actionable).
         self.factorization_note: Optional[str] = None
         #: telemetry session (the shared null sink unless ``obs=`` was
@@ -289,13 +282,10 @@ class Potential:
                         "continuous parameters. Bounded discrete latents can be "
                         "marginalized exactly instead — recompile with "
                         'enum="auto" (compile_model(source, enum="auto"); '
-                        "greedy-contraction / sum-product marginalization with "
-                        "joint-table fallback), or the legacy spellings "
-                        'enumerate="factorized" (compile_model(source, '
-                        'enumerate="factorized"); O(N*K)/O(T*K^2) sum-product '
-                        'marginalization with joint-table fallback) or '
-                        'enumerate="parallel" (the joint-table engine), or '
-                        "build the Potential with either mode.")
+                        "tensor variable elimination — O(N*K) for independent "
+                        "elements, O(T*K^2) for chains — with joint-table "
+                        'fallback) or enum="parallel" (the joint-table '
+                        "engine), or build the Potential with either.")
                 value = np.asarray(param_value(site["value"]), dtype=float)
                 discrete[name] = (fn, value.shape)
                 continue
@@ -316,13 +306,13 @@ class Potential:
         if discrete:
             from repro.enum import EnumerationPlan
 
-            # The structured strategies (factorized / contract / auto) may
-            # never materialize the joint table, so their size cap is checked
+            # The structured strategies (contract / auto) may never
+            # materialize the joint table, so their size cap is checked
             # lazily (only on joint fallback).
             self.enum_plan = EnumerationPlan.from_trace_sites(
                 discrete, max_table_size=self.max_table_size,
                 defer_size_check=(self.enum_config.strategy
-                                  in ("factorized", "contract", "auto")))
+                                  in ("contract", "auto")))
         self.dim = offset
         if self.dim == 0:
             if self.enum_plan is not None:
@@ -520,9 +510,9 @@ class Potential:
         return parallel if ok else rows
 
     # ------------------------------------------------------------------
-    # factorized (sum-product) marginalization
+    # structured (tensor-variable-elimination) marginalization
     # ------------------------------------------------------------------
-    def _run_factorized(self, constrained: "OrderedDict[str, Tensor]"):
+    def _run_gridded(self, constrained: "OrderedDict[str, Tensor]"):
         """One gridded model execution; returns the collected, checked terms."""
         from repro.enum.factorize import reset_generated_site_names
         from repro.ppl.primitives import FastLogDensityContext
@@ -544,9 +534,9 @@ class Potential:
         fplan.check_terms(ctx.term_names)
         return ctx.log_prob_terms
 
-    def _enum_factorized_marginal(self, constrained: "OrderedDict[str, Tensor]") -> Tensor:
-        """Exact marginal log joint via the sum-product contraction."""
-        return self.factorization.contract(self._run_factorized(constrained))
+    def _enum_contract_marginal(self, constrained: "OrderedDict[str, Tensor]") -> Tensor:
+        """Exact marginal log joint via the tensor contraction."""
+        return self.factorization.contract(self._run_gridded(constrained))
 
     def _attempted_strategy(self) -> Optional[str]:
         """The structured strategy this potential attempted (or would attempt).
@@ -556,12 +546,12 @@ class Potential:
         :meth:`~repro.enum.EnumerationPlan.ensure_table_capacity` fallback
         diagnostics.
         """
-        if self._marginal_mode in ("factorized", "contract"):
+        if self._marginal_mode == "contract":
             return self._marginal_mode
         strategy = self.enum_config.strategy
-        return strategy if strategy in ("factorized", "contract", "auto") else None
+        return strategy if strategy in ("contract", "auto") else None
 
-    def _demote_factorized(self, reason: str) -> None:
+    def _demote_structured(self, reason: str) -> None:
         """Permanently fall back from a structured strategy to the joint table.
 
         Mirrors the established optimistic-validation pattern: a structure
@@ -569,10 +559,9 @@ class Potential:
         is one-way.  Raises :class:`~repro.enum.TableSizeError` (with the
         elimination context) if the joint table does not fit the cap.
         """
-        attempted = self._attempted_strategy() or "factorized"
-        label = ("factorization" if attempted == "factorized"
-                 else f"elimination planning (strategy {attempted!r})")
-        note = f"{label} was attempted and bailed: {reason}"
+        attempted = self._attempted_strategy() or "contract"
+        note = (f"elimination planning (strategy {attempted!r}) was attempted "
+                f"and bailed: {reason}")
         self.factorization_note = note
         self.factorization = None
         self._marginal_mode = "joint"
@@ -587,28 +576,24 @@ class Potential:
     def _resolve_factorization(self, constrained: "OrderedDict[str, Tensor]") -> None:
         """Pick the marginalization strategy once.
 
-        Resolution order of ``strategy="auto"``: general contraction (which
-        itself delegates degenerate shapes to the strict factorized engine
-        for bitwise identity) -> factorized -> joint table -> error
-        (TableSizeError when nothing fits).  ``"factorized"`` runs only the
-        strict analyzer; ``"parallel"`` goes straight to the joint table.
+        Resolution order of ``strategy="auto"`` (and ``"contract"``): tensor
+        variable elimination -> joint table -> error (TableSizeError when
+        nothing fits); ``"parallel"`` goes straight to the joint table.
         Value-tier validation against the joint oracle happens in
         :meth:`_ensure_enum_strategy` (which has the unconstrained vector and
         can compare full gradients).
         """
-        from repro.enum import FactorizationError, analyze_factorization
-        from repro.enum.contract import analyze_contraction
+        from repro.enum import FactorizationError, analyze_contraction
 
         if self._marginal_mode is not None:
             return
-        strategy = self.enum_config.strategy
-        if strategy not in ("factorized", "contract", "auto"):
+        if self.enum_config.strategy not in ("contract", "auto"):
             self._marginal_mode = "joint"
             return
         if not self.fast:
             self.factorization_note = (
-                "factorization requires the vectorized (numpyro) runtime; "
-                "this potential uses the trace-based handler stack")
+                "tensor variable elimination requires the vectorized (numpyro) "
+                "runtime; this potential uses the trace-based handler stack")
             self._marginal_mode = "joint"
             self.enum_plan.ensure_table_capacity(self.factorization_note)
             return
@@ -617,8 +602,8 @@ class Potential:
             # Scalar sites only *and* the table fits: keep the joint
             # arithmetic so draws stay bitwise identical to the joint-table
             # engine.  Many scalar sites can still blow the cap (2^17
-            # Bernoullis) — those fall through to per-site factorization,
-            # which handles each scalar site in O(K); there is no joint-table
+            # Bernoullis) — those fall through to the contraction, which
+            # eliminates each scalar site in O(K); there is no joint-table
             # run to stay bitwise with in that regime.
             self.factorization_note = (
                 "all discrete sites are scalar; the joint table is already "
@@ -626,25 +611,15 @@ class Potential:
             self._marginal_mode = "joint"
             return
         try:
-            if strategy == "factorized":
-                self.factorization = analyze_factorization(
-                    self.model, self.enum_plan, model_args=self.model_args,
-                    model_kwargs=self.model_kwargs, observed=self.observed,
-                    constrained=dict(constrained), rng_seed=self.rng_seed,
-                    telemetry=self.telemetry)
-            else:
-                self.factorization = analyze_contraction(
-                    self.model, self.enum_plan, model_args=self.model_args,
-                    model_kwargs=self.model_kwargs, observed=self.observed,
-                    constrained=dict(constrained), rng_seed=self.rng_seed,
-                    max_table_size=self.enum_plan.max_table_size,
-                    telemetry=self.telemetry)
+            self.factorization = analyze_contraction(
+                self.model, self.enum_plan, model_args=self.model_args,
+                model_kwargs=self.model_kwargs, observed=self.observed,
+                constrained=dict(constrained), rng_seed=self.rng_seed,
+                max_table_size=self.enum_plan.max_table_size,
+                telemetry=self.telemetry)
         except FactorizationError as exc:
-            self._demote_factorized(exc)
+            self._demote_structured(exc)
             return
-        # The plan reports which engine executes it: degenerate shapes come
-        # back as a FactorizationPlan (bitwise-identical to the strict
-        # engine), general structure as a ContractionPlan.
         self._marginal_mode = self.factorization.strategy
         self.factorization_note = self.factorization.describe()
         self.metrics.set_info("enum.strategy", self._marginal_mode)
@@ -659,20 +634,20 @@ class Potential:
             # proceed; the oracle cross-validation lives in one place only
             # (_ensure_enum_strategy), not here.
             self._resolve_factorization(constrained)
-        if self._marginal_mode in ("factorized", "contract"):
+        if self._marginal_mode == "contract":
             try:
-                return self._enum_factorized_marginal(constrained)
+                return self._enum_contract_marginal(constrained)
             except Exception as exc:  # noqa: BLE001
                 # Structure violations (assignment-dependent control flow)
                 # may only trigger away from the analysis point.
-                self._demote_factorized(exc)
+                self._demote_structured(exc)
         return ops.logsumexp(self._enum_log_joint(constrained))
 
     def _ensure_enum_strategy(self, z: np.ndarray) -> None:
         """Resolve the marginalization strategy, gradient tier included.
 
         Public evaluation entry points call this before their first real
-        evaluation so the factorized strategy is validated against the joint
+        evaluation so the contract strategy is validated against the joint
         oracle on *both* tiers of the validation contract: marginal values
         within (ENUM_VALUE_RTOL, ENUM_VALUE_ATOL) and gradients within
         (GRAD_VALIDATION_RTOL, GRAD_VALIDATION_ATOL).
@@ -690,7 +665,7 @@ class Potential:
             constrained, _ = self.constrain(as_tensor(z))
             self._resolve_factorization(constrained)
             trial = self._marginal_mode
-            if trial not in ("factorized", "contract"):
+            if trial != "contract":
                 return
             if not self.enum_config.validate:
                 self.factorization_note += (
@@ -707,7 +682,7 @@ class Potential:
             try:
                 value_f, grad_f = self._vg(z)
             except Exception as exc:  # noqa: BLE001
-                self._demote_factorized(exc)
+                self._demote_structured(exc)
                 return
             if self._marginal_mode != trial:
                 # the structured trial demoted itself (structure violation
@@ -717,7 +692,7 @@ class Potential:
             try:
                 value_j, grad_j = self._vg(z)
             except Exception as exc:  # noqa: BLE001
-                self._demote_factorized(exc)
+                self._demote_structured(exc)
                 return
             value_ok = bool(np.isclose(value_f, value_j,
                                        rtol=self.enum_config.value_rtol,
@@ -730,7 +705,7 @@ class Potential:
                 self._marginal_mode = trial
             else:
                 self._marginal_mode = trial  # demote from the trial's context
-                self._demote_factorized(
+                self._demote_structured(
                     "validation against the joint oracle failed "
                     f"(values within tolerance: {value_ok}, gradients within "
                     f"tolerance: {grad_ok})")
@@ -739,19 +714,18 @@ class Potential:
     def enum_strategy(self) -> Optional[str]:
         """The validated enumerated-evaluation strategy.
 
-        ``"contract"`` (general tensor variable elimination),
-        ``"factorized"`` (the strict sum-product engine), ``"parallel"``
-        (one table-vectorized execution) or ``"rows"`` (the per-assignment
-        oracle loop); ``None`` for non-enumerated potentials.  Before the
-        first evaluation this reports the strategy pending validation
-        (``"auto"`` until the planner resolves it).
+        ``"contract"`` (tensor variable elimination), ``"parallel"`` (one
+        table-vectorized execution) or ``"rows"`` (the per-assignment oracle
+        loop); ``None`` for non-enumerated potentials.  Before the first
+        evaluation this reports the strategy pending validation (``"auto"``
+        until the planner resolves it).
         """
         if self.enum_plan is None:
             return None
-        if self._marginal_mode in ("factorized", "contract"):
+        if self._marginal_mode == "contract":
             return self._marginal_mode
         if self._marginal_mode is None and \
-                self.enum_config.strategy in ("factorized", "contract", "auto"):
+                self.enum_config.strategy in ("contract", "auto"):
             return self.enum_config.strategy
         return self._enum_mode or "parallel"
 
@@ -766,9 +740,9 @@ class Potential:
         sampling path was validated under.
 
         Always evaluates through the **joint table** (used by the table-based
-        discrete post-pass and as the factorized oracle), so it raises
+        discrete post-pass and as the contraction's oracle), so it raises
         :class:`~repro.enum.TableSizeError` when the table exceeds the cap —
-        factorized potentials expose :meth:`factorized_factors` instead.
+        contract potentials expose :meth:`factorized_factors` instead.
         """
         if self.enum_plan is None:
             raise RuntimeError("assignment_log_joints requires an enumerated potential")
@@ -781,21 +755,20 @@ class Potential:
     def factorized_factors(self, z: np.ndarray):
         """Per-component discrete posterior log factors at unconstrained ``z``.
 
-        Returns a :class:`~repro.enum.FactorBundle` (independent-element
-        factors and chain unary/pairwise potentials) under the factorized
-        strategy, a :class:`~repro.enum.contract.ContractFactors` (general
-        factor graph plus its elimination order) under the contract strategy,
-        or ``None`` when the potential resolved to the joint table (callers
-        then use :meth:`assignment_log_joints`).
+        Returns a :class:`~repro.enum.ContractFactors` (the isolated
+        elements' log factors plus the coupled factor graph and its
+        elimination order) under the contract strategy, or ``None`` when the
+        potential resolved to the joint table (callers then use
+        :meth:`assignment_log_joints`).
         """
         if self.enum_plan is None:
             raise RuntimeError("factorized_factors requires an enumerated potential")
         self._ensure_enum_strategy(np.asarray(z, dtype=float))
-        if self._marginal_mode not in ("factorized", "contract"):
+        if self._marginal_mode != "contract":
             return None
         with np.errstate(all="ignore"), no_grad():
             constrained, _ = self.constrain(as_tensor(np.asarray(z, dtype=float)))
-            terms = self._run_factorized(constrained)
+            terms = self._run_gridded(constrained)
             return self.factorization.posterior_factors(terms)
 
     def enum_metadata(self) -> Optional[Dict[str, Any]]:
@@ -880,7 +853,7 @@ class Potential:
     # the compiled engine (fused tape programs; repro.autodiff.compile)
     # ------------------------------------------------------------------
     # Each graph the potential evaluates repeatedly — the single-row tape and
-    # the batched tape of each classified width (including the factorized C×B
+    # the batched tape of each classified width (including the enumerated C×B
     # contraction, which is part of the batched graph) — can be lowered once
     # into a fused straight-line NumPy program.  Acceptance follows the same
     # tolerance-tiered contract as every other optimistic fast path, with the
@@ -1155,8 +1128,7 @@ class Potential:
 
         c = z.data.shape[0]
         constrained, log_det = self.constrain_batched(z)
-        if self.enum_plan is not None and \
-                self._marginal_mode in ("factorized", "contract"):
+        if self.enum_plan is not None and self._marginal_mode == "contract":
             # Structured multi-chain tape: the batch is C * B rows
             # (chain-major, B = the gridded batch), one model execution,
             # then each chain's rows are contracted separately — the same
@@ -1238,7 +1210,7 @@ class Potential:
         """The batched tape, through the configured engine.
 
         Under ``engine="compiled"`` the whole batched graph — including the
-        factorized C×B contraction when that strategy is active — is lowered
+        enumerated C×B contraction when that strategy is active — is lowered
         into one fused program per classified width, validated against the
         interpreted batched tape under the tiered contract.
         """

@@ -212,7 +212,7 @@ def zip_poisson_data(seed: int = 0, n: int = 8) -> Dict[str, Any]:
 
 
 def hmm_k_data(seed: int = 0, t: int = 200, k: int = 4) -> Dict[str, Any]:
-    """A K-state sticky HMM at lengths only the factorized engine can run.
+    """A K-state sticky HMM at lengths only the contraction engine can run.
 
     The joint assignment table would hold ``k ** t`` entries (``4 ** 200`` at
     the defaults — unrepresentable); chain elimination runs it in
@@ -287,7 +287,7 @@ def tree_mix_data(seed: int = 0, n: int = 200, coupling: float = 0.6) -> Dict[st
 
 def gauss_mix_enum_large_data(seed: int = 0, n: int = 500) -> Dict[str, Any]:
     """The mixture workload at a length whose joint table (``2 ** n``) is
-    unrepresentable — only per-element (factorized) enumeration can run it."""
+    unrepresentable — only per-element (contract) enumeration can run it."""
     return gauss_mix_enum_data(seed=seed, n=n)
 
 

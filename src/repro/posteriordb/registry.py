@@ -50,19 +50,13 @@ class Entry:
     expect_unsupported: bool = False
     expect_mismatch: bool = False
     description: str = ""
-    #: ``"factorized"`` / ``"parallel"`` for models with bounded ``int``
-    #: parameters — they only compile through the discrete-latent enumeration
-    #: engine (``compile_model(..., enumerate=entry.enumerate)``) and are
-    #: excluded from the plain-path tables like ``expect_unsupported``
-    #: entries.  ``"factorized"`` (the default for these workloads) runs the
-    #: sum-product engine: O(N*K) for independent elements, O(T*K^2) for
-    #: chains, joint-table fallback otherwise.
-    enumerate: Optional[str] = None
-    #: new-API enumeration strategy (``compile_model(..., enum=entry.enum)``)
-    #: for workloads needing the general contraction engine — multi-site or
-    #: tree coupling that the legacy ``enumerate=`` spellings cannot
-    #: eliminate.  Entries with either ``enum`` or ``enumerate`` set are
-    #: excluded from the plain-path tables.
+    #: enumeration strategy (``compile_model(..., enum=entry.enum)``) for
+    #: models with bounded ``int`` parameters — they only compile through
+    #: the discrete-latent enumeration engine and are excluded from the
+    #: plain-path tables like ``expect_unsupported`` entries.  ``"auto"``
+    #: runs tensor variable elimination: O(N*K) for independent elements,
+    #: O(T*K^2) for chains, a greedy contraction order for trees and
+    #: multi-site coupling, joint-table fallback otherwise.
     enum: Optional[str] = None
 
     @property
@@ -89,8 +83,7 @@ def names(include_unsupported: bool = True) -> List[str]:
     return sorted(
         name for name, entry in _REGISTRY.items()
         if include_unsupported
-        or not (entry.expect_unsupported or entry.enumerate is not None
-                or entry.enum is not None)
+        or not (entry.expect_unsupported or entry.enum is not None)
     )
 
 
@@ -187,11 +180,11 @@ register(Entry("diamonds-diamonds", "diamonds", "diamonds", datagen.diamonds_dat
 # Discrete latent variables (the enumeration engine's workloads).  The
 # `_enum` entries declare bounded int parameters — Stan itself rejects them,
 # and so does our plain compile path; they run via
-# compile_model(..., enumerate=entry.enumerate).  Each has a hand-marginalized
+# compile_model(..., enum=entry.enum).  Each has a hand-marginalized
 # counterpart defining the same continuous posterior (BENCH_discrete compares
 # the two).
 register(Entry("gauss_mix_enum-synthetic_mixture", "gauss_mix_enum", "synthetic_mixture",
-               datagen.gauss_mix_enum_data, enumerate="factorized",
+               datagen.gauss_mix_enum_data, enum="auto",
                config=InferenceConfig(num_warmup=200, num_samples=200, max_tree_depth=7),
                description="2-component mixture with int<lower=1,upper=2> assignments, "
                            "marginalized by per-element enumeration"))
@@ -201,7 +194,7 @@ register(Entry("gauss_mix_marginal-synthetic_mixture", "gauss_mix_marginal",
                description="hand-marginalized formulation of gauss_mix_enum "
                            "(what Stan forces users to write)"))
 register(Entry("zip_poisson_enum-synthetic_zip", "zip_poisson_enum", "synthetic_zip",
-               datagen.zip_poisson_data, enumerate="factorized",
+               datagen.zip_poisson_data, enum="auto",
                config=InferenceConfig(num_warmup=200, num_samples=200, max_tree_depth=7),
                description="occupancy/zero-inflated Poisson with Bernoulli latents"))
 register(Entry("zip_poisson_marginal-synthetic_zip", "zip_poisson_marginal",
@@ -209,17 +202,17 @@ register(Entry("zip_poisson_marginal-synthetic_zip", "zip_poisson_marginal",
                config=InferenceConfig(num_warmup=200, num_samples=200, max_tree_depth=7),
                description="hand-marginalized zero-inflated Poisson"))
 register(Entry("hmm_enum-synthetic_hmm", "hmm_enum", "synthetic_hmm",
-               datagen.hmm_enum_data, enumerate="factorized",
+               datagen.hmm_enum_data, enum="auto",
                config=InferenceConfig(num_warmup=200, num_samples=200, max_tree_depth=7),
-               description="short 2-state HMM: the factorized engine detects the "
+               description="short 2-state HMM: the contraction engine detects the "
                            "chain and runs the forward algorithm automatically"))
 # Scaling workloads: sizes whose joint assignment table (2^500, 4^200) is
-# unrepresentable — only the factorized strategy can evaluate them.  Each has
+# unrepresentable — only the contract strategy can evaluate them.  Each has
 # a hand-marginalized twin defining the same continuous posterior; the CI
 # `enum-scaling` job asserts posterior agreement between the pairs.
 register(Entry("gauss_mix_enum-synthetic_mixture_large", "gauss_mix_enum",
                "synthetic_mixture_large", datagen.gauss_mix_enum_large_data,
-               enumerate="factorized",
+               enum="auto",
                config=InferenceConfig(num_warmup=40, num_samples=40, max_tree_depth=6),
                description="the mixture at N=500: joint table would be 2^500; "
                            "per-element enumeration runs it in O(N*K)"))
@@ -228,7 +221,7 @@ register(Entry("gauss_mix_marginal-synthetic_mixture_large", "gauss_mix_marginal
                config=InferenceConfig(num_warmup=40, num_samples=40, max_tree_depth=6),
                description="hand-marginalized twin of the N=500 mixture"))
 register(Entry("hmm_k_enum-synthetic_hmm4", "hmm_k_enum", "synthetic_hmm4",
-               datagen.hmm_k_data, enumerate="factorized",
+               datagen.hmm_k_data, enum="auto",
                config=InferenceConfig(num_warmup=40, num_samples=40, max_tree_depth=6),
                description="4-state HMM at T=200: joint table would be 4^200; "
                            "chain elimination runs it in O(T*K^2)"))

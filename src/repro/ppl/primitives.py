@@ -48,8 +48,8 @@ class FastLogDensityContext:
 
     With ``collect_names=True`` the context additionally records the site
     name of every accumulated term (in execution order) in ``term_names`` —
-    the provenance the factorized enumeration engine needs to match each
-    term back to the model statement that produced it.  ``observe``/``factor``
+    the provenance the enumeration engine needs to match each term back to
+    the model statement that produced it.  ``observe``/``factor``
     sites get their generated names; anonymous additions record ``None``.
     """
 

@@ -1,4 +1,4 @@
-"""General tensor variable elimination (the contract strategy) + EnumConfig.
+"""Tensor variable elimination (the contract strategy) + EnumConfig.
 
 The contraction engine's contract, tested end to end:
 
@@ -14,9 +14,9 @@ The contraction engine's contract, tested end to end:
   ``enum_strategy == "contract"`` and match the joint table
   (``enumerate="parallel"``) in values, gradients and the batched tape at
   sizes where the table is still materializable;
-* ``enum="auto"`` delegates degenerate shapes (independent blocks, chains)
-  to the strict factorized engine with **bitwise-identical** results under
-  the deprecated ``enumerate=`` spellings;
+* isolated variables (mixture elements) are eliminated as one logsumexp
+  block per site, on the tape and in ``infer_discrete``, which reads them
+  out as one softmax per site in element order;
 * ``infer_discrete`` over a contract potential (backward pass on the
   calibrated elimination tree) matches the table-based post-pass;
 * the frozen :class:`EnumConfig` coerces/validates/hashes, and the resolved
@@ -29,7 +29,7 @@ import pytest
 from repro import EnumConfig, TableSizeError, compile_model
 from repro.corpus import models as corpus_models
 from repro.engine import EngineConfig
-from repro.enum import ContractionError, infer_discrete
+from repro.enum import ContractionError, discrete_rng, infer_discrete
 from repro.enum.contract import ContractFactors, plan_elimination
 from repro.posteriordb import datagen
 
@@ -312,30 +312,58 @@ def test_factorial_hmm_beyond_any_table_cap():
 
 
 # ----------------------------------------------------------------------
-# auto delegates degenerate shapes to the strict factorized engine
+# isolated variables: one elimination block per site
 # ----------------------------------------------------------------------
-def _bitwise_auto_vs_factorized(model_name, data):
-    auto = compile_model(corpus_models.get(model_name),
-                         enum="auto").condition(data).potential(0)
-    # the deprecated spelling (warned once per process) must keep working
-    legacy = compile_model(corpus_models.get(model_name),
-                           enumerate="factorized") \
-        .condition(data).potential(0)
-    z0 = auto.initial_unconstrained()
-    value_a, grad_a = auto.potential_and_grad(z0)
-    value_l, grad_l = legacy.potential_and_grad(z0)
-    assert auto.enum_strategy == "factorized"
-    assert value_a == value_l
-    np.testing.assert_array_equal(grad_a, grad_l)
+def _logsumexp_nodes(n):
+    """``logsumexp`` nodes in gauss_mix_enum's traced single tape at size n."""
+    from repro.autodiff import compile as tape_compile
+
+    recorded = []
+    real_trace = tape_compile.trace
+
+    def spy(fn, z0):
+        out, root, nodes = real_trace(fn, z0)
+        recorded.append(nodes)
+        return out, root, nodes
+
+    data = datagen.gauss_mix_enum_data(seed=0, n=n)
+    pot = compile_model(corpus_models.get("gauss_mix_enum"),
+                        enum="auto").condition(data).potential(0)
+    z0 = pot.initial_unconstrained()
+    tape_compile.trace = spy
+    try:
+        pot.potential_and_grad(z0)
+        pot.potential_and_grad(z0)
+    finally:
+        tape_compile.trace = real_trace
+    assert pot.metrics_view()["tape_modes"].get("single") == "fast"
+    (nodes,) = recorded
+    return sum(1 for node in nodes if node.op == "logsumexp")
 
 
-def test_auto_is_bitwise_with_factorized_on_chains():
-    _bitwise_auto_vs_factorized("hmm_enum", datagen.hmm_enum_data(t=7))
+def test_isolated_elements_contract_in_one_logsumexp():
+    # the contraction's one logsumexp over the (K, N) block, at any N — an
+    # element-at-a-time elimination would add one node per element
+    assert _logsumexp_nodes(8) == 1
+    assert _logsumexp_nodes(64) == 1
 
 
-def test_auto_is_bitwise_with_factorized_on_mixtures():
-    _bitwise_auto_vs_factorized("gauss_mix_enum",
-                                datagen.gauss_mix_enum_data(seed=0, n=8))
+def test_infer_discrete_samples_isolated_elements_in_element_order():
+    data = datagen.gauss_mix_enum_data(seed=0, n=8)
+    pot = compile_model(corpus_models.get("gauss_mix_enum"),
+                        enum="auto").condition(data).potential(0)
+    # theta = 1/2, overlapping components: every responsibility is uncertain,
+    # so the draws depend on the order the stream is consumed in
+    z = np.zeros(pot.dim)
+    z[pot.sites["mu"].offset:pot.sites["mu"].offset + 2] = [-0.5, 0.5]
+    z[pot.sites["sigma"].offset] = np.log(2.0)
+    drawn = infer_discrete(pot, z[None, None, :], mode="sample", seed=4)
+    probs = drawn.marginals["z"][0, 0]                 # (8, K)
+    assert np.all((probs > 0.05) & (probs < 0.95))
+    rng = discrete_rng(4)
+    expected = [drawn.support["z"][rng.choice(probs.shape[1], p=row / row.sum())]
+                for row in probs]
+    np.testing.assert_array_equal(drawn.draws["z"][0, 0], expected)
 
 
 # ----------------------------------------------------------------------
@@ -401,6 +429,9 @@ def test_enum_config_coerce_and_hash():
 def test_enum_config_rejects_unknown_strategy():
     with pytest.raises(ValueError, match="unknown enum strategy"):
         EnumConfig(strategy="tensorized")
+    # the deleted strict engine's name is no strategy either
+    with pytest.raises(ValueError, match="unknown enum strategy"):
+        EnumConfig(strategy="factorized")
     with pytest.raises(ValueError, match="positive integer"):
         EnumConfig(max_table_size=0)
     with pytest.raises(TypeError):
@@ -410,8 +441,10 @@ def test_enum_config_rejects_unknown_strategy():
 def test_engine_config_threads_legacy_spelling_onto_enum():
     config = EngineConfig(enumerate="factorized", max_enum_table_size=999)
     resolved = config.resolved_enum()
-    assert resolved.strategy == "factorized"
+    assert resolved.strategy == "auto"
     assert resolved.max_table_size == 999
+    assert EngineConfig(enumerate="parallel").resolved_enum().strategy == "parallel"
+    assert EngineConfig().resolved_enum().strategy == "off"
     # an explicit EnumConfig wins but inherits the legacy cap
     config = EngineConfig(enumerate="parallel", max_enum_table_size=999,
                           enum=EnumConfig(strategy="contract"))
@@ -426,7 +459,7 @@ def test_fit_metadata_reports_resolved_strategy():
         .condition(data).fit("nuts", num_warmup=15, num_samples=15, seed=0)
     meta = fit.metadata["enum"]
     assert meta["requested"] == "auto"
-    assert meta["strategy"] == "factorized"
+    assert meta["strategy"] == "contract"
     assert meta["cost_estimate"] > 0
 
 

@@ -6,6 +6,7 @@ from scipy.special import logsumexp as np_logsumexp
 
 from repro import EnumerationError, TableSizeError, compile_model
 from repro.autodiff.tensor import as_tensor
+from repro.engine import EngineConfig
 from repro.enum import (
     DiscreteSiteInfo,
     EnumerationPlan,
@@ -230,7 +231,7 @@ def test_marginalized_potential_matches_closed_form():
 
 def test_discrete_latents_require_opt_in():
     y = np.array([0.1])
-    with pytest.raises(DiscreteLatentError, match='enumerate="parallel"'):
+    with pytest.raises(DiscreteLatentError, match='enum="auto"'):
         make_potential(_mixture_model(y), fast=True)
 
 
@@ -260,6 +261,22 @@ def test_invalid_enumerate_mode_rejected():
                       enumerate="sequential")
 
 
+def test_enumerate_spellings_validate_in_one_place():
+    # compile_model, Potential and EngineConfig share one table of legacy
+    # enumerate= spellings, so a bogus one raises the same ValueError
+    messages = []
+    for build in (
+            lambda: compile_model("parameters { real x; } model { x ~ normal(0, 1); }",
+                                  enumerate="bogus"),
+            lambda: make_potential(_mixture_model(np.zeros(2)), fast=True,
+                                   enumerate="bogus"),
+            lambda: EngineConfig(enumerate="bogus")):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1] == messages[2]
+
+
 # ----------------------------------------------------------------------
 # frontend guard rails
 # ----------------------------------------------------------------------
@@ -281,7 +298,7 @@ model {
 
 def test_semantics_rejects_int_parameters_with_actionable_message():
     program = parse_program(INT_PARAM_SOURCE)
-    with pytest.raises(SemanticError, match='enumerate="parallel"'):
+    with pytest.raises(SemanticError, match='enum="auto"'):
         check_program(program)
     # the enumerated path admits the same program
     check_program(program, allow_int_parameters=True)
@@ -297,7 +314,7 @@ def test_semantics_rejects_unbounded_int_parameters_even_when_enumerating():
 
 
 def test_compile_model_threads_the_enumerate_flag():
-    with pytest.raises(SemanticError, match='enumerate="parallel"'):
+    with pytest.raises(SemanticError, match='enum="auto"'):
         compile_model(INT_PARAM_SOURCE)
     compiled = compile_model(INT_PARAM_SOURCE, enumerate="parallel")
     assert compiled.enumerate_mode == "parallel"

@@ -1,19 +1,21 @@
-"""Factorized enumeration engine: analysis, contraction, fallbacks, backward pass.
+"""Structured enumeration on the classic shapes: analysis, contraction,
+fallbacks, backward pass.
 
 The engine's contract, tested end to end:
 
-* mixtures (conditionally-independent array elements) factorize to O(N*K)
-  per-element enumeration; HMM-style ``z[t] ~ f(z[t-1])`` coupling is
-  detected as a chain and eliminated in O(T*K^2) (the forward algorithm);
+* mixtures (conditionally-independent array elements) are isolated
+  variables, eliminated as one O(N*K) block; HMM-style ``z[t] ~ f(z[t-1])``
+  coupling is eliminated in time order in O(T*K^2) (the forward algorithm);
 * sizes whose joint table is unrepresentable (``2^120``) evaluate exactly
   (validated against closed forms / an independent NumPy forward algorithm);
-* structures that do not factorize — three-way element coupling, coupling
-  cycles — fall back to the joint table, and the ``TableSizeError`` message
-  reports that factorization was attempted and why it bailed;
+* three-way element coupling and coupling cycles contract too, matching the
+  joint table; structure no elimination handles (a term reading the whole
+  array) falls back to the joint table, and the ``TableSizeError`` message
+  reports that elimination was attempted and why it bailed;
 * scalar-site-only models keep **bitwise-identical** draws vs the joint
-  engine (``enumerate="parallel"``, the PR-4 arithmetic);
-* ``infer_discrete`` marginals/MAP from the factorized backward pass match
-  the table-based post-pass on small models.
+  engine (``enum="parallel"``, the PR-4 arithmetic);
+* ``infer_discrete`` marginals/MAP from the backward pass match the
+  table-based post-pass on small models.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ import pytest
 import scipy.stats as st
 from scipy.special import logsumexp as np_logsumexp
 
-from repro import TableSizeError, compile_model
+from repro import EnumConfig, TableSizeError, compile_model
 from repro.corpus import models as corpus_models
 from repro.enum import infer_discrete
 from repro.infer import make_potential
@@ -32,11 +34,11 @@ from repro.ppl import observe, sample
 
 def _mixture_potentials(n=8, seed=0):
     data = datagen.gauss_mix_enum_data(seed=seed, n=n)
-    factorized = compile_model(corpus_models.get("gauss_mix_enum"),
-                               enumerate="factorized").condition(data)
+    structured = compile_model(corpus_models.get("gauss_mix_enum"),
+                               enum="auto").condition(data)
     joint = compile_model(corpus_models.get("gauss_mix_enum"),
-                          enumerate="parallel").condition(data)
-    return data, factorized.potential(0), joint.potential(0)
+                          enum="parallel").condition(data)
+    return data, structured.potential(0), joint.potential(0)
 
 
 # ----------------------------------------------------------------------
@@ -47,43 +49,47 @@ def test_mixture_factorizes_per_element():
     z0 = pot.initial_unconstrained()
     value_f, grad_f = pot.potential_and_grad(z0)
     value_j, grad_j = joint.potential_and_grad(z0)
-    assert pot.enum_strategy == "factorized"
+    assert pot.enum_strategy == "contract"
     assert pot.factorization is not None
-    assert not pot.factorization.chains
-    assert len(pot.factorization.independent["z"]) == 8
+    assert pot.factorization.isolated["z"] == tuple(range(8))
+    assert not pot.factorization.coupled
     assert pot.factorization.batch_rows == 2          # K, not K^N
     assert value_f == pytest.approx(value_j, rel=1e-12)
     np.testing.assert_allclose(grad_f, grad_j, rtol=1e-9, atol=1e-12)
 
 
+def _elimination_order(pot):
+    return tuple(step.var for step in pot.factorization.order.steps)
+
+
 def test_hmm_detects_chain_and_matches_joint():
     data = datagen.hmm_enum_data(t=7)
     pot = compile_model(corpus_models.get("hmm_enum"),
-                        enumerate="factorized").condition(data).potential(0)
+                        enum="auto").condition(data).potential(0)
     joint = compile_model(corpus_models.get("hmm_enum"),
-                          enumerate="parallel").condition(data).potential(0)
+                          enum="parallel").condition(data).potential(0)
     z0 = pot.initial_unconstrained()
     value_f, grad_f = pot.potential_and_grad(z0)
     value_j, grad_j = joint.potential_and_grad(z0)
-    assert pot.enum_strategy == "factorized"
-    (chain,) = pot.factorization.chains
-    assert chain.order == tuple(range(7))             # path in time order
+    assert pot.enum_strategy == "contract"
+    # the chain is eliminated in time order (the forward algorithm)
+    assert _elimination_order(pot) == tuple(("z", t) for t in range(7))
     assert pot.factorization.batch_rows == 4          # K^2, not K^T
     assert value_f == pytest.approx(value_j, rel=1e-12)
     np.testing.assert_allclose(grad_f, grad_j, rtol=1e-9, atol=1e-12)
 
 
 def test_mixture_beyond_any_table_cap_matches_closed_form():
-    # N=120: the joint table would have 2^120 rows — only the factorized
+    # N=120: the joint table would have 2^120 rows — only the structured
     # path can evaluate, and the exact per-element marginalization has a
     # closed form to check against.
     n = 120
     data = datagen.gauss_mix_enum_data(n=n)
     pot = compile_model(corpus_models.get("gauss_mix_enum"),
-                        enumerate="factorized").condition(data).potential(0)
+                        enum="auto").condition(data).potential(0)
     z0 = pot.initial_unconstrained()
     log_prob = pot.log_prob(z0)
-    assert pot.enum_strategy == "factorized"
+    assert pot.enum_strategy == "contract"
     assert pot.enum_plan.table_size == 2 ** n
 
     y = np.asarray(data["y"])
@@ -111,10 +117,10 @@ def test_long_chain_matches_numpy_forward_algorithm():
     t_len, k = 60, 4
     data = datagen.hmm_k_data(t=t_len, k=k)
     pot = compile_model(corpus_models.get("hmm_k_enum"),
-                        enumerate="factorized").condition(data).potential(0)
+                        enum="auto").condition(data).potential(0)
     z0 = pot.initial_unconstrained()
     log_prob = pot.log_prob(z0)
-    assert pot.enum_strategy == "factorized"
+    assert pot.enum_strategy == "contract"
     assert pot.enum_plan.table_size == k ** t_len
 
     mu = pot.constrained_dict(z0)["mu"]
@@ -130,7 +136,7 @@ def test_long_chain_matches_numpy_forward_algorithm():
 
 
 # ----------------------------------------------------------------------
-# fallbacks: structures that do not factorize
+# beyond chains: n-ary terms, cycles, and the joint-table fallback
 # ----------------------------------------------------------------------
 COUPLED_TRIPLE = """
 data { int N; real y[N]; }
@@ -164,6 +170,22 @@ model {
 }
 """
 
+WHOLE_ARRAY = """
+data { int N; real y[N]; }
+parameters {
+  real mu;
+  int<lower=0, upper=1> z[N];
+}
+model {
+  mu ~ normal(0, 1);
+  for (n in 1:N)
+    z[n] ~ bernoulli(0.4);
+  y[1] ~ normal(mu + sum(z), 1);
+  for (n in 2:N)
+    y[n] ~ normal(mu, 1);
+}
+"""
+
 PAIRWISE_CHAIN = """
 data { int N; real y[N]; }
 parameters {
@@ -180,62 +202,65 @@ model {
 """
 
 
-def test_triple_coupled_elements_fall_back_to_joint_table():
+def _contract_matches_joint(source, data):
+    pot = compile_model(source, enum="auto").condition(data).potential(0)
+    joint = compile_model(source, enum="parallel").condition(data).potential(0)
+    z0 = pot.initial_unconstrained()
+    value_c, grad_c = pot.potential_and_grad(z0)
+    value_j, grad_j = joint.potential_and_grad(z0)
+    assert pot.enum_strategy == "contract"
+    assert value_c == pytest.approx(value_j, rel=1e-12)
+    np.testing.assert_allclose(grad_c, grad_j, rtol=1e-9, atol=1e-12)
+    return pot
+
+
+def test_triple_coupled_elements_contract():
+    # one 3-ary term couples z[1..3]; z[4], z[5] stay isolated in the same
+    # site, so one site mixes the isolated block and the planned order
     data = {"N": 5, "y": np.linspace(-1, 1, 5)}
-    pot = compile_model(COUPLED_TRIPLE,
-                        enumerate="factorized").condition(data).potential(0)
-    joint = compile_model(COUPLED_TRIPLE,
-                          enumerate="parallel").condition(data).potential(0)
-    z0 = pot.initial_unconstrained()
-    value_f = pot.potential(z0)
-    assert pot.enum_strategy in ("parallel", "rows")
-    assert "bailed" in pot.factorization_note
-    assert "3 elements" in pot.factorization_note
-    # the joint fallback is the PR-4 arithmetic: bitwise identical
-    assert value_f == joint.potential(z0)
+    pot = _contract_matches_joint(COUPLED_TRIPLE, data)
+    assert pot.factorization.coupled == (("z", 0), ("z", 1), ("z", 2))
+    assert pot.factorization.isolated["z"] == (3, 4)
 
 
-def test_cyclic_coupling_falls_back_to_joint_table():
+def test_cyclic_coupling_contracts():
     data = {"y1": 0.3, "y2": -0.1, "y3": 0.8}
-    pot = compile_model(COUPLED_CYCLE,
-                        enumerate="factorized").condition(data).potential(0)
-    z0 = pot.initial_unconstrained()
-    pot.potential(z0)
-    assert pot.enum_strategy in ("parallel", "rows")
-    assert "cycle" in pot.factorization_note
+    pot = _contract_matches_joint(COUPLED_CYCLE, data)
+    assert pot.factorization.coupled == (("z", 0), ("z", 1), ("z", 2))
 
 
 def test_pairwise_adjacent_coupling_is_eliminated_not_tabled():
     # z[n-1] + z[n] in one term is chain-structured — the engine eliminates
-    # it instead of falling back, and matches the joint table exactly.
+    # it in path order instead of falling back, and matches the joint table.
     data = {"N": 6, "y": np.linspace(-1, 1, 6)}
     pot = compile_model(PAIRWISE_CHAIN,
-                        enumerate="factorized").condition(data).potential(0)
+                        enum="auto").condition(data).potential(0)
     joint = compile_model(PAIRWISE_CHAIN,
-                          enumerate="parallel").condition(data).potential(0)
+                          enum="parallel").condition(data).potential(0)
     z0 = pot.initial_unconstrained()
     value_f = pot.potential(z0)
-    assert pot.enum_strategy == "factorized"
-    (chain,) = pot.factorization.chains
-    assert chain.order == tuple(range(6))
+    assert pot.enum_strategy == "contract"
+    assert _elimination_order(pot) == tuple(("z", n) for n in range(6))
+    assert pot.factorization.batch_rows == 4
     assert value_f == pytest.approx(joint.potential(z0), rel=1e-12)
 
 
 def test_table_size_error_reports_factorization_outcome():
-    # joint engine: the error points at the factorized strategy
+    # joint engine: the error points at the structured strategy
     data = {"N": 25, "y": np.zeros(25)}
-    with pytest.raises(TableSizeError, match='enumerate="factorized"'):
-        compile_model(COUPLED_TRIPLE, enumerate="parallel",
-                      max_enum_table_size=1000).condition(data).potential(0)
-    # factorized engine that bailed: the error says it was attempted and why
-    pot = compile_model(COUPLED_TRIPLE, enumerate="factorized",
-                        max_enum_table_size=1000).condition(data).potential(0)
+    with pytest.raises(TableSizeError, match='enum="auto"'):
+        compile_model(COUPLED_TRIPLE, enum=EnumConfig(
+            strategy="parallel", max_table_size=1000)).condition(data).potential(0)
+    # a term reading the whole array defeats elimination: the error says it
+    # was attempted and why it bailed
+    pot = compile_model(WHOLE_ARRAY, enum=EnumConfig(
+        max_table_size=1000)).condition(data).potential(0)
     with pytest.raises(TableSizeError, match="attempted and bailed"):
         pot.potential(pot.initial_unconstrained())
 
 
 def test_trace_runtime_keeps_the_joint_table():
-    # the factorized engine needs the fast (numpyro) runtime's term
+    # the structured engine needs the fast (numpyro) runtime's term
     # collection; handler-stack potentials keep the joint table
     def model():
         theta = sample("theta", dist.Beta(2.0, 2.0))
@@ -244,7 +269,7 @@ def test_trace_runtime_keeps_the_joint_table():
         observe(dist.Normal(z, 0.5), np.array([0.1, 0.9, -0.2]), name="lik")
         return theta
 
-    pot = make_potential(model, fast=False, enumerate="factorized")
+    pot = make_potential(model, fast=False, enum="auto")
     pot.potential(pot.initial_unconstrained())
     assert pot.enum_strategy in ("parallel", "rows")
     assert "runtime" in pot.factorization_note
@@ -291,10 +316,10 @@ model {{
 """
     rng = np.random.default_rng(7)
     data = {"y": rng.normal(1.5, 1.0, size=n)}
-    pot = compile_model(source, enumerate="factorized").condition(data).potential(0)
+    pot = compile_model(source, enum="auto").condition(data).potential(0)
     z0 = pot.initial_unconstrained()
     log_prob = pot.log_prob(z0)
-    assert pot.enum_strategy == "factorized"
+    assert pot.enum_strategy == "contract"
     assert pot.enum_plan.table_size == 2 ** n
     assert pot.factorization.batch_rows == 2
 
@@ -311,13 +336,13 @@ def test_scalar_site_models_keep_bitwise_draws_vs_joint_engine():
     rng = np.random.default_rng(4)
     data = {"N": 12, "y": rng.normal(2.8, 1.0, size=12)}
     fits = {}
-    for mode in ("factorized", "parallel"):
-        model = compile_model(SCALAR_SITE_MODEL, enumerate=mode).condition(data)
+    for mode in ("auto", "parallel"):
+        model = compile_model(SCALAR_SITE_MODEL, enum=mode).condition(data)
         fits[mode] = model.fit("nuts", num_warmup=60, num_samples=60, seed=3,
                                max_tree_depth=6)
         potential = model.potential(3)
         assert potential.enum_strategy in ("parallel", "rows")
-    assert fits["factorized"].posterior.equals(fits["parallel"].posterior)
+    assert fits["auto"].posterior.equals(fits["parallel"].posterior)
 
 
 # ----------------------------------------------------------------------
@@ -329,22 +354,22 @@ def test_scalar_site_models_keep_bitwise_draws_vs_joint_engine():
 ])
 def test_backward_pass_matches_table_posteriors(model_name, data):
     pot = compile_model(corpus_models.get(model_name),
-                        enumerate="factorized").condition(data).potential(0)
+                        enum="auto").condition(data).potential(0)
     joint = compile_model(corpus_models.get(model_name),
-                          enumerate="parallel").condition(data).potential(0)
+                          enum="parallel").condition(data).potential(0)
     z0 = pot.initial_unconstrained()
     pot.potential(z0)
     joint.potential(z0)
-    assert pot.enum_strategy == "factorized"
+    assert pot.enum_strategy == "contract"
     rng = np.random.default_rng(1)
     states = z0[None, None, :] + 0.05 * rng.normal(size=(2, 3, z0.size))
     for mode in ("marginal", "max"):
-        factorized = infer_discrete(pot, states, mode=mode, seed=7)
+        structured = infer_discrete(pot, states, mode=mode, seed=7)
         tabled = infer_discrete(joint, states, mode=mode, seed=7)
         for site in tabled.marginals:
-            np.testing.assert_allclose(factorized.marginals[site],
+            np.testing.assert_allclose(structured.marginals[site],
                                        tabled.marginals[site], atol=1e-12)
-            np.testing.assert_array_equal(factorized.draws[site],
+            np.testing.assert_array_equal(structured.draws[site],
                                           tabled.draws[site])
     # sample mode: different (exact) RNG consumption, but marginals agree
     # and samples are deterministic per seed
@@ -357,7 +382,7 @@ def test_backward_pass_matches_table_posteriors(model_name, data):
 def test_backward_pass_runs_beyond_table_sizes():
     data = datagen.hmm_k_data(t=40, k=3)
     pot = compile_model(corpus_models.get("hmm_k_enum"),
-                        enumerate="factorized").condition(data).potential(0)
+                        enum="auto").condition(data).potential(0)
     z0 = pot.initial_unconstrained()
     pot.potential(z0)
     result = infer_discrete(pot, z0[None, None, :], mode="marginal", seed=0)
@@ -372,7 +397,7 @@ def test_backward_pass_runs_beyond_table_sizes():
 def test_batched_tape_contract_keeps_values_bitwise():
     data = datagen.hmm_enum_data(t=12)
     pot = compile_model(corpus_models.get("hmm_enum"),
-                        enumerate="factorized").condition(data).potential(0)
+                        enum="auto").condition(data).potential(0)
     z0 = pot.initial_unconstrained()
     rng = np.random.default_rng(0)
     batch = z0[None, :] + 0.1 * rng.normal(size=(3, z0.size))

@@ -13,7 +13,7 @@ uninterrupted run.
 import numpy as np
 import pytest
 
-from repro import EngineConfig, ObsConfig, compile_model
+from repro import ObsConfig, compile_model
 from repro.autodiff import compile as tape_compiler
 from repro.autodiff import ops
 from repro.autodiff.compile import TapeCompilationError, compile_tape
@@ -36,10 +36,8 @@ SWEEP = [entry.name for entry in registry.entries()
 @pytest.mark.parametrize("name", SWEEP)
 def test_compiled_engine_matches_interpreted_across_corpus(name):
     entry = registry.get(name)
-    model = compile_model(
-        entry.source, name=entry.name,
-        engine=EngineConfig(enumerate=entry.enumerate),
-        enum=entry.enum).condition(entry.data())
+    model = compile_model(entry.source, name=entry.name,
+                          enum=entry.enum).condition(entry.data())
     pot_i = model.potential(0, engine="interpreted")
     pot_c = model.potential(0, engine="compiled")
     assert pot_c is not pot_i

@@ -111,7 +111,7 @@ def test_enumerated_fit_records_enum_analysis():
         "nuts", num_warmup=25, num_samples=25, seed=1)
     tel = model.telemetry
     assert "enum.analyze" in tel.log.span_names()
-    assert tel.merged_metrics()["info"]["potential.enum.strategy"] == "factorized"
+    assert tel.merged_metrics()["info"]["potential.enum.strategy"] == "contract"
 
 
 # ----------------------------------------------------------------------
