@@ -5,7 +5,7 @@ one tracing evaluation of the potential, folds constants, eliminates dead
 nodes and emits a fused forward + reverse program over batched NumPy kernels
 — no per-op Python dispatch.  The contract is tiered: the compiled program
 must reproduce the interpreted tape **bitwise** to run in ``"fast"`` mode
-(gradients within configured tolerances keep the value path only,
+(gradients within the documented tolerances keep the value path only,
 ``"value_fast"``; anything worse demotes the model back to the interpreted
 tape permanently).
 
@@ -31,6 +31,7 @@ import time
 import numpy as np
 from conftest import record, record_json
 
+from repro import ObsConfig
 from repro.core import compile_model
 from repro.posteriordb import datagen, get
 
@@ -66,8 +67,11 @@ else:
 def _measure(entry_name, data, repeats=7):
     """Steady-state per-eval cost under both engines + agreement check."""
     entry = get(entry_name)
-    model = compile_model(entry.source, name=entry.name).condition(
-        entry.data() if data is None else data)
+    # telemetry only records spans at compile/classification time; the
+    # single program's ``tape.lower`` span carries its statement counts
+    compiled_model = compile_model(entry.source, name=entry.name,
+                                   obs=ObsConfig(enabled=True))
+    model = compiled_model.condition(entry.data() if data is None else data)
     seconds = {}
     first_grad = {}
     potentials = {}
@@ -98,7 +102,11 @@ def _measure(entry_name, data, repeats=7):
         compiled.potential_and_grad_batched(batch)
         batched = min(batched, time.perf_counter() - start)
     stats = compiled.metrics_view()
-    program = compiled._tapes[("single",)]["tape"].stats
+    spans = compiled_model.telemetry.log.spans()
+    single = next(s["id"] for s in spans if s["name"] == "tape.compile"
+                  and s["attrs"]["key"] == "single")
+    program = next(s["attrs"] for s in spans
+                   if s["name"] == "tape.lower" and s["parent"] == single)
     row = {
         "interpreted_eval_seconds": seconds["interpreted"],
         "compiled_eval_seconds": seconds["compiled"],
@@ -110,8 +118,8 @@ def _measure(entry_name, data, repeats=7):
         "eval_counters": compiled.eval_counters,
         "engine": "compiled",
         "baseline_engine": "interpreted",
-        "forward_lines": program.forward_lines,
-        "backward_lines": program.backward_lines,
+        "forward_lines": program["forward_lines"],
+        "backward_lines": program["backward_lines"],
         "batched4_over_4_single": batched / (4 * seconds["compiled"]),
     }
     if entry_name.startswith("gauss_mix_marginal"):

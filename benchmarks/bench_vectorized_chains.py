@@ -49,7 +49,8 @@ def _run(entry, data, warmup, samples, chain_method):
                 num_chains=NUM_CHAINS, seed=0, chain_method=chain_method)
     start = time.perf_counter()
     mcmc.run()
-    return mcmc, time.perf_counter() - start, sorted(potential._batched_mode)
+    widths = {d["key"] for d in potential.decisions() if d["path"] == "batched"}
+    return mcmc, time.perf_counter() - start, sorted(widths)
 
 
 def test_vectorized_chain_speedup(benchmark):

@@ -819,13 +819,15 @@ def compile_model(source_or_program, backend: str = "numpyro", scheme: str = "co
 
     ``engine`` configures evaluation wholesale — pass an engine name
     (``"compiled"``/``"interpreted"``) or a full
-    :class:`~repro.engine.EngineConfig` carrying the enumeration mode, chain
-    method, table cap and validation tolerances.
+    :class:`~repro.engine.EngineConfig` carrying the engine, the legacy
+    enumeration mode and table cap, the chain method and the ``enum``
+    config.  Fast-path validation tolerances are fixed constants
+    (:mod:`repro.infer.validated`), not options.
 
     ``enum`` configures discrete-latent enumeration — pass a strategy name
     (``"auto"``/``"contract"``/``"parallel"``/``"off"``) or a full
-    :class:`~repro.engine.EnumConfig` carrying the strategy, the table cap,
-    and the cross-validation knobs.  ``enum="auto"`` (the recommended
+    :class:`~repro.engine.EnumConfig` carrying the strategy and the table
+    cap.  ``enum="auto"`` (the recommended
     spelling) resolves in a documented order: tensor variable elimination
     over the model's discrete factor graph (independent elements in
     ``O(N*K)``, chains by the forward algorithm in ``O(T*K^2)``, and a

@@ -12,10 +12,10 @@ that accumulated on :func:`repro.compile_model` /
 ``engine`` selects how the log-density tape is evaluated:
 
 * ``"compiled"`` (default) — the recorded op graph is lowered once into a
-  fused straight-line NumPy program (:mod:`repro.autodiff.compile`);
-  validated bitwise against the interpreted tape on first call and demoted
-  automatically when a model cannot be compiled (value-dependent control
-  flow) or fails validation.
+  fused straight-line NumPy program (:mod:`repro.autodiff.compile`), served
+  only once it agrees with its oracle (:mod:`repro.infer.validated`) and
+  demoted when a model cannot be compiled (value-dependent control flow)
+  or fails validation.
 * ``"interpreted"`` — every evaluation replays the Python-object tape op by
   op (the pre-compilation behaviour; also the oracle the compiled engine is
   validated against).
@@ -64,25 +64,13 @@ class EnumConfig:
         Cap on the joint enumeration table *and* on any single intermediate
         the contraction planner may materialize (``None`` = engine default,
         :data:`repro.enum.DEFAULT_MAX_TABLE_SIZE`).
-    validate:
-        Cross-validate the resolved strategy against the joint-table oracle
-        at small sizes (one-way demotion on mismatch).  ``False`` trusts the
-        graph-walk analysis outright.
-    validation_table_cap:
-        Largest joint table the oracle cross-validation is attempted at;
-        beyond it the oracle itself is intractable.
-    value_rtol / value_atol:
-        Marginal-value agreement tolerances of the cross-strategy validation
-        (different strategies sum identical terms in different orders, so
-        bitwise agreement is structurally impossible).
+
+    The resolved strategy is cross-checked against the joint table under
+    the validation contract of :mod:`repro.infer.validated`.
     """
 
     strategy: str = "auto"
     max_table_size: Optional[int] = None
-    validate: bool = True
-    validation_table_cap: int = 4096
-    value_rtol: float = 1e-10
-    value_atol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.strategy not in ENUM_STRATEGIES:
@@ -91,10 +79,6 @@ class EnumConfig:
                 f"{ENUM_STRATEGIES}")
         if self.max_table_size is not None and int(self.max_table_size) < 1:
             raise ValueError("max_table_size must be a positive integer")
-        if int(self.validation_table_cap) < 1:
-            raise ValueError("validation_table_cap must be a positive integer")
-        if not (self.value_rtol >= 0.0 and self.value_atol >= 0.0):
-            raise ValueError("validation tolerances must be non-negative")
 
     @classmethod
     def coerce(cls, value: Union[None, str, "EnumConfig"],
@@ -129,14 +113,7 @@ class EnumConfig:
 
     def to_metadata(self) -> Dict[str, Any]:
         """The resolved config as a plain dict (metadata / JSON records)."""
-        return {
-            "strategy": self.strategy,
-            "max_table_size": self.max_table_size,
-            "validate": self.validate,
-            "validation_table_cap": self.validation_table_cap,
-            "value_rtol": self.value_rtol,
-            "value_atol": self.value_atol,
-        }
+        return {"strategy": self.strategy, "max_table_size": self.max_table_size}
 
 
 @dataclass(frozen=True)
@@ -156,11 +133,6 @@ class EngineConfig:
         ``"vectorized"``.
     max_enum_table_size:
         Cap on the joint enumeration table (``None`` = engine default).
-    grad_rtol / grad_atol:
-        Gradient tolerance of the tiered validation contract: a fast path
-        whose values match bitwise but whose gradients only match within
-        these tolerances is demoted to ``value_fast`` (values from the fast
-        path, gradients from the oracle).
     enum:
         The unified discrete-latent marginalization config
         (:class:`EnumConfig`); when set it takes precedence over the legacy
@@ -172,8 +144,6 @@ class EngineConfig:
     enumerate: Optional[str] = None
     chain_method: str = "sequential"
     max_enum_table_size: Optional[int] = None
-    grad_rtol: float = 1e-9
-    grad_atol: float = 1e-12
     enum: Optional[EnumConfig] = None
 
     def __post_init__(self) -> None:
@@ -194,8 +164,6 @@ class EngineConfig:
                 f"{CHAIN_METHODS}")
         if self.max_enum_table_size is not None and int(self.max_enum_table_size) < 1:
             raise ValueError("max_enum_table_size must be a positive integer")
-        if not (self.grad_rtol >= 0.0 and self.grad_atol >= 0.0):
-            raise ValueError("validation tolerances must be non-negative")
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -256,7 +224,5 @@ class EngineConfig:
             "enumerate": self.enumerate,
             "chain_method": self.chain_method,
             "max_enum_table_size": self.max_enum_table_size,
-            "grad_rtol": self.grad_rtol,
-            "grad_atol": self.grad_atol,
             "enum": self.enum.to_metadata() if self.enum is not None else None,
         }

@@ -175,8 +175,8 @@ class EnumerationPlan:
             f"{factorization_note}. Otherwise reduce the discrete state space "
             "(fewer elements / tighter bounds) or raise the cap "
             "(compile_model(..., enum=EnumConfig(max_table_size=...)) / "
-            "Potential(enum=EnumConfig(max_table_size=...)) — the legacy "
-            "max_enum_table_size= / max_table_size= spellings still work).")
+            "Potential(enum=EnumConfig(max_table_size=...)) — compile_model's "
+            "legacy max_enum_table_size= spelling still works).")
 
     # ------------------------------------------------------------------
     # construction

@@ -6,9 +6,9 @@ Zero-dependency observability spanning every layer of the runtime:
   through frontend parse/codegen, the compile cache, tape compilation,
   enumeration analysis and the samplers, exported as JSONL via
   :class:`TraceLog`;
-* a **metrics registry** (:class:`MetricsRegistry`) — the unification of
-  the old ``engine_stats()`` counters: evaluation counts, tape timers,
-  batched-eval utilization, tape tiers and enumeration strategy labels;
+* a **metrics registry** (:class:`MetricsRegistry`) — evaluation counts,
+  tape timers, batched-eval utilization, and one info label per validated
+  fast path (its current tier, e.g. ``enum.strategy``);
 * a **per-iteration sampler stream** — one record per chain transition
   (tree depth, leapfrog count, energy, step size, accept prob,
   divergence flag);

@@ -1,11 +1,11 @@
 """A flat registry of counters/timers plus string-valued info labels.
 
-This is the unification target for the ad-hoc ``Potential.eval_counters``
-dict and ``engine_stats()`` view: every engine-level count (gradient
-evaluations, compiled-tape serves, batched-eval utilization) increments a
-named counter here, timers accumulate float seconds under a ``*_seconds``
-suffix, and discrete facts (tape tier per signature, enumeration
-strategy) are recorded as info labels.  Zero dependencies, zero locks —
+Every engine-level count (gradient evaluations, compiled-tape serves,
+batched-eval utilization) increments a named counter here (the
+``Potential.eval_counters`` dict is a view over them), timers accumulate
+float seconds under a ``*_seconds`` suffix, and discrete facts (the tier
+of each validated fast path, e.g. ``enum.strategy``) are recorded as info
+labels.  Zero dependencies, zero locks —
 the registry is process-local and single-writer like the rest of the
 runtime.
 """

@@ -2,7 +2,7 @@
 
 :class:`repro.EngineConfig` is the single declarative value for every
 evaluation knob — engine selection, enumeration mode, default chain method,
-table cap, validation tolerances — accepted by ``compile_model`` and
+table cap — accepted by ``compile_model`` and
 threaded through ``ConditionedModel`` / ``Potential``.  These tests cover
 the config object itself, the threading, the legacy-kwarg shims and the
 metadata stamping (resolved engine + per-fit evaluation counters).
@@ -38,7 +38,6 @@ def test_defaults_and_constants():
     assert config.enumerate is None
     assert config.chain_method == "sequential"
     assert config.max_enum_table_size is None
-    assert config.grad_rtol > 0 and config.grad_atol > 0
     assert config.engine in ENGINES
     assert config.enumerate in ENUMERATE_MODES
     assert config.chain_method in CHAIN_METHODS
@@ -49,7 +48,6 @@ def test_defaults_and_constants():
     {"enumerate": "sequential"},
     {"chain_method": "parallel"},
     {"max_enum_table_size": 0},
-    {"grad_rtol": -1.0},
 ])
 def test_validation_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

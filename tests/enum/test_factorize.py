@@ -402,7 +402,8 @@ def test_batched_tape_contract_keeps_values_bitwise():
     rng = np.random.default_rng(0)
     batch = z0[None, :] + 0.1 * rng.normal(size=(3, z0.size))
     values, grads = pot.potential_and_grad_batched(batch)
-    mode = pot._batched_mode[3]
+    mode = {d["key"]: d["tier"] for d in pot.decisions()
+            if d["path"] == "batched"}[3]
     assert mode in ("fast", "value_fast", "loop")
     # whatever the tier decided, returned values and grads are the oracle's
     expected_v = np.array([pot.potential_and_grad(batch[i])[0] for i in range(3)])

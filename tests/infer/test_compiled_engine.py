@@ -59,6 +59,19 @@ def test_compiled_engine_matches_interpreted_across_corpus(name):
     # give exact results (the oracle serves) but demote the model, silently
     # several times slower
     assert pot_c.metrics_view()["tape_modes"]["single"] == "fast", name
+    # a 3-row batch classifies its width against the row loop: the batched
+    # program serves bitwise-equal rows, enumerated widths cap at value_fast
+    # (the per-chain contraction sums in another order), and blr's batched
+    # matrix product rounds unlike the per-row one, so it keeps the loop
+    batch = z0 + 0.05 * np.random.default_rng(3).standard_normal((3, z0.size))
+    values, grads = pot_c.potential_and_grad_batched(batch)
+    rows = [pot_c.potential_and_grad(zi) for zi in batch]
+    np.testing.assert_array_equal(values, [v for v, _ in rows], err_msg=name)
+    np.testing.assert_array_equal(grads, np.array([g for _, g in rows]),
+                                  err_msg=name)
+    tier = ("loop" if name == "blr-sblri"
+            else "value_fast" if entry.enum else "fast")
+    assert pot_c.eval_tier(3).split()[1] == f"vec:{tier}", name
 
 
 @pytest.mark.parametrize("name", [
@@ -100,8 +113,9 @@ def test_batched_tape_survives_per_chain_scalar_index_update():
         z = 0.2 * np.random.default_rng(5).normal(size=(4, potential.dim))
         potential.potential_and_grad_batched(z)
         potential.potential_and_grad_batched(z)
-        assert potential._batched_mode.get(4) in ("fast", "value_fast"), (
-            engine, potential._batched_mode)
+        tiers = {d["key"]: d["tier"] for d in potential.decisions()
+                 if d["path"] == "batched"}
+        assert tiers.get(4) in ("fast", "value_fast"), (engine, tiers)
 
 
 def test_retrace_mismatch_demotes_to_interpreter(monkeypatch):
@@ -113,34 +127,38 @@ def test_retrace_mismatch_demotes_to_interpreter(monkeypatch):
     z = potential.initial_unconstrained()
     potential.potential_and_grad(z)
     potential.potential_and_grad(z)
-    state = potential._tapes[("single",)]
-    assert state["mode"] == "fast"
+    assert potential.metrics_view()["tape_modes"]["single"] == "fast"
 
-    # invalidate the signature so the next call trips the shape/dtype guard
-    state["tape"].signature = ((state["tape"].signature[0][0] + 1,), "<f8")
-
-    # ... and make the retrace produce a tape that disagrees with the oracle
+    # make the retrace produce a tape that disagrees with the oracle ...
+    from repro.autodiff.compile import CompiledTape
     from repro.infer import potential as potential_module
     real_compile = potential_module.compile_tape
+    retraced = set()
 
-    def corrupted_compile(fn, z0):
-        tape = real_compile(fn, z0)
+    def corrupted_compile(fn, z0, **kwargs):
+        tape = real_compile(fn, z0, **kwargs)
         real_vg = tape.value_and_grad
         tape.value_and_grad = lambda x: tuple(
             out + 1e-3 for out in real_vg(x))  # off by far more than rtol
+        retraced.add(id(tape))
         return tape
 
     monkeypatch.setattr(potential_module, "compile_tape", corrupted_compile)
+    # ... and invalidate the existing program's signature so the next call
+    # trips the shape/dtype guard
+    real_matches = CompiledTape.matches
+    monkeypatch.setattr(CompiledTape, "matches", lambda tape, x: (
+        id(tape) in retraced and real_matches(tape, x)))
     v_i, g_i = model.potential(0, engine="interpreted").potential_and_grad(z)
     v_c, g_c = potential.potential_and_grad(z)
     assert v_c == v_i
     np.testing.assert_array_equal(g_c, g_i)
-    assert potential._tapes[("single",)]["mode"] == "off"
+    assert potential.metrics_view()["tape_modes"]["single"] == "off"
     # permanently: later calls stay on the oracle and stay correct
     v_c2, g_c2 = potential.potential_and_grad(z + 0.01)
     v_i2, g_i2 = model.potential(0, engine="interpreted").potential_and_grad(z + 0.01)
     assert v_c2 == v_i2 and np.array_equal(g_c2, g_i2)
-    assert potential._tapes[("single",)]["mode"] == "off"
+    assert potential.metrics_view()["tape_modes"]["single"] == "off"
 
 
 def test_dynamic_control_flow_model_demotes_and_stays_correct():
@@ -232,3 +250,137 @@ def test_compiled_engine_checkpoint_resume_is_bitwise(tmp_path, chain_method,
         for site in base_draws:
             np.testing.assert_array_equal(res_draws[site], base_draws[site],
                                           err_msg=f"{snap}: draws diverged")
+
+
+# ----------------------------------------------------------------------
+# decision records: one oracle per batched program
+# ----------------------------------------------------------------------
+def test_batched_program_has_one_oracle():
+    """A width classified on the potential checks its compiled batched
+    program against the row loop only; a potential that inherits the width
+    from a shared store checks the program against the interpreted batched
+    tape and runs no row loop."""
+    from repro.posteriordb import datagen
+
+    entry = registry.get("hmm_k_marginal-synthetic_hmm4")
+    model = compile_model(entry.source, name=entry.name).condition(
+        datagen.hmm_k_data(0, t=12))
+    first = model.potential(0)
+    z = first.initial_unconstrained() + 0.1 * np.random.default_rng(5).normal(
+        size=(4, first.dim))
+    first.potential_and_grad_batched(z)
+    assert [(d["key"], d["tier"], d["oracle"]) for d in first.decisions()
+            if d["path"] == "batched"] == [(4, "fast", "loop")]
+    assert first.metrics_view()["tape_modes"]["batched-4"] == "fast"
+
+    store = {}
+    first.share_batched_classification(store)
+    sharer = model.potential(1)
+    sharer.share_batched_classification(store)
+    values, grads = sharer.potential_and_grad_batched(z)
+    assert [(d["path"], d["key"], d["tier"], d["oracle"])
+            for d in sharer.decisions()] == [("tape", "batched-4", "fast",
+                                              "interpreted")]
+    # the row loop would have classified (and compiled) the single tape
+    assert "single" not in sharer.metrics_view()["tape_modes"]
+    rows = [sharer.potential_and_grad(zi) for zi in z]
+    np.testing.assert_array_equal(values, [v for v, _ in rows])
+    np.testing.assert_array_equal(grads, np.array([g for _, g in rows]))
+
+
+def _eight_schools_width_4(seed=0):
+    entry = registry.get("eight_schools_noncentered-eight_schools")
+    model = compile_model(entry.source, name=entry.name).condition(entry.data())
+    pot = model.potential(seed)
+    z = pot.initial_unconstrained() + 0.1 * np.random.default_rng(7).normal(
+        size=(4, pot.dim))
+    return model, pot, z
+
+
+@pytest.mark.parametrize("method", ["value_and_grad", "value"])
+def test_failing_batched_program_serves_the_row_loop(monkeypatch, method):
+    """A width's program that raises at runtime demotes the width, and the
+    batch is served by the row loop — never by the interpreted batched tape,
+    which no loop comparison vouched for.  Every loop row runs the single
+    program, so the compiled-evaluation counter tells the two apart."""
+    from repro.autodiff.compile import CompiledTape
+
+    _, pot, z = _eight_schools_width_4()
+    pot.potential_and_grad_batched(z)
+    assert pot.eval_tier(4).split()[1] == "vec:fast"
+    real = getattr(CompiledTape, method)
+    failed = []
+
+    def fail_once(tape, x):
+        if np.ndim(x) == 2 and not failed:
+            failed.append(x.shape)
+            raise FloatingPointError("a branch away from the probes")
+        return real(tape, x)
+
+    monkeypatch.setattr(CompiledTape, method, fail_once)
+    before = pot.metrics_view()["compiled_evals"]
+    if method == "value":
+        values = pot.potential_batched(z)
+    else:
+        values, grads = pot.potential_and_grad_batched(z)
+    assert failed == [(4, pot.dim)]
+    assert pot.metrics_view()["compiled_evals"] - before == 4
+    rows = [pot.potential_and_grad(zi) for zi in z]
+    np.testing.assert_array_equal(values, [v for v, _ in rows])
+    if method == "value_and_grad":
+        np.testing.assert_array_equal(grads, np.array([g for _, g in rows]))
+    last = pot.decisions()[-1]
+    assert (last["path"], last["key"], last["tier"]) == ("batched", 4, "loop")
+    assert "FloatingPointError" in last["reason"]
+    assert pot.eval_tier(4).split()[1] == "vec:loop"
+
+
+def test_inherited_width_program_that_misses_its_check_serves_the_row_loop(
+        monkeypatch):
+    """A sharer's batched program that disagrees with its interpreted tape
+    leaves nothing the store's tier vouches for: the width is demoted (in
+    the shared store) and the batch is served by the row loop."""
+    from repro.infer import potential as potential_module
+
+    model, first, z = _eight_schools_width_4()
+    store = {}
+    first.share_batched_classification(store)
+    first.potential_and_grad_batched(z)
+    assert store == {4: "fast"}
+    real_compile = potential_module.compile_tape
+
+    def corrupted_compile(fn, z0, **kwargs):
+        tape = real_compile(fn, z0, **kwargs)
+        if np.ndim(z0) == 2:
+            real_vg = tape.value_and_grad
+            tape.value_and_grad = lambda x: tuple(out + 1e-3 for out in real_vg(x))
+        return tape
+
+    monkeypatch.setattr(potential_module, "compile_tape", corrupted_compile)
+    sharer = model.potential(1)
+    sharer.share_batched_classification(store)
+    values, grads = sharer.potential_and_grad_batched(z)
+    rows = [sharer.potential_and_grad(zi) for zi in z]
+    np.testing.assert_array_equal(values, [v for v, _ in rows])
+    np.testing.assert_array_equal(grads, np.array([g for _, g in rows]))
+    assert [(d["path"], d["key"], d["tier"]) for d in sharer.decisions()][:2] == [
+        ("tape", "batched-4", "off"), ("batched", 4, "loop")]
+    assert store == {4: "loop"}
+    assert first.eval_tier(4).split()[1] == "vec:loop"
+
+
+def test_vectorized_fit_emits_one_decision_event_per_path():
+    entry = registry.get("eight_schools_noncentered-eight_schools")
+    compiled = compile_model(entry.source, name=entry.name,
+                             obs=ObsConfig(enabled=True))
+    model = compiled.condition(entry.data())
+    model.fit("nuts", num_warmup=10, num_samples=10, num_chains=4,
+              chain_method="vectorized", seed=0, max_tree_depth=4)
+    events = [e["attrs"] for e in compiled.telemetry.log.events()
+              if e["name"] == "potential.decision"]
+    assert events == model.potential(0).decisions()
+    assert {(e["path"], e["key"]) for e in events} == {
+        ("tape", "single"), ("batched", 4), ("constrain", "batched")}
+    assert len(events) == 3
+    assert all(set(e) == {"path", "key", "tier", "oracle", "reason"}
+               for e in events)

@@ -24,6 +24,17 @@ EIGHT_SCHOOLS_DATA = {
 }
 
 
+def batched_tiers(pot):
+    """Width -> tier of every batched classification (or demotion) ``pot``
+    recorded, read from its decision records."""
+    return {d["key"]: d["tier"] for d in pot.decisions() if d["path"] == "batched"}
+
+
+def batched_decisions(pot):
+    """Widths of ``pot``'s batched decision records, oldest first."""
+    return [d["key"] for d in pot.decisions() if d["path"] == "batched"]
+
+
 def _eight_schools_potential():
     compiled = compile_model(models.get("eight_schools_centered"), backend="numpyro",
                              scheme="comprehensive")
@@ -39,7 +50,7 @@ def test_batched_potential_matches_rowwise_eight_schools():
     z = rng.uniform(-1.0, 1.0, size=(5, pot.dim))
     values, grads = pot.potential_and_grad_batched(z)
     values2, grads2 = pot.potential_and_grad_batched(z)  # second call: fast path
-    assert pot._batched_mode[5] == "fast"
+    assert batched_tiers(pot)[5] == "fast"
     for i in range(5):
         u, g = pot.potential_and_grad(z[i])
         assert values[i] == pytest.approx(u)
@@ -54,7 +65,7 @@ def test_batched_potential_falls_back_for_unbatchable_model():
     pot = compiled.potential({})
     z = np.array([[1.0, 2.0], [-1.0, 0.5], [0.3, -0.2]])
     values, grads = pot.potential_and_grad_batched(z)
-    assert pot._batched_mode[3] == "loop"
+    assert batched_tiers(pot)[3] == "loop"
     for i in range(3):
         u, g = pot.potential_and_grad(z[i])
         assert values[i] == pytest.approx(u)
@@ -83,7 +94,7 @@ def test_branch_on_reduced_parameter_falls_back():
     pot = compiled.potential({"N": 4, "y": np.array([0.5, 0.4, 0.6, 0.5])})
     same_side = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 0.2]])
     pot.potential_and_grad_batched(same_side)
-    assert pot._batched_mode[3] == "loop"
+    assert batched_tiers(pot)[3] == "loop"
     straddling = np.array([[1.0, 1.0], [-2.0, -2.0], [0.5, 0.2]])
     values, grads = pot.potential_and_grad_batched(straddling)
     for i in range(3):
@@ -99,7 +110,7 @@ def test_sum_statement_batches_per_chain():
     pot = compiled.potential({"N": 5, "y": np.zeros(5)})
     z = np.random.default_rng(0).normal(size=(4, pot.dim))
     pot.potential_and_grad_batched(z)
-    assert pot._batched_mode[4] == "fast"
+    assert batched_tiers(pot)[4] == "fast"
     values, _ = pot.potential_and_grad_batched(z)
     for i in range(4):
         assert values[i] == pytest.approx(pot.potential_and_grad(z[i])[0])
@@ -129,10 +140,36 @@ def test_constrained_dict_batched_check_catches_one_perturbed_row(monkeypatch):
 
     monkeypatch.setattr(pot, "constrain_batched", perturbed)
     batched = pot.constrained_dict_batched(z)
-    assert pot._constrain_batched_ok is False
+    assert [d["tier"] for d in pot.decisions()
+            if d["path"] == "constrain"] == ["rows"]
     for i in range(5):
         for name, value in pot.constrained_dict(z[i]).items():
             np.testing.assert_array_equal(batched[name][i], value)
+
+
+def test_constrained_dict_batched_check_is_relative_for_small_sites(monkeypatch):
+    """The constrain check holds each value to (rtol 1e-8, atol 1e-10): a
+    site near 1e-3 that the batched constrain moves by 1e-9 (a millionth of
+    its value) must still select the row loop."""
+
+    def small_scale():
+        sample("s", dist.LogNormal(-7.0, 0.01))
+
+    pot = make_potential(small_scale)
+    z = np.random.default_rng(4).normal(-7.0, 0.01, size=(3, pot.dim))
+    original = pot.constrain_batched
+
+    def perturbed(zt):
+        constrained, log_det = original(zt)
+        constrained["s"].data[1] += 1e-9
+        return constrained, log_det
+
+    monkeypatch.setattr(pot, "constrain_batched", perturbed)
+    batched = pot.constrained_dict_batched(z)
+    assert [d["tier"] for d in pot.decisions()
+            if d["path"] == "constrain"] == ["rows"]
+    for i in range(3):
+        np.testing.assert_array_equal(batched["s"][i], pot.constrained_dict(z[i])["s"])
 
 
 def test_binary_log_sum_exp_reduces_per_chain():
@@ -170,7 +207,7 @@ def test_interpreted_value_path_keeps_per_chain_rules(name):
     z = rng.normal(size=(6, pot.dim))
     np.testing.assert_array_equal(pot.potential_batched(z),
                                   [pot.potential(zi) for zi in z])
-    assert pot._batched_mode == {4: "fast"}
+    assert batched_tiers(pot) == {4: "fast"}
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +340,7 @@ def test_advi_multi_sample_elbo_uses_batched_path():
 
     pot = make_potential(model)
     advi = ADVI(pot, learning_rate=0.1, num_elbo_samples=4, seed=0).run(200)
-    assert pot._batched_mode.get(4) == "fast"
+    assert batched_tiers(pot).get(4) == "fast"
     draws = advi.sample_posterior(300)["mu"]
     n = len(data)
     true_mean = (data.sum() / 1.0) / (1 / 4.0 + n)
@@ -313,22 +350,6 @@ def test_advi_multi_sample_elbo_uses_batched_path():
 # ----------------------------------------------------------------------
 # one classified width serves every batch size
 # ----------------------------------------------------------------------
-@pytest.fixture
-def classify_calls(monkeypatch):
-    """Row counts passed to ``Potential._classify_batched``, in call order."""
-    from repro.infer import potential as potential_mod
-
-    calls = []
-    original = potential_mod.Potential._classify_batched
-
-    def counting(self, c, dim):
-        calls.append(c)
-        return original(self, c, dim)
-
-    monkeypatch.setattr(potential_mod.Potential, "_classify_batched", counting)
-    return calls
-
-
 def _width_reuse_potential(name):
     from repro.posteriordb import datagen
 
@@ -349,7 +370,7 @@ def _width_reuse_potential(name):
     ("multimodal", "loop"),
     ("hmm_k_enum", "value_fast"),
 ])
-def test_one_width_serves_every_batch_size(name, tier, classify_calls):
+def test_one_width_serves_every_batch_size(name, tier):
     """After a 4-row call, smaller batches are padded up to width 4 and
     larger ones split into 4-row blocks — bitwise equal to per-row
     evaluation, with no second classification."""
@@ -357,7 +378,7 @@ def test_one_width_serves_every_batch_size(name, tier, classify_calls):
     z0 = pot.initial_unconstrained()
     rng = np.random.default_rng(2)
     pot.potential_and_grad_batched(z0 + 0.1 * rng.normal(size=(4, pot.dim)))
-    assert pot._batched_mode == {4: tier}
+    assert batched_tiers(pot) == {4: tier}
     for c in (2, 3, 5, 9):
         z = z0 + 0.3 * rng.normal(size=(c, pot.dim))
         values, grads = pot.potential_and_grad_batched(z)
@@ -369,15 +390,15 @@ def test_one_width_serves_every_batch_size(name, tier, classify_calls):
     z = z0 + 0.3 * rng.normal(size=(1000, pot.dim))
     np.testing.assert_array_equal(pot.potential_batched(z),
                                   [pot.potential(zi) for zi in z])
-    assert classify_calls == [4]
-    assert pot._batched_mode == {4: tier}
+    assert batched_decisions(pot) == [4]
+    assert batched_tiers(pot) == {4: tier}
     # 2 + 1 + 3 + 3 rows pad each batched pass over c in (2, 3, 5, 9):
     # values and gradients on "fast", values only on "value_fast"
     padded = {"fast": 18, "value_fast": 9, "loop": 0}[tier]
     assert pot.metrics.value("batched.padded_rows") == padded
 
 
-def test_vectorized_fit_keeps_one_batched_tape(classify_calls):
+def test_vectorized_fit_keeps_one_batched_tape():
     """Straggler batches (3, 2 rows) reuse the 4-row tape of a vectorized
     fit, and the draws stay identical to the sequential chain method."""
     from repro.posteriordb import datagen
@@ -393,22 +414,22 @@ def test_vectorized_fit_keeps_one_batched_tape(classify_calls):
     for site, value in draws["sequential"].items():
         np.testing.assert_array_equal(draws["vectorized"][site], value)
     vec = pots["vectorized"]
-    assert classify_calls == [4]
-    assert vec._batched_mode == {4: "fast"}
+    assert batched_decisions(pots["sequential"]) + batched_decisions(vec) == [4]
+    assert batched_tiers(vec) == {4: "fast"}
     batched_keys = [key for key in vec.metrics_view()["tape_modes"]
                     if key.startswith("batched-")]
     assert batched_keys == ["batched-4"]
     assert vec.metrics.value("batched.padded_rows") > 0
 
 
-def test_psis_after_vi_fit_runs_no_classification(classify_calls):
+def test_psis_after_vi_fit_runs_no_classification():
     """A 1000-draw PSIS diagnostic after a 4-particle VI fit is served by
     the fit's width in 4-row blocks instead of classifying 1000 rows."""
     compiled = compile_model(models.get("eight_schools_noncentered"))
     vi = compiled.condition(EIGHT_SCHOOLS_DATA).fit(
         "vi", guide="auto_normal", num_steps=30, num_particles=4, seed=0)
-    assert classify_calls == [4]
+    assert batched_decisions(vi.potential) == [4]
     psis = vi.psis_diagnostic(1000)
-    assert classify_calls == [4]
+    assert batched_decisions(vi.potential) == [4]
     assert np.isfinite(psis.khat)
-    assert vi.potential._batched_mode == {4: "fast"}
+    assert batched_tiers(vi.potential) == {4: "fast"}

@@ -1,13 +1,10 @@
 """Telemetry through the full pipeline: non-perturbation, layer coverage,
-the flight recorder, and the metrics/engine_stats migration."""
-
-import warnings
+the flight recorder, and the metrics registry view."""
 
 import numpy as np
 import pytest
 
 from repro import ObsConfig, clear_compile_cache, compile_model
-from repro.deprecation import reset_warnings
 from repro.infer import NUTS, MCMC, make_potential
 from repro.ppl import distributions as dist
 from repro.ppl.primitives import observe, sample
@@ -162,7 +159,7 @@ def test_divergence_report_without_telemetry_points_at_obs():
 
 
 # ----------------------------------------------------------------------
-# metrics registry vs the deprecated engine_stats()
+# the metrics registry view
 # ----------------------------------------------------------------------
 def _toy_model():
     x = sample("x", dist.Normal(0.0, 1.0))
@@ -184,16 +181,6 @@ def test_metrics_match_legacy_engine_stats_counters():
     assert view["tape_modes"].get("single") in ("fast", "value_fast", "off")
     # the property view matches (minus the engine/tape keys)
     assert pot.eval_counters == {key: view[key] for key in pot.eval_counters}
-
-    reset_warnings()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = pot.engine_stats()
-        pot.engine_stats()  # second call: no second warning
-    assert legacy == pot.metrics_view()
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "metrics_view" in str(deprecations[0].message)
 
 
 def test_eval_tier_summary_line():

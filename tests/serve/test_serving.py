@@ -692,38 +692,37 @@ class TestLoopBinding:
 # ----------------------------------------------------------------------
 # shared batched-tier classification (the batched k-hat fast path)
 # ----------------------------------------------------------------------
-def test_cold_datasets_share_batched_classification(trained, monkeypatch):
+def test_cold_datasets_share_batched_classification(trained):
     """Every per-dataset potential adopts the model-wide tier table, so the
     probe classification runs once per model, not once per cache entry, and
     the model-wide width serves every row count of every dataset."""
-    from repro.infer import potential as potential_mod
-
     pot_a = trained.potential_for(perturbed(1))
     pot_b = trained.potential_for(perturbed(2))
-    # all potentials share the *same* tier table object
-    assert pot_a._batched_mode is trained.batched_tiers
-    assert pot_b._batched_mode is trained.batched_tiers
     # training classified one width: the row count of its VI particle batch
     widths = set(trained.batched_tiers)
     assert len(widths) == 1
+    (width,) = widths
+    # all potentials share the *same* tier table object: a tier written
+    # into the model-wide store is what every dataset potential serves
+    tier = trained.batched_tiers[width]
+    try:
+        trained.batched_tiers[width] = "loop"
+        for pot in (pot_a, pot_b):
+            assert pot.eval_tier(width).split()[-1] == "vec:loop"
+    finally:
+        trained.batched_tiers[width] = tier
+    for pot in (pot_a, pot_b):
+        assert pot.eval_tier(width).split()[-1] == f"vec:{tier}"
 
     # cold datasets must go straight to the shared width — a classification
     # would mean the fast path isn't shared at all — and an unseen row count
     # (3) is padded onto it, bitwise equal to per-row evaluation
-    calls = []
-    original = potential_mod.Potential._classify_batched
-
-    def counting(self, c, dim):
-        calls.append(c)
-        return original(self, c, dim)
-
-    monkeypatch.setattr(potential_mod.Potential, "_classify_batched",
-                        counting)
     for pot, rows in ((pot_a, 4), (pot_b, 4), (pot_b, 3)):
         z = np.random.default_rng(rows).normal(size=(rows, pot.dim))
         values, grads = pot.potential_and_grad_batched(z)
         per_row = [pot.potential_and_grad(zi) for zi in z]
         np.testing.assert_array_equal(values, [u for u, _ in per_row])
         np.testing.assert_array_equal(grads, np.array([g for _, g in per_row]))
-    assert calls == []
+    assert [d for pot in (pot_a, pot_b) for d in pot.decisions()
+            if d["path"] == "batched"] == []
     assert set(trained.batched_tiers) == widths
