@@ -33,6 +33,7 @@ from conftest import record, record_json
 
 from repro import ObsConfig
 from repro.core import compile_model
+from repro.core.compiler import EVAL_COUNTERS
 from repro.posteriordb import datagen, get
 
 BENCH_ITERS = int(os.environ.get("REPRO_BENCH_ITERS", "0"))
@@ -115,7 +116,7 @@ def _measure(entry_name, data, repeats=7):
         "tape_mode": stats["tape_modes"].get("single"),
         "bitwise_value": bool(vc == vi),
         "bitwise_grad": bool(np.array_equal(gc, gi)),
-        "eval_counters": compiled.eval_counters,
+        "eval_counters": {key: stats[key] for key in EVAL_COUNTERS},
         "engine": "compiled",
         "baseline_engine": "interpreted",
         "forward_lines": program["forward_lines"],

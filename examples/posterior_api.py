@@ -21,8 +21,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from repro import Posterior, compile_model
 from repro.corpus import models as corpus_models
 from repro.posteriordb import datagen

@@ -15,7 +15,8 @@ Top-level API:
   bitwise-identical ``resume``.
 * :mod:`repro.stanref` — the Stan-semantics reference backend (interpreter +
   NUTS) used as the "Stan" baseline of the evaluation.
-* :mod:`repro.infer` — NUTS/HMC, ADVI, SVI and diagnostics.
+* :mod:`repro.infer` — NUTS/HMC, VI over automatic guides (mean-field ADVI
+  is ``guide="auto_normal"``), SVI and diagnostics.
 * :mod:`repro.deepstan` — explicit guides, neural networks, VAE and Bayesian
   neural networks (section 5).
 * :mod:`repro.posteriordb` / :mod:`repro.corpus` — the bundled model/data

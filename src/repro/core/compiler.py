@@ -14,9 +14,8 @@ around the posterior-first pipeline:
 derived :class:`~repro.infer.Potential` and exposes ``fit`` (NUTS / HMC /
 VI / SVI / importance — every result satisfies the
 :class:`~repro.infer.FitResult` protocol), ``sample_prior`` and
-``generated_quantities``.  The legacy ``run_*`` methods remain as
-deprecated one-line shims.  Compilation of string sources is memoised on
-``(source, scheme, backend, name)``.
+``generated_quantities``.  Compilation of string sources is memoised on
+``(source, scheme, backend, name, allow_enumeration)``.
 
 Three compilation schemes are exposed (``generative``, ``comprehensive``,
 ``mixed``) and two backends (``pyro``: eager effect-handler runtime,
@@ -28,7 +27,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -36,7 +35,6 @@ import numpy as np
 from repro.core import analysis, codegen, mixed as mixed_mod, schemes
 from repro.core.codegen import sanitize
 from repro.core.schemes import CompileError
-from repro.deprecation import warn_once
 from repro.engine import EngineConfig, EnumConfig
 from repro.frontend import ast
 from repro.frontend.parser import parse_program
@@ -52,7 +50,11 @@ SCHEMES = ("generative", "comprehensive", "mixed")
 BACKENDS = ("pyro", "numpyro")
 
 #: inference methods accepted by :meth:`ConditionedModel.fit`.
-FIT_METHODS = ("nuts", "hmc", "vi", "svi", "advi", "importance", "smc")
+FIT_METHODS = ("nuts", "hmc", "vi", "svi", "importance", "smc")
+
+#: the :meth:`~repro.infer.Potential.metrics_view` counters whose per-fit
+#: deltas every fit records in ``metadata["eval_counters"]``.
+EVAL_COUNTERS = ("grad_evals", "value_evals", "compiled_evals", "tape_seconds")
 
 
 @dataclass
@@ -67,15 +69,8 @@ class CompiledModel:
     model_ir: ir.GExpr
     guide_ir: Optional[ir.GExpr] = None
     compile_time_seconds: float = 0.0
-    #: ``"parallel"`` when the discrete-latent enumeration engine is enabled
-    #: (bounded ``int`` parameters marginalized exactly); ``None`` otherwise.
-    enumerate_mode: Optional[str] = None
-    #: cap on the joint enumeration table (``None`` = engine default).
-    max_enum_table_size: Optional[int] = None
     #: the resolved evaluation-engine configuration (see :mod:`repro.engine`).
-    #: ``enumerate_mode`` / ``max_enum_table_size`` above are kept as
-    #: backwards-compatible mirrors of the corresponding config fields.
-    engine_config: Optional[EngineConfig] = None
+    engine_config: EngineConfig = EngineConfig()
     #: the telemetry session (see :mod:`repro.obs`) threaded through every
     #: derived potential and fit; the shared null sink unless the model was
     #: compiled with ``obs=``.
@@ -150,14 +145,10 @@ class CompiledModel:
         an engine name (override just the ``engine`` field), or a full
         :class:`EngineConfig` (replace the config wholesale).
         """
-        base = self.engine_config
-        if base is None:
-            base = EngineConfig.coerce(None, enumerate=self.enumerate_mode,
-                                       max_enum_table_size=self.max_enum_table_size)
         if engine is None:
-            return base
+            return self.engine_config
         if isinstance(engine, str):
-            return base.replace(engine=engine)
+            return self.engine_config.replace(engine=engine)
         return EngineConfig.coerce(engine)
 
     def potential(self, data: Optional[Dict[str, Any]] = None, rng_seed: int = 0,
@@ -198,79 +189,6 @@ class CompiledModel:
         ``.generated_quantities``.
         """
         return ConditionedModel(self, data)
-
-    # ------------------------------------------------------------------
-    # legacy inference drivers (deprecated one-liners over the pipeline)
-    # ------------------------------------------------------------------
-    def run_nuts(self, data: Optional[Dict[str, Any]] = None, num_warmup: int = 300,
-                 num_samples: int = 300, num_chains: int = 1, thinning: int = 1,
-                 seed: int = 0, max_tree_depth: int = 10, target_accept: float = 0.8,
-                 chain_method: str = "sequential") -> MCMC:
-        """Deprecated: use ``compiled.condition(data).fit("nuts", ...)``."""
-        warn_once(
-            "compiled-run-nuts",
-            "CompiledModel.run_nuts is deprecated; use "
-            "compiled.condition(data).fit('nuts', ...) — identical draws, and the "
-            "result exposes .posterior (save/load) and checkpoint/resume")
-        return self.condition(data).fit(
-            "nuts", num_warmup=num_warmup, num_samples=num_samples,
-            num_chains=num_chains, thinning=thinning, seed=seed,
-            max_tree_depth=max_tree_depth, target_accept=target_accept,
-            chain_method=chain_method)
-
-    def run_vi(self, data: Optional[Dict[str, Any]] = None,
-               guide: Any = "auto_normal", num_steps: int = 1000,
-               learning_rate: Optional[float] = None,
-               num_particles: Optional[int] = None,
-               seed: int = 0, guide_kwargs: Optional[Dict[str, Any]] = None):
-        """Deprecated: use ``compiled.condition(data).fit("vi", ...)``."""
-        warn_once(
-            "compiled-run-vi",
-            "CompiledModel.run_vi is deprecated; use "
-            "compiled.condition(data).fit('vi', guide=...) — identical results")
-        return self.condition(data).fit(
-            "vi", guide=guide, num_steps=num_steps, learning_rate=learning_rate,
-            num_particles=num_particles, seed=seed, guide_kwargs=guide_kwargs)
-
-    def run_advi(self, data: Optional[Dict[str, Any]] = None, num_steps: int = 1000,
-                 learning_rate: float = 0.05, num_samples: int = 1000, seed: int = 0) -> Dict[str, np.ndarray]:
-        """Deprecated: mean-field ADVI draws (Stan's ADVI baseline, Fig. 10).
-
-        Equivalent to ``condition(data).fit("vi", guide="auto_normal",
-        ...).posterior_draws(num_samples)`` and bitwise stable against the
-        historical implementation.
-        """
-        warn_once(
-            "compiled-run-advi",
-            "CompiledModel.run_advi is deprecated; use "
-            "compiled.condition(data).fit('vi', guide='auto_normal', ...) and read "
-            ".posterior or .posterior_draws() — bitwise-identical under a fixed seed")
-        vi = self.condition(data).fit("vi", guide="auto_normal", num_steps=num_steps,
-                                      learning_rate=learning_rate, seed=seed)
-        return vi.posterior_draws(num_samples)
-
-    def run_svi(self, data: Optional[Dict[str, Any]] = None, num_steps: int = 1000,
-                learning_rate: float = 0.01, num_samples: int = 1000, seed: int = 0) -> Dict[str, np.ndarray]:
-        """Deprecated: SVI draws against the explicit DeepStan guide (§5.1)."""
-        warn_once(
-            "compiled-run-svi",
-            "CompiledModel.run_svi is deprecated; use "
-            "compiled.condition(data).fit('svi', ...) and read .posterior or "
-            ".posterior_draws()")
-        if not self.has_guide:
-            raise CompileError("run_svi requires a guide block")
-        fit = self.condition(data).fit("svi", num_steps=num_steps,
-                                       learning_rate=learning_rate, seed=seed)
-        return fit.posterior_draws(num_samples)
-
-    def run_generated_quantities(self, data: Dict[str, Any], draws: Dict[str, np.ndarray],
-                                 num_draws: Optional[int] = None) -> Dict[str, np.ndarray]:
-        """Deprecated: use ``compiled.condition(data).generated_quantities(...)``."""
-        warn_once(
-            "compiled-run-generated-quantities",
-            "CompiledModel.run_generated_quantities is deprecated; use "
-            "compiled.condition(data).generated_quantities(posterior_or_draws)")
-        return self.condition(data).generated_quantities(draws, num_draws=num_draws)
 
 
 def _as_array(value):
@@ -332,7 +250,7 @@ class ConditionedModel:
     def _metadata(self, method: str, seed: int,
                   config: Optional[EngineConfig] = None) -> Dict[str, Any]:
         config = config if config is not None else self.compiled.resolved_engine()
-        meta = {
+        return {
             "method": method,
             "scheme": self.compiled.scheme,
             "backend": self.compiled.backend,
@@ -340,20 +258,18 @@ class ConditionedModel:
             "engine": config.engine,
             "engine_config": config.to_metadata(),
         }
-        if config.enumerate is not None:
-            meta["enumerate"] = config.enumerate
-        return meta
 
     @staticmethod
     def _stamp_eval_counters(result, potential: Potential,
-                             before: Dict[str, float]) -> None:
+                             before: Dict[str, Any]) -> None:
         """Record the fit's share of the potential's evaluation counters.
 
         The counters accumulate across the potential's lifetime (it is cached
-        per seed/engine), so the per-fit figure is the delta over the run.
+        per seed/engine), so the per-fit figure is the delta between two
+        :meth:`~repro.infer.Potential.metrics_view` snapshots.
         """
-        counters = {key: potential.eval_counters[key] - before.get(key, 0)
-                    for key in potential.eval_counters}
+        after = potential.metrics_view()
+        counters = {key: after[key] - before[key] for key in EVAL_COUNTERS}
         counters["tape_seconds"] = round(float(counters["tape_seconds"]), 6)
         result.metadata["eval_counters"] = counters
         enum_meta = potential.enum_metadata()
@@ -377,12 +293,16 @@ class ConditionedModel:
         * ``"vi"`` — variational inference over any autoguide family (or the
           explicit DeepStan guide); returns the fitted
           :class:`~repro.infer.VI` / :class:`~repro.infer.ExplicitVI`.
-        * ``"svi"`` — alias of ``fit("vi", guide="explicit")``.
-        * ``"advi"`` — alias of ``fit("vi", guide="auto_normal")`` with the
-          historical defaults (bitwise-stable Fig. 10 baseline).
+          Mean-field ADVI (Stan's baseline in Fig. 10) is
+          ``fit("vi", guide="auto_normal")``.
+        * ``"svi"`` — ``fit("vi", guide="explicit")`` with learning rate
+          0.01 by default.
         * ``"importance"`` — likelihood-weighted sampling from the compiled
           prior; returns the completed
           :class:`~repro.infer.ImportanceSampling`.
+        * ``"smc"`` — streaming SMC; returns the
+          :class:`~repro.smc.StreamingFit`, whose ``extend(new_data)``
+          absorbs new observations without refitting.
         """
         key = str(method).lower().strip()
         if key == "nuts":
@@ -394,10 +314,6 @@ class ConditionedModel:
         if key == "svi":
             kwargs.setdefault("guide", "explicit")
             kwargs.setdefault("learning_rate", 0.01)
-            return self._fit_vi(**kwargs)
-        if key == "advi":
-            kwargs.setdefault("guide", "auto_normal")
-            kwargs.setdefault("learning_rate", 0.05)
             return self._fit_vi(**kwargs)
         if key == "importance":
             return self._fit_importance(**kwargs)
@@ -421,7 +337,7 @@ class ConditionedModel:
                   num_chains: int = 1, thinning: int = 1, seed: int = 0,
                   max_tree_depth: int = 10, target_accept: float = 0.8,
                   step_size: float = 0.1, num_steps: int = 10,
-                  chain_method: Optional[str] = None,
+                  chain_method: str = "sequential",
                   engine: Union[None, str, EngineConfig] = None,
                   init_params: Optional[np.ndarray] = None,
                   checkpoint_every: Optional[int] = None,
@@ -430,8 +346,6 @@ class ConditionedModel:
                   progress: bool = False,
                   on_iteration: Optional[Callable] = None) -> MCMC:
         config = self.compiled.resolved_engine(engine)
-        if chain_method is None:
-            chain_method = config.chain_method
         kernel = self._make_kernel(method, seed, max_tree_depth=max_tree_depth,
                                    target_accept=target_accept,
                                    step_size=step_size, num_steps=num_steps,
@@ -442,7 +356,7 @@ class ConditionedModel:
                     telemetry=self.compiled.telemetry, on_iteration=on_iteration)
         mcmc.metadata.update(self._metadata(method, seed, config))
         potential = self.potential(seed, engine=config)
-        before = dict(potential.eval_counters)
+        before = potential.metrics_view()
         result = mcmc.run(init_params=init_params, checkpoint_every=checkpoint_every,
                           checkpoint_path=checkpoint_path,
                           checkpoint_keep=checkpoint_keep)
@@ -511,7 +425,7 @@ class ConditionedModel:
         driver = VI(potential, guide=guide, learning_rate=learning_rate,
                     num_particles=num_particles, seed=seed, **guide_kwargs)
         driver.metadata.update(self._metadata("vi", seed, config))
-        before = dict(potential.eval_counters)
+        before = potential.metrics_view()
         telemetry = self.compiled.telemetry
         with telemetry.span("vi.run", guide=str(guide), num_steps=num_steps,
                             seed=seed):
@@ -720,11 +634,11 @@ class ConditionedModel:
 # compilation entry points
 # ----------------------------------------------------------------------
 #: the telemetry session of the in-flight :func:`compile_model` call.  The
-#: compilation cache key must stay ``(source, scheme, backend, name, enum)``
-#: — a telemetry argument would defeat the memoisation — so the frontend
-#: spans reach :func:`_compile_cached` through this module global instead
-#: (set around the call, restored in a ``finally``).  Cache hits simply emit
-#: no frontend spans: no parse or codegen ran.
+#: compilation cache key must stay ``(source, scheme, backend, name,
+#: allow_enumeration)`` — a telemetry argument would defeat the memoisation
+#: — so the frontend spans reach :func:`_compile_cached` through this module
+#: global instead (set around the call, restored in a ``finally``).  Cache
+#: hits simply emit no frontend spans: no parse or codegen ran.
 _ACTIVE_TELEMETRY = NULL_TELEMETRY
 
 #: Serialises the frontend (parse/check/codegen) section of
@@ -765,7 +679,7 @@ def _build_program(program: ast.Program, backend: str, scheme: str, name: str,
 @functools.lru_cache(maxsize=128)
 def _compile_cached(source: str, backend: str, scheme: str, name: str,
                     allow_enumeration: bool = False):
-    """Parse + codegen, memoised on ``(source, scheme, backend, name, enum)``.
+    """Parse + codegen, memoised on all five arguments.
 
     The LRU dict hashes the source text itself — an explicit digest would
     be pure overhead on top of the string hash.
@@ -798,16 +712,17 @@ def clear_compile_cache() -> None:
 
 
 def compile_model(source_or_program, backend: str = "numpyro", scheme: str = "comprehensive",
-                  name: str = "model", enumerate: Optional[str] = None,
-                  max_enum_table_size: Optional[int] = None,
+                  name: str = "model",
                   engine: Union[None, str, EngineConfig] = None,
                   obs: Any = None,
                   enum: Union[None, str, EnumConfig] = None) -> CompiledModel:
     """Compile Stan source (or a parsed program) to a :class:`CompiledModel`.
 
     String sources are memoised: the parse/check/codegen products are cached
-    on ``(source, scheme, backend, name, enumerate)`` (LRU, 128 entries), so
-    repeated service-style calls only pay a fresh module execution.
+    on ``(source, scheme, backend, name, allow_enumeration)`` (LRU, 128
+    entries; ``allow_enumeration`` is whether the ``enum`` strategy is not
+    ``"off"``), so repeated service-style calls only pay a fresh module
+    execution.
 
     ``obs`` enables the telemetry subsystem (see :mod:`repro.obs`): pass
     ``True``, an :class:`~repro.obs.ObsConfig`, or an existing
@@ -819,8 +734,7 @@ def compile_model(source_or_program, backend: str = "numpyro", scheme: str = "co
 
     ``engine`` configures evaluation wholesale — pass an engine name
     (``"compiled"``/``"interpreted"``) or a full
-    :class:`~repro.engine.EngineConfig` carrying the engine, the legacy
-    enumeration mode and table cap, the chain method and the ``enum``
+    :class:`~repro.engine.EngineConfig` carrying the engine and the ``enum``
     config.  Fast-path validation tolerances are fixed constants
     (:mod:`repro.infer.validated`), not options.
 
@@ -838,37 +752,16 @@ def compile_model(source_or_program, backend: str = "numpyro", scheme: str = "co
     array-site length, bitwise-stable draws).  The resolved strategy and the
     planner's cost estimate are stamped into every fit's
     ``metadata["enum"]``.
-
-    The legacy ``enumerate=`` / ``max_enum_table_size=`` keywords keep
-    working as once-warned shims mapped onto the config:
-    ``enumerate="factorized"`` resolves to ``enum="auto"``,
-    ``enumerate="parallel"`` to ``enum="parallel"``, and
-    ``max_enum_table_size`` caps the joint table (default
-    :data:`repro.enum.DEFAULT_MAX_TABLE_SIZE`); the structured strategy is
-    exempt from the cap until it actually falls back.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    config = EngineConfig.coerce(engine, enumerate=enumerate,
-                                 max_enum_table_size=max_enum_table_size)
-    if enumerate is not None:
-        warn_once(
-            "compile_model-enumerate-kwarg",
-            "compile_model(enumerate=...) is deprecated; pass "
-            "enum=EnumConfig(strategy=...) — \"factorized\" resolves to "
-            "enum=\"auto\" and \"parallel\" to enum=\"parallel\"")
-    if max_enum_table_size is not None:
-        warn_once(
-            "compile_model-max-enum-table-size-kwarg",
-            "compile_model(max_enum_table_size=...) is deprecated; pass "
-            "enum=EnumConfig(max_table_size=...) — the kwarg is mapped onto "
-            "the enumeration config")
+    config = EngineConfig.coerce(engine)
     if enum is not None:
         config = config.replace(enum=EnumConfig.coerce(enum))
     telemetry = as_telemetry(obs)
-    allow_enum = config.resolved_enum().strategy != "off"
+    allow_enum = config.enum.strategy != "off"
     global _ACTIVE_TELEMETRY
     start = time.perf_counter()
     with telemetry.span("compiler.compile", backend=backend, scheme=scheme,
@@ -897,9 +790,8 @@ def compile_model(source_or_program, backend: str = "numpyro", scheme: str = "co
     elapsed = time.perf_counter() - start
     return CompiledModel(program=program, scheme=scheme, backend=backend, source=source,
                          namespace=namespace, model_ir=model_ir, guide_ir=guide_ir,
-                         compile_time_seconds=elapsed, enumerate_mode=config.enumerate,
-                         max_enum_table_size=config.max_enum_table_size,
-                         engine_config=config, telemetry=telemetry)
+                         compile_time_seconds=elapsed, engine_config=config,
+                         telemetry=telemetry)
 
 
 def compile_file(path: str, **kwargs) -> CompiledModel:

@@ -1005,7 +1005,7 @@ generated quantities {
 # discrete latent variables (the enumeration engine's flagship workloads)
 #
 # Stan itself rejects every model in this group: they declare bounded `int`
-# parameters.  They compile with `enumerate="parallel"`, which marginalizes
+# parameters.  They compile with `enum="parallel"`, which marginalizes
 # the discrete latents exactly.  The mixture and ZIP models have a
 # hand-marginalized `_marginal` counterpart (the formulation Stan forces on
 # users) defining the same posterior over the continuous parameters, used by

@@ -42,8 +42,7 @@ Pieces
 
 The compile-side entry point is ``compile_model(source, enum="auto")`` (an
 :class:`repro.engine.EnumConfig` strategy; ``enum="parallel"`` forces the
-joint table, and the legacy ``enumerate=`` kwarg keeps working as a
-deprecated shim); the density-side integration lives in
+joint table); the density-side integration lives in
 :class:`repro.infer.Potential`, whose marginalized evaluation contracts (or
 ``logsumexp``-es) the enumeration structure so NUTS/HMC/VI run unchanged.
 """

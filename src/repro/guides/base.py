@@ -160,7 +160,7 @@ class AutoGuide:
 
 
 # ----------------------------------------------------------------------
-# guide registry (the string names accepted by ``compiled.run_vi``)
+# guide registry (the string names accepted by ``fit("vi", guide=...)``)
 # ----------------------------------------------------------------------
 _REGISTRY: Dict[str, Callable[..., AutoGuide]] = {}
 

@@ -9,7 +9,7 @@ the per-step cost is one tape regardless of the particle count).
 implementation operation-for-operation — drawing ``eps`` as one
 ``(S, dim)`` ``standard_normal`` block, computing the same gradient
 expressions, and keeping the same entropy constant — so that
-``ADVI = VI(guide=AutoNormal())`` is bitwise stable under a fixed seed.
+``VI(guide=AutoNormal())`` is bitwise stable under a fixed seed.
 """
 
 from __future__ import annotations

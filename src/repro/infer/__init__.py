@@ -17,11 +17,10 @@ inference for the DeepStan extensions.  This package provides:
 * :class:`~repro.infer.vi.VI` — the unified variational-inference engine over
   the automatic guide families of :mod:`repro.guides` (mean-field, full-rank,
   low-rank, point-mass, amortized-neural), with ELBO histories and PSIS k-hat
-  guide-quality diagnostics.
+  guide-quality diagnostics; ``VI(guide=AutoNormal())`` is mean-field ADVI
+  (Stan's baseline in Fig. 10).
 * :class:`~repro.infer.vi.ExplicitVI` — the same result interface over
   explicit DeepStan ``guide`` blocks (via SVI).
-* :class:`~repro.infer.advi.ADVI` — deprecated alias of
-  ``VI(guide=AutoNormal())`` (Stan's ADVI baseline in Fig. 10).
 * :class:`~repro.infer.svi.SVI` — trace-based ELBO optimisation against an
   explicit guide (DeepStan ``guide`` blocks, §5.1).
 * :class:`~repro.infer.importance.ImportanceSampling` — self-normalised
@@ -37,7 +36,6 @@ from repro.infer.nuts import NUTS
 from repro.infer.mcmc import MCMC
 from repro.infer.results import FitResult, Posterior, POSTERIOR_SCHEMA_VERSION
 from repro.infer.vi import VI, ExplicitVI, PSISResult
-from repro.infer.advi import ADVI
 from repro.infer.svi import SVI, TraceELBO
 from repro.infer.importance import (
     PSIS_MIN_DRAWS,
@@ -63,7 +61,6 @@ __all__ = [
     "VI",
     "ExplicitVI",
     "PSISResult",
-    "ADVI",
     "SVI",
     "TraceELBO",
     "ImportanceSampling",

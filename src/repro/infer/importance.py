@@ -20,7 +20,8 @@ how well the proposal covers the target — the guide-quality layer of
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import warnings
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -38,6 +39,9 @@ from repro.ppl import handlers
 #: below ~500 draws the tail holds < 70 points and the shape posterior is
 #: too wide to trust a 0.7 threshold decision).
 PSIS_MIN_DRAWS = 500
+
+#: callers whose small-sample k-hat warning already fired in this process.
+_WARNED_CALLERS: Set[str] = set()
 
 
 def _check_psis_draws(n: int, min_draws: Optional[int], caller: str) -> None:
@@ -58,15 +62,15 @@ def _check_psis_draws(n: int, min_draws: Optional[int], caller: str) -> None:
                 f"{caller}: {n} draws is below the requested minimum of "
                 f"{min_draws}; the k-hat estimate would be unstable "
                 f"(documented floor: {PSIS_MIN_DRAWS})")
-    elif n < PSIS_MIN_DRAWS:
-        from repro.deprecation import warn_once
-
-        warn_once(
-            f"psis-min-draws:{caller}",
+    elif n < PSIS_MIN_DRAWS and caller not in _WARNED_CALLERS:
+        _WARNED_CALLERS.add(caller)
+        warnings.warn(
             f"{caller}: k-hat estimated from only {n} draws; estimates below "
             f"{PSIS_MIN_DRAWS} draws are unstable — pass min_draws to enforce "
             "a floor, or increase the sample count",
-            category=UserWarning)
+            UserWarning, stacklevel=2)
+
+
 def fit_generalized_pareto(exceedances: np.ndarray) -> Tuple[float, float]:
     """Fit a generalised Pareto distribution to positive exceedances.
 

@@ -40,7 +40,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.deprecation import warn_once
 from repro.infer.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointWriter,
@@ -590,7 +589,7 @@ class MCMC:
         return out
 
     # ------------------------------------------------------------------
-    # legacy accessors (thin delegations over the posterior)
+    # NumPyro-style accessors (thin delegations over the posterior)
     # ------------------------------------------------------------------
     def get_samples(self, group_by_chain: bool = False) -> Dict[str, np.ndarray]:
         """Posterior draws per site; chains are concatenated unless grouped."""
@@ -598,22 +597,13 @@ class MCMC:
             raise RuntimeError("run() must be called before get_samples()")
         return self.posterior.get_samples(group_by_chain=group_by_chain)
 
-    def get_extra_fields(self, group_by_chain: Optional[bool] = None):
+    def get_extra_fields(self, group_by_chain: bool = False) -> Dict[str, np.ndarray]:
         """Sampler statistics (accept_prob, step_size, divergent).
 
         ``group_by_chain=True`` returns ``(num_chains, num_draws)`` arrays
         per stat, ``False`` concatenates the chains — the same treatment as
-        :meth:`get_samples`.  Calling without the argument returns the
-        historical raw list-of-dicts-per-chain shape, with a deprecation
-        warning.
+        :meth:`get_samples`.
         """
-        if group_by_chain is None:
-            warn_once(
-                "mcmc-get-extra-fields-legacy",
-                "MCMC.get_extra_fields() without group_by_chain returns the legacy "
-                "list-of-dicts-per-chain; pass group_by_chain=True/False for stacked "
-                "arrays (or read .posterior.stats)")
-            return self._stats_by_chain
         if not self._stats_by_chain:
             raise RuntimeError("run() must be called before get_extra_fields()")
         stats = self.posterior.stats

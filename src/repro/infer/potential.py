@@ -12,7 +12,7 @@ performs the same extraction for our runtime:
     ``z``: the negative log joint density of (transformed) latents and data,
     including the change-of-variables Jacobian terms.
 
-Both the HMC/NUTS kernels and ADVI consume this object.
+Both the HMC/NUTS kernels and the VI engine consume this object.
 
 :meth:`Potential.potential_and_grad_batched` evaluates a whole
 ``(num_chains, dim)`` matrix of states in *one* tape: every latent site
@@ -97,9 +97,8 @@ class Potential:
         if enum is not None:
             self.engine_config = self.engine_config.replace(
                 enum=EnumConfig.coerce(enum))
-        #: the resolved discrete-marginalization configuration (see
-        #: EngineConfig.resolved_enum).
-        self.enum_config = self.engine_config.resolved_enum()
+        #: the resolved discrete-marginalization configuration.
+        self.enum_config = self.engine_config.enum
         self.model = model
         self.model_args = tuple(model_args)
         self.model_kwargs = dict(model_kwargs or {})
@@ -118,8 +117,7 @@ class Potential:
         #: threaded into TableSizeError so the failure is actionable).
         self.factorization_note: Optional[str] = None
         #: telemetry session (the shared null sink unless ``obs=`` was
-        #: given) and the unified engine metrics registry — the successor
-        #: of the ad-hoc ``eval_counters`` dict.
+        #: given) and the unified engine metrics registry.
         self.telemetry = as_telemetry(obs)
         self.metrics = self.telemetry.attach_registry("potential", MetricsRegistry())
         self.sites: "OrderedDict[str, SiteInfo]" = OrderedDict()
@@ -770,30 +768,22 @@ class Potential:
         with self._validation_lock:
             return [dict(record) for record in self._decisions]
 
-    @property
-    def eval_counters(self) -> Dict[str, float]:
-        """Evaluation counts + wall-clock, as the historical dict view.
-
-        Backed by the unified :attr:`metrics` registry; kept as a read-only
-        property so fit-metadata stamping (``metadata["eval_counters"]``)
-        and existing callers see the same shape as the old mutable dict.
-        """
-        counters = self.metrics.counters()
-        return {"grad_evals": int(counters.get("grad_evals", 0)),
-                "value_evals": int(counters.get("value_evals", 0)),
-                "compiled_evals": int(counters.get("compiled_evals", 0)),
-                "tape_seconds": float(counters.get("tape_seconds", 0.0))}
-
     def metrics_view(self) -> Dict[str, Any]:
         """Engine observability snapshot: resolved engine, tape tiers, counters.
 
         ``tape_modes`` maps each compiled program's label to the tier it
-        serves at (``"off"`` when it serves nothing).
+        serves at (``"off"`` when it serves nothing); ``grad_evals``,
+        ``value_evals``, ``compiled_evals`` and ``tape_seconds`` read the
+        :attr:`metrics` registry.
         """
         modes = {label: path.tier if path.program is not None else "off"
                  for label, path in list(self._programs.items())}
+        counters = self.metrics.counters()
         return {"engine": self.engine_config.engine, "tape_modes": modes,
-                **self.eval_counters}
+                "grad_evals": int(counters.get("grad_evals", 0)),
+                "value_evals": int(counters.get("value_evals", 0)),
+                "compiled_evals": int(counters.get("compiled_evals", 0)),
+                "tape_seconds": float(counters.get("tape_seconds", 0.0))}
 
     def eval_tier(self, num_chains: Optional[int] = None) -> str:
         """One-line evaluation-tier summary, e.g. ``compiled:fast vec:fast``.

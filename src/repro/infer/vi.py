@@ -21,8 +21,8 @@ the whole guide spectrum:
   mean-field ADVI and the explicit multimodal guide into a measurable number.
 
 The Adam update is written in the exact arithmetic of the historical ADVI
-optimiser, so the :class:`~repro.infer.advi.ADVI` alias remains bitwise
-stable under a fixed seed.
+optimiser, so ``VI(guide=AutoNormal())`` stays bitwise equal to it under a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -419,10 +419,10 @@ class ExplicitVI:
     """VI against an explicit guide function (DeepStan ``guide`` blocks).
 
     Wraps the trace-based :class:`~repro.infer.svi.SVI` optimiser and exposes
-    the same result interface as :class:`VI`, so ``run_vi`` callers can treat
-    automatic and hand-written guides uniformly.  ``model`` and ``guide`` are
-    zero-argument callables over the :mod:`repro.ppl` primitives sharing
-    latent site names.
+    the same result interface as :class:`VI`, so ``fit("vi", guide=...)``
+    callers can treat automatic and hand-written guides uniformly.
+    ``model`` and ``guide`` are zero-argument callables over the
+    :mod:`repro.ppl` primitives sharing latent site names.
     """
 
     guide_name = "explicit"

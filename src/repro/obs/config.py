@@ -66,8 +66,7 @@ class ObsConfig:
 
         ``None`` means "leave telemetry off", a bool toggles the master
         switch, a dict supplies field values, and an existing config
-        passes through.  ``overrides`` with value ``None`` are ignored,
-        matching :meth:`EngineConfig.coerce`.
+        passes through.  ``overrides`` with value ``None`` are ignored.
         """
         if value is None:
             config = cls()

@@ -1,8 +1,8 @@
 """A flat registry of counters/timers plus string-valued info labels.
 
 Every engine-level count (gradient evaluations, compiled-tape serves,
-batched-eval utilization) increments a named counter here (the
-``Potential.eval_counters`` dict is a view over them), timers accumulate
+batched-eval utilization) increments a named counter here
+(``Potential.metrics_view()`` reads them), timers accumulate
 float seconds under a ``*_seconds`` suffix, and discrete facts (the tier
 of each validated fast path, e.g. ``enum.strategy``) are recorded as info
 labels.  Zero dependencies, zero locks —

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.autodiff import ops
 from repro.autodiff.tensor import Tensor, as_tensor
-from repro.ppl import primitives
 from repro.ppl.primitives import _HANDLER_STACK
 
 

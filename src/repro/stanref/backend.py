@@ -29,7 +29,6 @@ from repro.stanref.interpreter import (
     ForbidProbabilistic,
     GenerativeEffects,
     StanInterpreter,
-    StanRuntimeError,
     TargetAccumulator,
 )
 
@@ -139,7 +138,7 @@ class StanModel:
 
         Runs the unified VI engine with the mean-field family and one ELBO
         particle — the exact (bitwise) computation of the historical ADVI
-        loop, without routing through the deprecated alias.
+        loop.
         """
         potential = self.potential(data, rng_seed=seed)
         vi = VI(potential, guide=AutoNormal(), learning_rate=learning_rate,

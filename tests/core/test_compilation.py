@@ -238,7 +238,8 @@ def test_compiled_log_joint_same_across_schemes(normal_source, normal_data):
 
 def test_compile_model_runs_nuts_and_recovers_posterior(coin_source, coin_data):
     compiled = compile_model(coin_source, backend="numpyro", scheme="mixed")
-    mcmc = compiled.run_nuts(coin_data, num_warmup=200, num_samples=200, seed=0)
+    mcmc = compiled.condition(coin_data).fit("nuts", num_warmup=200, num_samples=200,
+                                             seed=0)
     draws = mcmc.get_samples()["z"]
     heads = coin_data["x"].sum()
     expected_mean = (heads + 1) / (coin_data["N"] + 2)
@@ -255,7 +256,7 @@ def test_generated_quantities_execution(normal_data):
     source = corpus_models.get("generated_quantities_example")
     compiled = compile_model(source, backend="numpyro", scheme="comprehensive")
     draws = {"mu": np.array([0.0, 1.0]), "sigma": np.array([1.0, 2.0])}
-    gq = compiled.run_generated_quantities(normal_data, draws)
+    gq = compiled.condition(normal_data).generated_quantities(draws)
     assert set(gq) == {"y_pred", "log_lik"}
     assert len(gq["y_pred"]) == 2
 

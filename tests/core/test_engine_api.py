@@ -1,20 +1,24 @@
 """The unified ``engine=`` configuration API.
 
-:class:`repro.EngineConfig` is the single declarative value for every
-evaluation knob — engine selection, enumeration mode, default chain method,
-table cap — accepted by ``compile_model`` and
-threaded through ``ConditionedModel`` / ``Potential``.  These tests cover
-the config object itself, the threading, the legacy-kwarg shims and the
-metadata stamping (resolved engine + per-fit evaluation counters).
+:class:`repro.EngineConfig` is the single declarative value for the two
+evaluation knobs — engine selection and the discrete-latent ``enum`` config
+— accepted by ``compile_model`` and threaded through ``ConditionedModel`` /
+``Potential``.  These tests cover the config object itself, the threading,
+the one-spelling-per-option surface and the metadata stamping (resolved
+engine + per-fit evaluation counters).
 """
 
-import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro import EngineConfig, compile_model, deprecation
-from repro.engine import CHAIN_METHODS, ENGINES, ENUMERATE_MODES
+import repro.infer
+from repro import CompiledModel, EngineConfig, EnumConfig, compile_model
+from repro.engine import ENGINES
+from repro.infer import MCMC, NUTS, make_potential
+from repro.ppl import distributions as dist
+from repro.ppl.primitives import observe, sample
 
 SOURCE = """
 data { int N; real y[N]; }
@@ -35,42 +39,41 @@ DATA = {"N": 12, "y": np.random.default_rng(7).normal(0.8, 0.6, 12)}
 def test_defaults_and_constants():
     config = EngineConfig()
     assert config.engine == "compiled"
-    assert config.enumerate is None
-    assert config.chain_method == "sequential"
-    assert config.max_enum_table_size is None
     assert config.engine in ENGINES
-    assert config.enumerate in ENUMERATE_MODES
-    assert config.chain_method in CHAIN_METHODS
+    assert config.enum == EnumConfig(strategy="off")
 
 
 @pytest.mark.parametrize("kwargs", [
     {"engine": "jit"},
-    {"enumerate": "sequential"},
-    {"chain_method": "parallel"},
-    {"max_enum_table_size": 0},
 ])
 def test_validation_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         EngineConfig(**kwargs)
 
 
+@pytest.mark.parametrize("enum", [None, "auto", {"strategy": "auto"}],
+                         ids=["none", "name", "dict"])
+def test_enum_field_is_always_an_enum_config(enum):
+    # the field holds the resolved config; names are coerced only at the
+    # ``compile_model(enum=...)`` / ``Potential(enum=...)`` entry points
+    with pytest.raises(TypeError, match="enum must be an EnumConfig"):
+        EngineConfig(enum=enum)
+
+
 def test_coerce_accepts_none_name_and_config():
     assert EngineConfig.coerce(None) == EngineConfig()
     assert EngineConfig.coerce("interpreted").engine == "interpreted"
-    base = EngineConfig(enumerate="factorized")
+    base = EngineConfig(enum=EnumConfig(strategy="auto"))
     assert EngineConfig.coerce(base) is base
-    # None overrides are ignored (legacy-kwarg shims pass them through)
-    assert EngineConfig.coerce(base, enumerate=None) == base
-    assert EngineConfig.coerce(None, enumerate="parallel").enumerate == "parallel"
     with pytest.raises(TypeError):
         EngineConfig.coerce(42)
 
 
 def test_replace_validates_and_preserves():
-    config = EngineConfig(enumerate="factorized")
+    config = EngineConfig(enum=EnumConfig(strategy="auto"))
     replaced = config.replace(engine="interpreted")
     assert replaced.engine == "interpreted"
-    assert replaced.enumerate == "factorized"
+    assert replaced.enum == EnumConfig(strategy="auto")
     assert config.engine == "compiled", "replace must not mutate"
     with pytest.raises(ValueError):
         config.replace(engine="nope")
@@ -85,13 +88,40 @@ def test_config_is_hashable_and_usable_as_cache_key():
 
 
 def test_to_metadata_round_trip():
-    config = EngineConfig(engine="interpreted", enumerate="factorized",
-                          max_enum_table_size=1024)
+    config = EngineConfig(engine="interpreted",
+                          enum=EnumConfig(strategy="auto", max_table_size=1024))
     meta = config.to_metadata()
-    assert meta["engine"] == "interpreted"
-    assert meta["enumerate"] == "factorized"
-    assert meta["max_enum_table_size"] == 1024
-    assert EngineConfig(**meta) == config
+    assert meta == {"engine": "interpreted",
+                    "enum": {"strategy": "auto", "max_table_size": 1024}}
+    assert EngineConfig(engine=meta["engine"],
+                        enum=EnumConfig(**meta["enum"])) == config
+
+
+def test_one_spelling_per_option():
+    """The removed spellings are gone, not shimmed: each fails with
+    Python's own error and only the ``engine`` + ``enum`` surface remains."""
+    assert [f.name for f in fields(EngineConfig)] == ["engine", "enum"]
+    assert EngineConfig().enum == EnumConfig(strategy="off")
+    with pytest.raises(TypeError):
+        compile_model(SOURCE, enumerate="parallel")
+    with pytest.raises(TypeError):
+        compile_model(SOURCE, max_enum_table_size=8)
+    for method in ("nuts", "vi", "advi", "svi", "generated_quantities"):
+        assert not hasattr(CompiledModel, f"run_{method}"), method
+    assert not hasattr(repro.infer, "ADVI")
+    with pytest.raises(ValueError, match="unknown fit method"):
+        compile_model(SOURCE, name="no_advi").condition(DATA).fit("advi")
+
+    def model():
+        mu = sample("mu", dist.Normal(0.0, 2.0))
+        observe(dist.Normal(mu, 1.0), DATA["y"], name="y")
+
+    mcmc = MCMC(NUTS(make_potential(model)), num_warmup=10, num_samples=5,
+                num_chains=2, seed=0).run()
+    default, flat = mcmc.get_extra_fields(), mcmc.get_extra_fields(group_by_chain=False)
+    assert sorted(default) == sorted(flat)
+    for key in flat:
+        np.testing.assert_array_equal(default[key], flat[key])
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +179,45 @@ def test_interpreted_fit_records_zero_compiled_evals():
     assert fit.metadata["eval_counters"]["compiled_evals"] == 0
 
 
+def test_enum_kwarg_maps_onto_config():
+    compiled = compile_model(SOURCE, enum="auto", name="engine_enum")
+    assert compiled.engine_config == EngineConfig(enum=EnumConfig(strategy="auto"))
+    # ``enum=`` replaces only the enum field of an ``engine=`` config
+    both = compile_model(SOURCE, engine="interpreted", enum="parallel",
+                         name="engine_enum_both")
+    assert both.engine_config == EngineConfig(
+        engine="interpreted", enum=EnumConfig(strategy="parallel"))
+    assert compile_model(SOURCE, name="engine_enum_off").engine_config.enum \
+        == EnumConfig(strategy="off")
+
+
+def test_enum_table_cap_maps_onto_config():
+    cap = EnumConfig(strategy="auto", max_table_size=2048)
+    compiled = compile_model(SOURCE, enum=cap, name="engine_cap")
+    assert compiled.engine_config.enum is cap
+    potential = compiled.condition(DATA).potential(0)
+    assert potential.enum_config.max_table_size == 2048
+
+
+def test_chain_method_is_a_fit_option():
+    model = compile_model(SOURCE, name="engine_chain").condition(DATA)
+    kwargs = dict(num_warmup=15, num_samples=10, num_chains=2, seed=0)
+    default = model.fit("nuts", **kwargs)
+    assert default.posterior.metadata["chain_method"] == "sequential"
+    vectorized = model.fit("nuts", chain_method="vectorized", **kwargs)
+    assert vectorized.posterior.metadata["chain_method"] == "vectorized"
+    a = default.get_samples(group_by_chain=True)
+    b = vectorized.get_samples(group_by_chain=True)
+    for name in a:
+        np.testing.assert_allclose(b[name], a[name], atol=1e-12)
+
+
+def test_fit_rejects_unknown_chain_method():
+    model = compile_model(SOURCE, name="engine_chain_bad").condition(DATA)
+    with pytest.raises(ValueError, match="unknown chain_method"):
+        model.fit("nuts", num_warmup=5, num_samples=5, chain_method="parallel")
+
+
 def test_compiled_and_interpreted_fits_match_bitwise():
     model = compile_model(SOURCE, name="engine_match").condition(DATA)
     fit_c = model.fit("nuts", num_warmup=20, num_samples=15, seed=3,
@@ -158,42 +227,3 @@ def test_compiled_and_interpreted_fits_match_bitwise():
     # the "fast" tier is bitwise, so the NUTS trajectories are identical
     for name, draws in fit_c.posterior.draws.items():
         np.testing.assert_array_equal(draws, fit_i.posterior.draws[name])
-
-
-def test_chain_method_default_comes_from_config():
-    config = EngineConfig(chain_method="vectorized")
-    model = compile_model(SOURCE, engine=config, name="engine_chain").condition(DATA)
-    fit = model.fit("nuts", num_warmup=15, num_samples=10, num_chains=2, seed=0)
-    assert fit.posterior.metadata["chain_method"] == "vectorized"
-    # an explicit kwarg still wins
-    fit2 = model.fit("nuts", num_warmup=15, num_samples=10, num_chains=2,
-                     seed=0, chain_method="sequential")
-    assert fit2.posterior.metadata["chain_method"] == "sequential"
-
-
-# ----------------------------------------------------------------------
-# legacy-kwarg shims
-# ----------------------------------------------------------------------
-def test_enumerate_kwarg_warns_once_and_maps_onto_config():
-    deprecation.reset_warnings()
-    with pytest.warns(DeprecationWarning, match="enumerate"):
-        compiled = compile_model(
-            "parameters { real x; } model { x ~ normal(0, 1); }",
-            enumerate="factorized", name="shim_enum")
-    assert compiled.engine_config.enumerate == "factorized"
-    assert compiled.enumerate_mode == "factorized"
-    # once per process: the second use is silent
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        compile_model("parameters { real x; } model { x ~ normal(0, 1); }",
-                      enumerate="factorized", name="shim_enum2")
-
-
-def test_max_enum_table_size_kwarg_warns_and_maps():
-    deprecation.reset_warnings()
-    with pytest.warns(DeprecationWarning, match="max_enum_table_size"):
-        compiled = compile_model(
-            "parameters { real x; } model { x ~ normal(0, 1); }",
-            max_enum_table_size=2048, name="shim_cap")
-    assert compiled.engine_config.max_enum_table_size == 2048
-    assert compiled.max_enum_table_size == 2048

@@ -12,7 +12,7 @@ The contraction engine's contract, tested end to end:
 * Stan models with cross-site coupling (factorial HMM, tree-coupled
   mixture, grid Ising coupling, 3-way terms) resolve to
   ``enum_strategy == "contract"`` and match the joint table
-  (``enumerate="parallel"``) in values, gradients and the batched tape at
+  (``enum="parallel"``) in values, gradients and the batched tape at
   sizes where the table is still materializable;
 * isolated variables (mixture elements) are eliminated as one logsumexp
   block per site, on the tape and in ``infer_discrete``, which reads them
@@ -26,11 +26,11 @@ The contraction engine's contract, tested end to end:
 import numpy as np
 import pytest
 
-from repro import EnumConfig, TableSizeError, compile_model
+from repro import EngineConfig, EnumConfig, TableSizeError, compile_model
 from repro.corpus import models as corpus_models
-from repro.engine import EngineConfig
 from repro.enum import ContractionError, discrete_rng, infer_discrete
 from repro.enum.contract import ContractFactors, plan_elimination
+from repro.frontend.semantics import SemanticError
 from repro.posteriordb import datagen
 
 
@@ -247,7 +247,7 @@ model {
 
 def _contract_vs_joint(source, data, probe_shift=0.37):
     pot = compile_model(source, enum="auto").condition(data).potential(0)
-    joint = compile_model(source, enumerate="parallel") \
+    joint = compile_model(source, enum="parallel") \
         .condition(data).potential(0)
     z0 = pot.initial_unconstrained()
     for z in (z0, z0 + probe_shift):
@@ -373,7 +373,7 @@ def _factorial_potentials(t=5):
     data = datagen.factorial_hmm_data(seed=0, t=t)
     source = corpus_models.get("factorial_hmm_enum")
     pot = compile_model(source, enum="auto").condition(data).potential(0)
-    joint = compile_model(source, enumerate="parallel") \
+    joint = compile_model(source, enum="parallel") \
         .condition(data).potential(0)
     return pot, joint
 
@@ -438,19 +438,21 @@ def test_enum_config_rejects_unknown_strategy():
         EnumConfig.coerce(42)
 
 
-def test_engine_config_threads_legacy_spelling_onto_enum():
-    config = EngineConfig(enumerate="factorized", max_enum_table_size=999)
-    resolved = config.resolved_enum()
-    assert resolved.strategy == "auto"
-    assert resolved.max_table_size == 999
-    assert EngineConfig(enumerate="parallel").resolved_enum().strategy == "parallel"
-    assert EngineConfig().resolved_enum().strategy == "off"
-    # an explicit EnumConfig wins but inherits the legacy cap
-    config = EngineConfig(enumerate="parallel", max_enum_table_size=999,
-                          enum=EnumConfig(strategy="contract"))
-    resolved = config.resolved_enum()
-    assert resolved.strategy == "contract"
-    assert resolved.max_table_size == 999
+def test_engine_config_threads_enum_onto_potential():
+    data = datagen.gauss_mix_enum_data(seed=0, n=6)
+    source = corpus_models.get("gauss_mix_enum")
+    config = EngineConfig(enum=EnumConfig(strategy="auto", max_table_size=999))
+    pot = compile_model(source, engine=config).condition(data).potential(0)
+    assert pot.engine_config == config
+    assert pot.enum_config == EnumConfig(strategy="auto", max_table_size=999)
+    # an explicit enum= replaces the engine config's enum wholesale
+    pot = compile_model(source, engine=config, enum="contract") \
+        .condition(data).potential(0)
+    assert pot.enum_config == EnumConfig(strategy="contract")
+    # without enum= the default strategy is "off"
+    assert EngineConfig().enum.strategy == "off"
+    with pytest.raises(SemanticError, match='enum="auto"'):
+        compile_model(source)
 
 
 def test_fit_metadata_reports_resolved_strategy():

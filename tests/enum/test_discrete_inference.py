@@ -36,7 +36,7 @@ def mixture_entry():
 
 @pytest.fixture(scope="module")
 def mixture_model(mixture_entry):
-    compiled = compile_model(mixture_entry.source, enumerate="parallel",
+    compiled = compile_model(mixture_entry.source, enum="parallel",
                              name=mixture_entry.name)
     return compiled.condition(mixture_entry.data())
 
@@ -54,7 +54,7 @@ def test_mixture_compiles_and_samples_deterministically(mixture_model, mixture_f
     again = mixture_model.fit("nuts", num_warmup=WARMUP, num_samples=SAMPLES,
                               seed=0, max_tree_depth=7)
     assert again.posterior.equals(mixture_fit.posterior)
-    assert mixture_fit.posterior.metadata["enumerate"] == "parallel"
+    assert mixture_fit.metadata["enum"]["requested"] == "parallel"
     assert set(mixture_fit.posterior.sites) == {"theta", "mu", "sigma"}
 
 
@@ -98,7 +98,7 @@ def test_enumeration_composes_with_vectorized_chains(mixture_model):
 @pytest.mark.parametrize("chain_method", ["sequential", "vectorized"])
 def test_enumerated_checkpoint_resume_is_bitwise(tmp_path, mixture_entry, chain_method):
     def fresh_model():
-        compiled = compile_model(mixture_entry.source, enumerate="parallel",
+        compiled = compile_model(mixture_entry.source, enum="parallel",
                                  name=mixture_entry.name)
         return compiled.condition(mixture_entry.data())
 
@@ -124,7 +124,7 @@ def test_enumerated_checkpoint_resume_is_bitwise(tmp_path, mixture_entry, chain_
 def test_hmm_marginal_matches_forward_algorithm():
     entry = get("hmm_enum-synthetic_hmm")
     data = entry.data()
-    model = compile_model(entry.source, enumerate="parallel",
+    model = compile_model(entry.source, enum="parallel",
                           name=entry.name).condition(data)
     potential = model.potential(0)
     z0 = potential.initial_unconstrained(rng=np.random.default_rng(3))
@@ -153,7 +153,7 @@ def test_both_backends_vectorize_and_agree(mixture_entry):
     values = {}
     for backend in ("numpyro", "pyro"):
         compiled = compile_model(mixture_entry.source, backend=backend,
-                                 enumerate="parallel", name=mixture_entry.name)
+                                 enum="parallel", name=mixture_entry.name)
         pot = compiled.condition(mixture_entry.data()).potential(0)
         z0 = pot.initial_unconstrained()
         values[backend] = pot.potential_and_grad(z0)
@@ -165,7 +165,7 @@ def test_both_backends_vectorize_and_agree(mixture_entry):
 def test_zip_matches_hand_marginalized():
     enum_entry = get("zip_poisson_enum-synthetic_zip")
     marginal_entry = get("zip_poisson_marginal-synthetic_zip")
-    enum_fit = compile_model(enum_entry.source, enumerate="parallel",
+    enum_fit = compile_model(enum_entry.source, enum="parallel",
                              name=enum_entry.name).condition(
         enum_entry.data()).fit("nuts", num_warmup=WARMUP, num_samples=SAMPLES,
                                seed=0, max_tree_depth=7)

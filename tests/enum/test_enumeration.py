@@ -6,7 +6,7 @@ from scipy.special import logsumexp as np_logsumexp
 
 from repro import EnumerationError, TableSizeError, compile_model
 from repro.autodiff.tensor import as_tensor
-from repro.engine import EngineConfig, EnumConfig
+from repro.engine import EnumConfig
 from repro.enum import (
     DiscreteSiteInfo,
     EnumerationPlan,
@@ -69,7 +69,7 @@ def test_element_marginals_recover_joint_weights():
 
 def test_table_size_cap_raises_actionable_error():
     site = DiscreteSiteInfo("z", np.array([0.0, 1.0]), (8,))
-    with pytest.raises(TableSizeError, match="max_enum_table_size"):
+    with pytest.raises(TableSizeError, match=r"EnumConfig\(max_table_size="):
         _plan([site], cap=100)
     _plan([site], cap=256)  # exactly at the cap is fine
 
@@ -282,24 +282,28 @@ def test_potential_table_cap_guard():
             strategy="parallel", max_table_size=100))
 
 
-def test_invalid_enumerate_mode_rejected():
-    with pytest.raises(ValueError, match="enumerate"):
+def test_invalid_enum_strategy_rejected():
+    with pytest.raises(ValueError, match="unknown enum strategy"):
         compile_model("parameters { real x; } model { x ~ normal(0, 1); }",
-                      enumerate="sequential")
+                      enum="sequential")
+    with pytest.raises(ValueError, match="unknown enum strategy"):
+        make_potential(_mixture_model(np.array([0.1])), fast=True, enum="sequential")
 
 
-def test_enumerate_spellings_validate_in_one_place():
-    # compile_model and EngineConfig share one table of legacy enumerate=
-    # spellings, so a bogus one raises the same ValueError
+def test_enum_spellings_validate_in_one_place():
+    # compile_model, Potential and EnumConfig all coerce through EnumConfig,
+    # so a bogus strategy raises the same ValueError at every entry point
     messages = []
     for build in (
             lambda: compile_model("parameters { real x; } model { x ~ normal(0, 1); }",
-                                  enumerate="bogus"),
-            lambda: EngineConfig(enumerate="bogus")):
+                                  enum="bogus"),
+            lambda: make_potential(_mixture_model(np.array([0.1])), fast=True,
+                                   enum="bogus"),
+            lambda: EnumConfig(strategy="bogus")):
         with pytest.raises(ValueError) as excinfo:
             build()
         messages.append(str(excinfo.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
 
 
 # ----------------------------------------------------------------------
@@ -341,8 +345,8 @@ def test_semantics_rejects_unbounded_int_parameters_even_when_enumerating():
 def test_compile_model_threads_the_enumerate_flag():
     with pytest.raises(SemanticError, match='enum="auto"'):
         compile_model(INT_PARAM_SOURCE)
-    compiled = compile_model(INT_PARAM_SOURCE, enumerate="parallel")
-    assert compiled.enumerate_mode == "parallel"
+    compiled = compile_model(INT_PARAM_SOURCE, enum="parallel")
+    assert compiled.engine_config.enum.strategy == "parallel"
     # the int parameter got the int_range declaration prior
     assert "int_range" in compiled.source
 
@@ -351,8 +355,8 @@ def test_compile_cache_distinguishes_enumerated_compiles():
     from repro import clear_compile_cache, compile_cache_info
 
     clear_compile_cache()
-    compile_model(INT_PARAM_SOURCE, enumerate="parallel")
+    compile_model(INT_PARAM_SOURCE, enum="parallel")
     with pytest.raises(SemanticError):
         compile_model(INT_PARAM_SOURCE)  # plain path must still reject
-    compile_model(INT_PARAM_SOURCE, enumerate="parallel")
+    compile_model(INT_PARAM_SOURCE, enum="parallel")
     assert compile_cache_info().hits >= 1

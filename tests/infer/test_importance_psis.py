@@ -1,10 +1,13 @@
 """Pareto-smoothed importance sampling: GPD fit, k-hat, smoothing, ESS."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.infer import ImportanceSampling
+from repro.infer import ImportanceSampling, importance
 from repro.infer.importance import (
+    PSIS_MIN_DRAWS,
     fit_generalized_pareto,
     importance_ess,
     pareto_smoothed_log_weights,
@@ -94,6 +97,33 @@ def test_importance_ess_degenerate_weights_is_one():
     lw = np.full(100, -1e3)
     lw[0] = 0.0
     assert importance_ess(lw) == pytest.approx(1.0, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# the documented draw-count floor
+# ----------------------------------------------------------------------
+def test_small_sample_khat_warns_once_per_process(monkeypatch):
+    monkeypatch.setattr(importance, "_WARNED_CALLERS", set())
+    log_weights = np.random.default_rng(0).normal(size=100)
+    with pytest.warns(UserWarning, match="only 100 draws"):
+        psis_khat(log_weights)
+    # the second small-sample call is silent
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        psis_khat(log_weights)
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
+
+
+def test_explicit_min_draws_is_a_hard_floor():
+    log_weights = np.random.default_rng(0).normal(size=100)
+    with pytest.raises(ValueError, match="below the requested minimum"):
+        psis_khat(log_weights, min_draws=PSIS_MIN_DRAWS)
+    with pytest.raises(ValueError, match="min_draws must be >= 1"):
+        psis_khat(log_weights, min_draws=0)
+    # meeting an explicit floor neither raises nor warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(psis_khat(log_weights, min_draws=100))
 
 
 # ----------------------------------------------------------------------

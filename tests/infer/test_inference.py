@@ -5,7 +5,8 @@ import pytest
 import scipy.stats as st
 
 from repro.autodiff import Tensor, ops
-from repro.infer import ADVI, HMC, MCMC, NUTS, ImportanceSampling, SVI, diagnostics, make_potential
+from repro.guides import AutoNormal
+from repro.infer import HMC, MCMC, NUTS, VI, ImportanceSampling, SVI, diagnostics, make_potential
 from repro.infer.potential import DiscreteLatentError
 from repro.ppl import distributions as dist
 from repro.ppl.primitives import observe, param, sample
@@ -164,13 +165,13 @@ def test_nuts_step_size_adaptation_changes_step(rng):
 
 
 # ----------------------------------------------------------------------
-# ADVI
+# ADVI (VI over the mean-field AutoNormal guide)
 # ----------------------------------------------------------------------
 def test_advi_recovers_posterior_mean(rng):
     data = rng.normal(2.0, 1.0, size=50)
     pot = make_potential(conjugate_normal_model, data)
-    advi = ADVI(pot, learning_rate=0.1, seed=0).run(400)
-    draws = advi.sample_posterior(500)["mu"]
+    advi = VI(pot, guide=AutoNormal(), learning_rate=0.1, seed=0).run(400)
+    draws = advi.posterior_draws(500)["mu"]
     true_mean, _ = _posterior_params(data)
     assert draws.mean() == pytest.approx(true_mean, abs=0.15)
     assert len(advi.elbo_history) == 400
@@ -179,7 +180,7 @@ def test_advi_recovers_posterior_mean(rng):
 def test_advi_elbo_improves(rng):
     data = rng.normal(1.0, 1.0, size=30)
     pot = make_potential(conjugate_normal_model, data)
-    advi = ADVI(pot, learning_rate=0.1, seed=0).run(300)
+    advi = VI(pot, guide=AutoNormal(), learning_rate=0.1, seed=0).run(300)
     early = np.mean(advi.elbo_history[:20])
     late = np.mean(advi.elbo_history[-20:])
     assert late > early

@@ -1,4 +1,4 @@
-"""Posterior-first API: Posterior container, checkpoint/resume, pipeline, shims.
+"""Posterior-first API: Posterior container, checkpoint/resume, pipeline.
 
 Covers the redesigned result layer end to end:
 
@@ -9,26 +9,23 @@ Covers the redesigned result layer end to end:
   vectorized chain methods, and for VI optimizer-state snapshots;
 * the fluent pipeline — ``compile_model(...).condition(data).fit(...)``
   returning :class:`~repro.infer.FitResult` objects, potential caching,
-  the compilation cache;
-* the deprecation layer — every legacy entry point warns once per process
-  and delegates to an identical computation.
+  the compilation cache.
 """
 
 import os
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import (
+    CompileError,
     FitResult,
     Posterior,
     clear_compile_cache,
     compile_cache_info,
     compile_model,
 )
-from repro import deprecation
-from repro.infer import ADVI, MCMC, NUTS, VI, make_potential
+from repro.infer import MCMC, NUTS, VI, make_potential
 from repro.ppl import distributions as dist
 from repro.ppl.primitives import observe, sample
 
@@ -289,16 +286,17 @@ def test_condition_caches_potential_and_model_callable():
     assert model.model_callable() is model.model_callable()
 
 
-def test_fit_matches_legacy_run_nuts_bitwise():
+def test_fit_matches_direct_mcmc_bitwise():
     compiled = compile_model(STAN_SOURCE)
     fit = compiled.condition(STAN_DATA).fit("nuts", num_warmup=30, num_samples=20,
                                             num_chains=2, seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = compiled.run_nuts(STAN_DATA, num_warmup=30, num_samples=20,
-                                   num_chains=2, seed=0)
+    # the pipeline is a thin layer: the same kernel on a fresh potential
+    # draws the same chains
+    direct = MCMC(NUTS(compiled.potential(STAN_DATA, rng_seed=0)), num_warmup=30,
+                  num_samples=20, num_chains=2, seed=0).run()
     a = fit.get_samples(group_by_chain=True)
-    b = legacy.get_samples(group_by_chain=True)
+    b = direct.get_samples(group_by_chain=True)
+    assert sorted(a) == sorted(b)
     for name in a:
         np.testing.assert_array_equal(a[name], b[name])
 
@@ -352,40 +350,10 @@ def test_compile_cache_hits_and_isolation():
     assert compile_cache_info().misses == after.misses + 1
 
 
-# ----------------------------------------------------------------------
-# the deprecation layer
-# ----------------------------------------------------------------------
-def test_legacy_entry_points_warn_once_per_process():
-    compiled = compile_model(STAN_SOURCE)
-    cases = {
-        "run_nuts": lambda: compiled.run_nuts(STAN_DATA, num_warmup=5, num_samples=5),
-        "run_vi": lambda: compiled.run_vi(STAN_DATA, num_steps=3),
-        "run_advi": lambda: compiled.run_advi(STAN_DATA, num_steps=3, num_samples=5),
-        "ADVI": lambda: ADVI(make_potential(conjugate_model)),
-        "run_generated_quantities": lambda: compiled.run_generated_quantities(
-            STAN_DATA, {"mu": np.zeros(2), "sigma": np.ones(2)}),
-        "get_extra_fields": lambda: run_mcmc().get_extra_fields(),
-    }
-    for label, call in cases.items():
-        deprecation.reset_warnings()
-        with pytest.warns(DeprecationWarning):
-            call()
-        # the second call is silent: once per process
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            call()
-        deprecated = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert not deprecated, f"{label} warned twice"
-    deprecation.reset_warnings()
-
-
-def test_run_svi_warns_and_requires_guide():
-    deprecation.reset_warnings()
-    compiled = compile_model(STAN_SOURCE)
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(Exception):
-            compiled.run_svi(STAN_DATA, num_steps=2)
-    deprecation.reset_warnings()
+def test_fit_svi_requires_guide_block():
+    model = compile_model(STAN_SOURCE).condition(STAN_DATA)
+    with pytest.raises(CompileError, match="requires a guide block"):
+        model.fit("svi", num_steps=2)
 
 
 def test_get_extra_fields_shapes():
@@ -396,13 +364,6 @@ def test_get_extra_fields_shapes():
     assert flat["accept_prob"].shape == (60,)
     np.testing.assert_array_equal(flat["accept_prob"],
                                   grouped["accept_prob"].reshape(-1))
-    # the legacy shape is still available (with a warning)
-    deprecation.reset_warnings()
-    with pytest.warns(DeprecationWarning):
-        legacy = mcmc.get_extra_fields()
-    assert isinstance(legacy, list) and len(legacy) == 2
-    np.testing.assert_array_equal(legacy[0]["accept_prob"], grouped["accept_prob"][0])
-    deprecation.reset_warnings()
 
 
 def test_concat_unions_disjoint_sampler_stats():

@@ -13,7 +13,8 @@ import pytest
 
 from repro import compile_model
 from repro.corpus import models
-from repro.infer import ADVI, HMC, MCMC, NUTS, make_potential
+from repro.guides import AutoNormal
+from repro.infer import HMC, MCMC, NUTS, VI, make_potential
 from repro.ppl import distributions as dist
 from repro.ppl.primitives import observe, sample
 
@@ -249,8 +250,9 @@ def test_vectorized_matches_sequential_corpus_model():
 
     def run(chain_method):
         compiled = compile_model(source, backend="numpyro", scheme="comprehensive")
-        return compiled.run_nuts(data, num_warmup=50, num_samples=30, num_chains=4,
-                                 seed=3, max_tree_depth=6, chain_method=chain_method)
+        return compiled.condition(data).fit(
+            "nuts", num_warmup=50, num_samples=30, num_chains=4, seed=3,
+            max_tree_depth=6, chain_method=chain_method)
 
     seq = run("sequential").get_samples(group_by_chain=True)
     vec = run("vectorized").get_samples(group_by_chain=True)
@@ -264,8 +266,9 @@ def test_vectorized_matches_sequential_on_fallback_model():
     def run(chain_method):
         compiled = compile_model(models.get("multimodal"), backend="numpyro",
                                  scheme="comprehensive")
-        return compiled.run_nuts({}, num_warmup=40, num_samples=20, num_chains=2,
-                                 seed=11, max_tree_depth=5, chain_method=chain_method)
+        return compiled.condition({}).fit(
+            "nuts", num_warmup=40, num_samples=20, num_chains=2, seed=11,
+            max_tree_depth=5, chain_method=chain_method)
 
     seq = run("sequential").get_samples(group_by_chain=True)
     vec = run("vectorized").get_samples(group_by_chain=True)
@@ -329,7 +332,7 @@ def test_custom_mass_matrix_preserved_across_chains():
 
 
 # ----------------------------------------------------------------------
-# ADVI batched ELBO draws
+# ADVI (VI over AutoNormal) batched ELBO draws
 # ----------------------------------------------------------------------
 def test_advi_multi_sample_elbo_uses_batched_path():
     data = np.random.default_rng(0).normal(1.0, 1.0, size=30)
@@ -339,9 +342,10 @@ def test_advi_multi_sample_elbo_uses_batched_path():
         observe(dist.Normal(mu, 1.0), data, name="y")
 
     pot = make_potential(model)
-    advi = ADVI(pot, learning_rate=0.1, num_elbo_samples=4, seed=0).run(200)
+    advi = VI(pot, guide=AutoNormal(), learning_rate=0.1, num_particles=4,
+              seed=0).run(200)
     assert batched_tiers(pot).get(4) == "fast"
-    draws = advi.sample_posterior(300)["mu"]
+    draws = advi.posterior_draws(300)["mu"]
     n = len(data)
     true_mean = (data.sum() / 1.0) / (1 / 4.0 + n)
     assert draws.mean() == pytest.approx(true_mean, abs=0.2)

@@ -2,8 +2,9 @@
 
 Covers every autoguide family on a conjugate model, eight-schools
 (non-centered, constrained scales) and the Fig. 10 multimodal-guide corpus
-model; bitwise stability of the refactored ADVI; PSIS k-hat guide ranking on
-a correlated posterior; and the ``run_vi`` result API.
+model; bitwise stability of mean-field ADVI (``VI`` with ``AutoNormal``);
+PSIS k-hat guide ranking on a correlated posterior; and the
+``fit("vi", ...)`` result API.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.guides import (
     GuideSetupError,
     get_autoguide,
 )
-from repro.infer import ADVI, MCMC, NUTS, SVI, VI, make_potential
+from repro.infer import MCMC, NUTS, SVI, VI, make_potential
 from repro.posteriordb import get as pdb_get
 from repro.ppl import distributions as dist
 from repro.ppl.primitives import observe, param, sample
@@ -111,8 +112,8 @@ def test_family_on_eight_schools(family):
     entry = pdb_get("eight_schools_noncentered-eight_schools")
     compiled = compile_model(entry.source, backend="numpyro", scheme="comprehensive")
     lr, steps = (0.02, 500) if family == "auto_neural" else (0.1, 300)
-    vi = compiled.run_vi(entry.data(), guide=family, num_steps=steps,
-                         learning_rate=lr, seed=0)
+    vi = compiled.condition(entry.data()).fit("vi", guide=family, num_steps=steps,
+                                              learning_rate=lr, seed=0)
     draws = vi.posterior_draws(200)
     assert draws["mu"].shape == (200,)
     assert draws["tau"].shape == (200,)
@@ -127,7 +128,7 @@ def test_family_on_eight_schools(family):
 
 
 # ----------------------------------------------------------------------
-# the refactored ADVI is bitwise-stable
+# mean-field ADVI (VI over AutoNormal) is bitwise-stable
 # ----------------------------------------------------------------------
 def _legacy_advi(potential, learning_rate, num_elbo_samples, seed, num_steps,
                  num_posterior):
@@ -176,25 +177,27 @@ def test_advi_bitwise_matches_legacy_implementation(num_elbo_samples, rng):
         make_potential(model), learning_rate=0.07,
         num_elbo_samples=num_elbo_samples, seed=7, num_steps=120, num_posterior=100)
 
-    advi = ADVI(make_potential(model), learning_rate=0.07,
-                num_elbo_samples=num_elbo_samples, seed=7).run(120)
-    assert np.array_equal(advi.loc, loc)
-    assert np.array_equal(advi.log_scale, log_scale)
+    advi = VI(make_potential(model), guide=AutoNormal(), learning_rate=0.07,
+              num_particles=num_elbo_samples, seed=7).run(120)
+    assert np.array_equal(advi.guide.loc, loc)
+    assert np.array_equal(advi.guide.log_scale, log_scale)
     assert advi.elbo_history == elbos
-    draws = advi.sample_posterior(100)
+    draws = advi.posterior_draws(100)
     assert all(np.array_equal(draws[k], legacy_draws[k]) for k in legacy_draws)
 
 
-def test_advi_is_a_vi_with_auto_normal(rng):
-    data = rng.normal(size=20)
-    advi = ADVI(make_potential(conjugate_model, data), seed=3)
-    assert isinstance(advi, VI)
-    assert isinstance(advi.guide, AutoNormal)
-    vi = VI(make_potential(conjugate_model, data), guide="auto_normal", seed=3)
-    advi.run(50)
-    vi.run(50)
-    assert np.array_equal(advi.loc, vi.guide.loc)
-    assert advi.elbo_history == vi.elbo_history
+def test_fit_vi_defaults_to_mean_field_advi(coin_source, coin_data):
+    # fit("vi") with no guide is mean-field ADVI: AutoNormal at its default
+    # learning rate (0.05) and one ELBO particle
+    compiled = compile_model(coin_source, backend="numpyro", scheme="comprehensive")
+    fit = compiled.condition(coin_data).fit("vi", num_steps=60, seed=3)
+    assert isinstance(fit.guide, AutoNormal)
+    assert (fit.learning_rate, fit.num_particles) == (0.05, 1)
+    advi = VI(compiled.potential(coin_data, rng_seed=3), guide=AutoNormal(),
+              learning_rate=0.05, num_particles=1, seed=3).run(60)
+    assert np.array_equal(fit.guide.loc, advi.guide.loc)
+    assert np.array_equal(fit.guide.log_scale, advi.guide.log_scale)
+    assert fit.elbo_history == advi.elbo_history
 
 
 # ----------------------------------------------------------------------
@@ -256,19 +259,19 @@ def test_khat_orders_meanfield_vs_fullrank_on_correlated_posterior(rng):
 
 
 # ----------------------------------------------------------------------
-# multimodal corpus model: the Fig. 10 contrast through run_vi
+# multimodal corpus model: the Fig. 10 contrast through fit("vi")
 # ----------------------------------------------------------------------
 def test_multimodal_meanfield_vs_explicit_guide():
     plain = compile_model(corpus_models.get("multimodal"), backend="numpyro",
                           scheme="comprehensive", name="multimodal")
-    mf = plain.run_vi({}, guide="auto_normal", num_steps=800,
-                      learning_rate=0.05, seed=0)
+    mf = plain.condition({}).fit("vi", guide="auto_normal", num_steps=800,
+                                 learning_rate=0.05, seed=0)
     theta_mf = mf.posterior_draws(300)["theta"]
 
     guided = compile_model(corpus_models.get("multimodal_guide"), backend="pyro",
                            scheme="comprehensive", name="multimodal_guide")
-    ex = guided.run_vi({}, guide="explicit", num_steps=1500,
-                       learning_rate=0.05, seed=0)
+    ex = guided.condition({}).fit("vi", guide="explicit", num_steps=1500,
+                                  learning_rate=0.05, seed=0)
     theta_ex = ex.posterior_draws(300)["theta"]
 
     def mass_near(draws, mode, radius=5.0):
@@ -291,8 +294,9 @@ def test_multimodal_meanfield_vs_explicit_guide():
 
 def test_run_vi_accepts_guide_instances_and_callables(rng, coin_source, coin_data):
     compiled = compile_model(coin_source, backend="numpyro", scheme="comprehensive")
-    vi = compiled.run_vi(coin_data, guide=AutoLowRankMultivariateNormal(rank=1),
-                         num_steps=100, seed=0)
+    model = compiled.condition(coin_data)
+    vi = model.fit("vi", guide=AutoLowRankMultivariateNormal(rank=1),
+                   num_steps=100, seed=0)
     assert vi.guide.rank == 1
     assert 0.0 < float(vi.posterior_draws(100)["z"].mean()) < 1.0
 
@@ -301,7 +305,7 @@ def test_run_vi_accepts_guide_instances_and_callables(rng, coin_source, coin_dat
         loc = param("z_loc", 0.0)
         sample("z", dist.Beta(np.exp(loc) + 1e-3, 1.0))
 
-    evi = compiled.run_vi(coin_data, guide=my_guide, num_steps=50, seed=0)
+    evi = model.fit("vi", guide=my_guide, num_steps=50, seed=0)
     assert len(evi.elbo_history) == 50
 
 
@@ -314,7 +318,7 @@ def test_explicit_vi_result_survives_param_store_clear(coin_source, coin_data):
         loc = param("z_loc", 0.0)
         sample("z", dist.Beta(np.exp(float(loc.data)) + 1e-3, 1.0))
 
-    evi = compiled.run_vi(coin_data, guide=my_guide, num_steps=30, seed=0)
+    evi = compiled.condition(coin_data).fit("vi", guide=my_guide, num_steps=30, seed=0)
     fitted = float(primitives.get_param_store()["z_loc"].data)
     # A later fit (or anything else) may clear the global store; the fitted
     # engine must restore its own parameters before using the guide.

@@ -139,8 +139,8 @@ def test_reference_and_compiled_backends_agree(normal_source, normal_data):
     from repro import compile_model
 
     ref = StanModel(normal_source).run_nuts(normal_data, num_warmup=250, num_samples=250, seed=0)
-    comp = compile_model(normal_source, backend="numpyro").run_nuts(
-        normal_data, num_warmup=250, num_samples=250, seed=0)
+    comp = compile_model(normal_source, backend="numpyro").condition(normal_data).fit(
+        "nuts", num_warmup=250, num_samples=250, seed=0)
     from repro.infer import diagnostics
 
     passed, err = diagnostics.accuracy_check(ref.get_samples(), comp.get_samples())

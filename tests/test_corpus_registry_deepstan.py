@@ -77,13 +77,15 @@ def test_registry_unsupported_entries_error_at_compile_or_run():
     entry = get("gp_regr-gp_pois_regr")
     compiled = compile_model(entry.source, backend="numpyro", scheme="comprehensive")
     with pytest.raises(Exception):
-        compiled.run_nuts(entry.data(), num_warmup=1, num_samples=1, max_tree_depth=2)
+        compiled.condition(entry.data()).fit("nuts", num_warmup=1, num_samples=1,
+                                             max_tree_depth=2)
 
 
 def test_registry_supported_entry_runs_one_iteration():
     entry = get("kidscore_momiq-kidiq")
     compiled = compile_model(entry.source, backend="numpyro", scheme="mixed")
-    mcmc = compiled.run_nuts(entry.data(), num_warmup=2, num_samples=2, max_tree_depth=3)
+    mcmc = compiled.condition(entry.data()).fit("nuts", num_warmup=2, num_samples=2,
+                                                max_tree_depth=3)
     assert "beta" in mcmc.get_samples()
 
 
