@@ -31,7 +31,7 @@ inference for the DeepStan extensions.  This package provides:
 """
 
 from repro.infer.potential import DiscreteLatentError, Potential, make_potential
-from repro.infer.hmc import HMC, VectorizedChains
+from repro.infer.hmc import HMC
 from repro.infer.nuts import NUTS
 from repro.infer.mcmc import MCMC
 from repro.infer.results import FitResult, Posterior, POSTERIOR_SCHEMA_VERSION
@@ -54,7 +54,6 @@ __all__ = [
     "HMC",
     "NUTS",
     "MCMC",
-    "VectorizedChains",
     "Posterior",
     "FitResult",
     "POSTERIOR_SCHEMA_VERSION",

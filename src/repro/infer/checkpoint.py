@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 #: bumped whenever a checkpoint payload layout changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def rng_state(rng: np.random.Generator) -> Dict[str, Any]:

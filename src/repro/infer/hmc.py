@@ -5,33 +5,44 @@ averaging for the step size, Welford estimation of a diagonal mass matrix)
 with the NUTS kernel in :mod:`repro.infer.nuts`, mirroring the structure of
 Stan's and NumPyro's samplers.
 
-Vectorized multi-chain execution
---------------------------------
+One chain driver
+----------------
 
-A transition is expressed once, as a *generator* (:meth:`HMC._transition_gen`)
-that yields every point at which it needs the potential and its gradient and
-receives the ``(U, dU/dz)`` pair back.  The sequential :meth:`HMC.sample`
-drives one generator with scalar potential evaluations; the
-:class:`VectorizedChains` driver advances one generator per chain and answers
-all outstanding requests with a single batched
-:meth:`~repro.infer.potential.Potential.potential_and_grad_batched` call per
-synchronized step.  Because each chain consumes its own RNG stream and its own
-adaptation state in exactly the order the sequential path would, both chain
-methods produce identical draws for a fixed seed.
+Kernels hold configuration only and never call the potential.  Everything
+that needs the potential -- a transition (:meth:`HMC._transition_gen`), the
+initial step-size search (:meth:`HMC._step_size_gen`) -- is a *generator*
+that yields every point at which it needs the potential and its gradient
+and receives the ``(U, dU/dz)`` pair back.  :func:`drive` is the one loop
+that advances such generators, one per chain (or SMC particle), and
+``chain_method`` only chooses how it answers a round of requests
+(:func:`answer_for`): a row loop of
+:meth:`~repro.infer.potential.Potential.potential_and_grad` under
+``"sequential"``, one batched
+:meth:`~repro.infer.potential.Potential.potential_and_grad_batched` call
+under ``"vectorized"``.  Each chain consumes only its own RNG stream and an
+evaluation is a pure function of the point, so both chain methods produce
+identical draws for a fixed seed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
 
-from repro.infer.checkpoint import restore_rng, rng_state
 from repro.infer.potential import Potential
-from repro.obs import as_telemetry
+
+CHAIN_METHODS = ("sequential", "vectorized")
+
+
+def check_chain_method(chain_method: str) -> str:
+    """Return ``chain_method`` if it is one of :data:`CHAIN_METHODS`, else raise."""
+    if chain_method not in CHAIN_METHODS:
+        raise ValueError(
+            f"unknown chain_method {chain_method!r}; expected one of {CHAIN_METHODS}")
+    return chain_method
 
 
 @dataclass
@@ -101,70 +112,13 @@ class WelfordVariance:
         self.m2 = np.zeros(self.dim)
 
 
-def run_adaptation_step(kernel: "HMC", z: np.ndarray, accept_prob: float,
-                        iteration: int, num_warmup: int, step_size: float,
-                        inv_mass: np.ndarray, dual_avg: DualAveraging,
-                        welford: WelfordVariance):
-    """One warmup-adaptation update; returns the new ``(step_size, inv_mass)``.
-
-    This is the single source of truth for the adaptation schedule.  The
-    sequential kernel applies it to its own fields and the vectorized driver
-    applies it to each chain's :class:`_ChainState`; the vectorized/sequential
-    identical-draws guarantee holds exactly because both run this function.
-    """
-    if iteration >= num_warmup:
-        return step_size, inv_mass
-    if kernel.adapt_step_size:
-        step_size = dual_avg.update(accept_prob)
-    if kernel.adapt_mass_matrix:
-        welford.update(z)
-        # Update the mass matrix at a few fixed points of the warmup.
-        if iteration in (int(num_warmup * 0.5), int(num_warmup * 0.75)) and welford.count > 10:
-            inv_mass = welford.variance()
-            welford.reset()
-    if iteration == num_warmup - 1 and kernel.adapt_step_size:
-        step_size = dual_avg.adapted_step_size
-    return step_size, inv_mass
-
-
-# ----------------------------------------------------------------------
-# explicit (picklable) sampler state, for checkpoint/resume
-# ----------------------------------------------------------------------
-def _dual_avg_state(dual_avg: DualAveraging) -> Dict[str, Any]:
-    return dataclasses.asdict(dual_avg)
-
-
-def _restore_dual_avg(state: Dict[str, Any]) -> DualAveraging:
-    return DualAveraging(**state)
-
-
-def _welford_state(welford: WelfordVariance) -> Dict[str, Any]:
-    return {"dim": int(welford.dim), "count": int(welford.count),
-            "mean": np.array(welford.mean, dtype=float),
-            "m2": np.array(welford.m2, dtype=float)}
-
-
-def _restore_welford(state: Dict[str, Any]) -> WelfordVariance:
-    welford = WelfordVariance(dim=int(state["dim"]))
-    welford.count = int(state["count"])
-    welford.mean = np.array(state["mean"], dtype=float)
-    welford.m2 = np.array(state["m2"], dtype=float)
-    return welford
-
-
-def _eval_state(pair: Optional[Tuple[float, np.ndarray]]):
-    if pair is None:
-        return None
-    return (float(pair[0]), np.array(pair[1], dtype=float))
-
-
 def kernel_config(kernel: "HMC") -> Dict[str, Any]:
-    """The draw-determining kernel *options* (not the mutable run state).
+    """The draw-determining kernel *options*.
 
     Stored in every MCMC checkpoint so ``resume`` can verify — or rebuild —
     a kernel whose remaining transitions match the original run exactly.
-    ``step_size`` here is the configured value at run start; it only governs
-    draws when step-size adaptation is off (adaptive runs re-derive it).
+    ``step_size`` here is the configured value; it only governs draws when
+    step-size adaptation is off (adaptive runs re-derive it).
     """
     config = {
         "method": type(kernel).__name__.lower(),
@@ -196,48 +150,78 @@ def check_kernel_config(kernel: "HMC", stored: Dict[str, Any]) -> None:
             "bitwise-identical): " + "; ".join(mismatched))
 
 
-def snapshot_kernel_state(kernel: "HMC") -> Dict[str, Any]:
-    """Everything a sequential kernel mutates between transitions.
+def drive(generators: Sequence, answer: Callable, on_return: Callable) -> None:
+    """Run one generator per slot to completion, answering its requests.
 
-    Together with the chain position and the RNG bit-state this determines
-    the remainder of a chain's trajectory exactly, so restoring it via
-    :func:`restore_kernel_state` continues bitwise-identically.
+    This is the only loop that advances kernel generators.  Each round
+    moves every live generator to its next evaluation request and answers
+    all of the round's requests with one ``answer(points)`` call, which
+    returns the ``(U, grad)`` pairs in request order.  When slot ``i``'s
+    generator returns ``value``, ``on_return(i, value)`` gives the slot's
+    next generator, or ``None`` to retire the slot.
+
+    Slots are independent, so they need not stay in lockstep: a chain that
+    finishes a NUTS trajectory early starts its next transition in the same
+    round, which keeps a batched answer full when tree depths differ.
     """
-    cache = getattr(kernel, "_eval_cache", None)
-    return {
-        "step_size": float(kernel.step_size),
-        "inv_mass": np.array(kernel.inv_mass, dtype=float),
-        "divergences": int(kernel.divergences),
-        "iteration": int(getattr(kernel, "_iteration", 0)),
-        "dual_avg": _dual_avg_state(kernel._dual_avg),
-        "welford": _welford_state(kernel._welford),
-        "eval_cache": None if cache is None
-        else (np.array(cache[0], dtype=float), _eval_state(cache[1])),
-    }
+    gens = list(generators)
+    responses: List[Any] = [None] * len(gens)
+    active = [i for i, gen in enumerate(gens) if gen is not None]
+    while active:
+        requests, requesters = [], []
+        for i in active:
+            gen, response = gens[i], responses[i]
+            while gen is not None:
+                try:
+                    requests.append(gen.send(response))
+                except StopIteration as stop:
+                    gen = gens[i] = on_return(i, stop.value)
+                    response = None
+                else:
+                    requesters.append(i)
+                    break
+        if not requesters:
+            break
+        for i, response in zip(requesters, answer(requests)):
+            responses[i] = response
+        active = requesters
 
 
-def restore_kernel_state(kernel: "HMC", state: Dict[str, Any], num_warmup: int) -> None:
-    """Inverse of :func:`snapshot_kernel_state` (replaces ``kernel.setup``)."""
-    kernel.step_size = float(state["step_size"])
-    kernel.inv_mass = np.array(state["inv_mass"], dtype=float)
-    kernel.divergences = int(state["divergences"])
-    kernel._dual_avg = _restore_dual_avg(state["dual_avg"])
-    kernel._welford = _restore_welford(state["welford"])
-    kernel._num_warmup = int(num_warmup)
-    kernel._iteration = int(state["iteration"])
-    cache = state["eval_cache"]
-    kernel._eval_cache = None if cache is None \
-        else (np.array(cache[0], dtype=float), cache[1])
+def answer_for(potential: Potential, chain_method: str, slots: int,
+               telemetry) -> Callable:
+    """The :func:`drive` ``answer`` for ``chain_method`` over ``slots`` slots.
+
+    ``"sequential"`` answers each request with the single-row tape, the
+    batched tape's oracle; ``"vectorized"`` stacks a round's requests into
+    one batched evaluation.
+    """
+    if chain_method == "sequential":
+        return lambda points: [potential.potential_and_grad(z) for z in points]
+
+    def batched(points):
+        if telemetry.enabled:
+            # Batched-eval utilization: how many of the slots asked for work
+            # this round (chains finishing a NUTS trajectory early stop
+            # requesting, draining the batch).
+            telemetry.record_batch(len(points), slots)
+        values, grads = potential.potential_and_grad_batched(np.stack(points))
+        return zip(values, grads)
+    return batched
 
 
 class HMC:
     """Static Hamiltonian Monte Carlo kernel.
 
+    A kernel holds configuration only (plus the shared ``divergences``
+    counter); per-chain state lives with the chain driver.
+
     Parameters
     ----------
     potential:
-        A :class:`~repro.infer.potential.Potential` (or any object exposing
-        ``dim``, ``potential_and_grad``).
+        A :class:`~repro.infer.potential.Potential`, or any object exposing
+        ``dim`` and the evaluations the chain driver's ``answer`` makes
+        (``potential_and_grad``, or ``potential_and_grad_batched`` under
+        ``"vectorized"``).
     step_size:
         Initial leapfrog step size (adapted during warmup unless
         ``adapt_step_size=False``).
@@ -255,9 +239,8 @@ class HMC:
         self.adapt_mass_matrix = adapt_mass_matrix
         self.target_accept = target_accept
         self.max_energy_change = max_energy_change
+        # Every chain's starting mass matrix when adapt_mass_matrix=False.
         self.inv_mass = np.ones(potential.dim)
-        self._dual_avg = DualAveraging(target_accept=target_accept)
-        self._welford = WelfordVariance(potential.dim)
         self.divergences = 0
         # Set by the MCMC driver when the divergence flight recorder is on;
         # transitions then attach a forensic "divergence_info" payload to
@@ -267,45 +250,48 @@ class HMC:
     # ------------------------------------------------------------------
     # numerics
     # ------------------------------------------------------------------
-    def _kinetic(self, momentum: np.ndarray, inv_mass: Optional[np.ndarray] = None) -> float:
-        if inv_mass is None:
-            inv_mass = self.inv_mass
+    def _kinetic(self, momentum: np.ndarray, inv_mass: np.ndarray) -> float:
         return 0.5 * float(np.sum(inv_mass * momentum * momentum))
 
     def _sample_momentum(self, rng: np.random.Generator,
-                         inv_mass: Optional[np.ndarray] = None) -> np.ndarray:
-        if inv_mass is None:
-            inv_mass = self.inv_mass
+                         inv_mass: np.ndarray) -> np.ndarray:
         return rng.standard_normal(self.potential.dim) / np.sqrt(inv_mass)
 
-    def leapfrog(self, z: np.ndarray, momentum: np.ndarray, grad: np.ndarray,
-                 step_size: float, num_steps: int) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """Run ``num_steps`` leapfrog steps; return (z, momentum, U, grad)."""
-        z = z.copy()
-        momentum = momentum.copy()
-        momentum -= 0.5 * step_size * grad
+    @staticmethod
+    def _leapfrog_gen(z: np.ndarray, r: np.ndarray, u, grad: np.ndarray,
+                      step_size: float, num_steps: int, inv_mass: np.ndarray):
+        """``num_steps`` leapfrog steps from ``(z, r)``, where ``(u, grad)``
+        is the evaluation at ``z``; yields each new position and returns
+        ``(z, r, u, grad)`` at the end of the trajectory."""
+        r = r - 0.5 * step_size * grad
         for i in range(num_steps):
-            z += step_size * self.inv_mass * momentum
-            u, grad = self.potential.potential_and_grad(z)
+            z = z + step_size * inv_mass * r
+            u, grad = yield z
             if i < num_steps - 1:
-                momentum -= step_size * grad
-        momentum -= 0.5 * step_size * grad
-        return z, momentum, u, grad
+                r = r - step_size * grad
+        r = r - 0.5 * step_size * grad
+        return z, r, u, grad
 
-    def find_reasonable_step_size(self, z: np.ndarray, rng: np.random.Generator) -> float:
-        """Heuristic initial step size (Hoffman & Gelman 2014, Algorithm 4)."""
+    def _step_size_gen(self, z: np.ndarray, rng: np.random.Generator,
+                       inv_mass: np.ndarray):
+        """Heuristic initial step size (Hoffman & Gelman 2014, Algorithm 4).
+
+        A generator like :meth:`_transition_gen`; returns the step size.
+        """
         step_size = 1.0
-        u0, grad0 = self.potential.potential_and_grad(z)
-        momentum = self._sample_momentum(rng)
-        h0 = u0 + self._kinetic(momentum)
-        z1, r1, u1, _ = self.leapfrog(z, momentum, grad0, step_size, 1)
-        h1 = u1 + self._kinetic(r1)
+        u0, grad0 = yield z
+        momentum = self._sample_momentum(rng, inv_mass)
+        h0 = u0 + self._kinetic(momentum, inv_mass)
+        _, r1, u1, _ = yield from self._leapfrog_gen(z, momentum, u0, grad0,
+                                                     step_size, 1, inv_mass)
+        h1 = u1 + self._kinetic(r1, inv_mass)
         log_ratio = h0 - h1
         direction = 1.0 if log_ratio > math.log(0.5) else -1.0
         for _ in range(50):
             step_size *= 2.0 ** direction
-            z1, r1, u1, _ = self.leapfrog(z, momentum, grad0, step_size, 1)
-            h1 = u1 + self._kinetic(r1)
+            _, r1, u1, _ = yield from self._leapfrog_gen(z, momentum, u0, grad0,
+                                                         step_size, 1, inv_mass)
+            h1 = u1 + self._kinetic(r1, inv_mass)
             if not np.isfinite(h1):
                 step_size *= 0.5 ** direction
                 continue
@@ -317,7 +303,7 @@ class HMC:
         return max(min(step_size, 10.0), 1e-6)
 
     # ------------------------------------------------------------------
-    # the transition as a generator (shared by both chain methods)
+    # the transition as a generator
     # ------------------------------------------------------------------
     def _transition_gen(self, z: np.ndarray, rng: np.random.Generator,
                         step_size: float, inv_mass: np.ndarray,
@@ -325,8 +311,7 @@ class HMC:
         """One HMC transition; yields evaluation points, receives ``(U, grad)``.
 
         Returns ``(z_new, info)`` via ``StopIteration.value``.  Adaptation and
-        iteration bookkeeping live in the caller so the same generator serves
-        the sequential kernel and the vectorized multi-chain driver.
+        iteration bookkeeping live in the caller.
 
         ``initial_eval`` is the ``(U, grad)`` pair at ``z`` if the caller
         already knows it (the previous transition evaluated its endpoint);
@@ -340,17 +325,8 @@ class HMC:
             u0, grad0 = yield z
         momentum = self._sample_momentum(rng, inv_mass)
         h0 = u0 + self._kinetic(momentum, inv_mass)
-        z_new = z.copy()
-        r = momentum.copy()
-        r -= 0.5 * step_size * grad0
-        grad = grad0
-        u_new = u0
-        for i in range(self.num_steps):
-            z_new = z_new + step_size * inv_mass * r
-            u_new, grad = yield z_new
-            if i < self.num_steps - 1:
-                r -= step_size * grad
-        r -= 0.5 * step_size * grad
+        z_new, r, u_new, grad = yield from self._leapfrog_gen(
+            z, momentum, u0, grad0, step_size, self.num_steps, inv_mass)
         h_new = u_new + self._kinetic(r, inv_mass)
         energy_change = h_new - h0
         if not np.isfinite(energy_change):
@@ -382,271 +358,3 @@ class HMC:
                 "energy0": h0,
             }
         return z_out, info
-
-    # ------------------------------------------------------------------
-    # sampling protocol shared with NUTS
-    # ------------------------------------------------------------------
-    def setup(self, z: np.ndarray, rng: np.random.Generator, num_warmup: int) -> None:
-        # Chains must be independent: forget any mass matrix adapted by a
-        # previous chain run with this kernel instance.  A manually configured
-        # matrix (adapt_mass_matrix=False) is the user's to keep.
-        if self.adapt_mass_matrix:
-            self.inv_mass = np.ones(self.potential.dim)
-        if self.adapt_step_size:
-            self.step_size = self.find_reasonable_step_size(z, rng)
-            self._dual_avg.initialize(self.step_size)
-        self._welford.reset()
-        self._num_warmup = num_warmup
-        self._iteration = 0
-        self._eval_cache = None
-
-    def _adapt(self, z: np.ndarray, accept_prob: float) -> None:
-        self.step_size, self.inv_mass = run_adaptation_step(
-            self, z, accept_prob, self._iteration, getattr(self, "_num_warmup", 0),
-            self.step_size, self.inv_mass, self._dual_avg, self._welford)
-
-    def sample(self, z: np.ndarray, rng: np.random.Generator) -> Tuple[np.ndarray, dict]:
-        """One MCMC transition from ``z``; returns (new z, stats dict)."""
-        # The cache stores a defensive copy and compares by value, so callers
-        # that mutate ``z`` in place between transitions still get a fresh
-        # evaluation (the O(dim) comparison is negligible next to one).
-        cache = getattr(self, "_eval_cache", None)
-        initial_eval = cache[1] if cache is not None and np.array_equal(cache[0], z) else None
-        gen = self._transition_gen(z, rng, self.step_size, self.inv_mass,
-                                   initial_eval=initial_eval)
-        response = None
-        while True:
-            try:
-                request = gen.send(response)
-            except StopIteration as stop:
-                z_out, info = stop.value
-                break
-            response = self.potential.potential_and_grad(request)
-        self._eval_cache = (np.array(z_out, copy=True), info.pop("_next_eval"))
-        self._adapt(z_out, info["accept_prob"])
-        self._iteration += 1
-        info["step_size"] = self.step_size
-        return z_out, info
-
-class _ChainState:
-    """Per-chain sampler state for :class:`VectorizedChains`.
-
-    Each chain carries exactly the state a sequential kernel run would --
-    position, step size, diagonal inverse mass, the *scalar*
-    :class:`DualAveraging` recursion and a :class:`WelfordVariance` -- so a
-    chain's trajectory is bitwise identical to the sequential path for the
-    same RNG stream.  (A NumPy-vectorized dual-averaging update can differ
-    from the scalar one by an ulp, which compounds into different
-    trajectories; the recursion is a handful of scalar ops per iteration,
-    nowhere near the sampling hot path.)
-    """
-
-    __slots__ = ("index", "position", "rng", "step_size", "inv_mass", "dual_avg",
-                 "welford", "iteration", "gen", "response", "results", "last_eval")
-
-    def __init__(self, index: int, position: np.ndarray, rng: np.random.Generator,
-                 kernel: "HMC"):
-        self.index = index
-        self.position = position
-        self.rng = rng
-        self.step_size = float(kernel.step_size)
-        # Fresh chains adapt from identity; a manually configured matrix
-        # (adapt_mass_matrix=False) is shared by all chains, as sequentially.
-        self.inv_mass = np.ones(kernel.potential.dim) if kernel.adapt_mass_matrix \
-            else np.asarray(kernel.inv_mass, dtype=float).copy()
-        self.dual_avg = DualAveraging(target_accept=kernel.target_accept)
-        self.welford = WelfordVariance(kernel.potential.dim)
-        self.iteration = 0
-        self.gen = None
-        self.response: Optional[Tuple[float, np.ndarray]] = None
-        self.results: List[Tuple[np.ndarray, dict]] = []
-        self.last_eval: Optional[Tuple[float, np.ndarray]] = None
-
-    # -- explicit state (checkpoint/resume) ---------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Picklable copy of everything the next transition depends on."""
-        return {
-            "position": np.array(self.position, dtype=float),
-            "rng_state": rng_state(self.rng),
-            "step_size": float(self.step_size),
-            "inv_mass": np.array(self.inv_mass, dtype=float),
-            "dual_avg": _dual_avg_state(self.dual_avg),
-            "welford": _welford_state(self.welford),
-            "iteration": int(self.iteration),
-            "last_eval": _eval_state(self.last_eval),
-        }
-
-    @classmethod
-    def from_snapshot(cls, index: int, snap: Dict[str, Any],
-                      kernel: "HMC") -> "_ChainState":
-        state = cls(index, np.array(snap["position"], dtype=float),
-                    restore_rng(snap["rng_state"]), kernel)
-        state.step_size = float(snap["step_size"])
-        state.inv_mass = np.array(snap["inv_mass"], dtype=float)
-        state.dual_avg = _restore_dual_avg(snap["dual_avg"])
-        state.welford = _restore_welford(snap["welford"])
-        state.iteration = int(snap["iteration"])
-        state.last_eval = snap["last_eval"]
-        return state
-
-
-class VectorizedChains:
-    """Advance ``num_chains`` chains of an HMC-family kernel as one batched state.
-
-    Every chain runs :meth:`HMC._transition_gen` -- the same generator the
-    sequential path drives -- against its own RNG stream and adaptation state.
-    The driver collects the chains' outstanding evaluation requests each round
-    into an ``(active, dim)`` matrix and answers them with a single batched
-    :meth:`~repro.infer.potential.Potential.potential_and_grad_batched` call.
-
-    Chains are mutually independent, so they need not stay in lockstep: a
-    chain that finishes a NUTS trajectory early immediately applies its own
-    adaptation and starts its next transition, keeping the evaluation batch
-    full even when tree depths diverge across chains.
-    """
-
-    def __init__(self, kernel: HMC, num_chains: int, telemetry=None):
-        self.kernel = kernel
-        self.num_chains = int(num_chains)
-        self.chains: List[_ChainState] = []
-        self._on_result = None
-        self.telemetry = as_telemetry(telemetry)
-
-    def run(self, positions: Optional[np.ndarray], rngs: Optional[List[np.random.Generator]],
-            num_warmup: int, total_iters: int, on_result=None,
-            barrier_every: Optional[int] = None, on_barrier=None,
-            resume_states: Optional[List[Dict[str, Any]]] = None,
-            ) -> List[List[Tuple[np.ndarray, dict]]]:
-        """Run every chain for ``total_iters`` transitions.
-
-        With ``on_result(chain, iteration, position, info)`` given, results
-        are streamed to the callback as each transition completes (chains
-        advance at their own pace, so callbacks arrive per chain in iteration
-        order but interleaved across chains) and nothing is buffered —
-        warmup and thinned-out iterations then cost no memory.  Otherwise
-        every chain's ``(position, info)`` results are collected and returned.
-
-        ``barrier_every=N`` pauses every chain at iteration multiples of
-        ``N`` and calls ``on_barrier(chains, iteration)`` once all chains
-        have arrived — the point where every chain's state is explicit (no
-        generator mid-flight) and :meth:`_ChainState.snapshot` is valid.
-        Pausing cannot change the draws: chains are mutually independent, so
-        holding a fast chain at a barrier only delays *when* its next
-        transition runs, not what it computes.  ``resume_states`` (a list of
-        per-chain snapshots) restores such a barrier state instead of
-        initialising fresh chains.
-        """
-        self._on_result = on_result
-        kernel = self.kernel
-        if resume_states is not None:
-            self.chains = [
-                _ChainState.from_snapshot(c, snap, kernel)
-                for c, snap in enumerate(resume_states)
-            ]
-        else:
-            self.chains = [
-                _ChainState(c, positions[c].copy(), rngs[c], kernel)
-                for c in range(self.num_chains)
-            ]
-            if kernel.adapt_step_size:
-                # The heuristic search takes a different number of doublings per
-                # chain, so it runs per chain -- warmup-only, once.  It reads the
-                # kernel's mass matrix, which a fresh chain resets to identity
-                # (unless manually configured via adapt_mass_matrix=False).
-                if kernel.adapt_mass_matrix:
-                    kernel.inv_mass = np.ones(kernel.potential.dim)
-                for state in self.chains:
-                    state.step_size = kernel.find_reasonable_step_size(state.position, state.rng)
-                    state.dual_avg.initialize(state.step_size)
-        if total_iters <= 0:
-            return [state.results for state in self.chains]
-        segment_start = min(state.iteration for state in self.chains)
-        while segment_start < total_iters:
-            if barrier_every:
-                next_barrier = (segment_start // barrier_every + 1) * barrier_every
-                target = min(next_barrier, total_iters)
-            else:
-                target = total_iters
-            self._run_segment(target, num_warmup)
-            if target >= total_iters:
-                break
-            if on_barrier is not None:
-                on_barrier(self.chains, target)
-            segment_start = target
-        # Leave the kernel in the same state a sequential run would: the last
-        # chain's adapted step size and mass matrix.
-        kernel.step_size = self.chains[-1].step_size
-        kernel.inv_mass = self.chains[-1].inv_mass
-        return [state.results for state in self.chains]
-
-    def _run_segment(self, stop_at: int, num_warmup: int) -> None:
-        """Advance every chain to ``stop_at`` transitions (a barrier point)."""
-        kernel = self.kernel
-        for state in self.chains:
-            if state.iteration >= stop_at or state.gen is not None:
-                continue
-            # A chain entering its first-ever transition has no cached
-            # endpoint evaluation; every later start reuses the (u, grad) of
-            # the previous transition's returned position — evaluations are
-            # deterministic, so either way the draws are identical.
-            initial_eval = state.last_eval if state.iteration > 0 else None
-            state.gen = kernel._transition_gen(state.position, state.rng,
-                                               state.step_size, state.inv_mass,
-                                               initial_eval=initial_eval)
-            state.response = None
-        active = [state for state in self.chains if state.gen is not None]
-        while active:
-            requests = []
-            requesters = []
-            for state in active:
-                request = self._advance(state, num_warmup, stop_at)
-                if request is not None:
-                    requests.append(request)
-                    requesters.append(state)
-            if not requesters:
-                break
-            if self.telemetry.enabled:
-                # Batched-eval utilization: how many of the chain slots asked
-                # for work this round (chains finishing a NUTS trajectory
-                # early stop requesting, draining the batch).
-                self.telemetry.record_batch(len(requests), self.num_chains)
-            values, grads = kernel.potential.potential_and_grad_batched(np.stack(requests))
-            for i, state in enumerate(requesters):
-                state.response = (values[i], grads[i])
-            active = requesters
-
-    def _advance(self, state: _ChainState, num_warmup: int,
-                 stop_at: int) -> Optional[np.ndarray]:
-        """Drive one chain until it needs an evaluation or reaches ``stop_at``.
-
-        Returns the evaluation point the chain is waiting on, or ``None``
-        once the chain has completed ``stop_at`` transitions (the end of the
-        run or a checkpoint barrier).
-        """
-        while True:
-            try:
-                return state.gen.send(state.response)
-            except StopIteration as stop:
-                z_out, info = stop.value
-                state.last_eval = info.pop("_next_eval")
-                self._adapt(state, z_out, info["accept_prob"], num_warmup)
-                state.iteration += 1
-                info["step_size"] = state.step_size
-                state.position = z_out
-                if self._on_result is not None:
-                    self._on_result(state.index, state.iteration - 1, z_out, info)
-                else:
-                    state.results.append((z_out, info))
-                if state.iteration >= stop_at:
-                    state.gen = None
-                    return None
-                state.gen = self.kernel._transition_gen(state.position, state.rng,
-                                                        state.step_size, state.inv_mass,
-                                                        initial_eval=state.last_eval)
-                state.response = None
-
-    def _adapt(self, state: _ChainState, z: np.ndarray, accept_prob: float,
-               num_warmup: int) -> None:
-        state.step_size, state.inv_mass = run_adaptation_step(
-            self.kernel, z, accept_prob, state.iteration, num_warmup,
-            state.step_size, state.inv_mass, state.dual_avg, state.welford)

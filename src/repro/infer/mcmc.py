@@ -5,12 +5,14 @@ paper's evaluation scripts use: construct with a kernel, call ``run`` with
 iteration counts, then read the :class:`~repro.infer.results.Posterior` via
 ``.posterior`` (or the legacy ``get_samples()`` accessors, which delegate).
 
-Chains can be run two ways (``chain_method``):
+Every chain runs through one loop, :func:`~repro.infer.hmc.drive`, which
+advances one transition generator per chain; ``chain_method`` only chooses
+how a round of evaluation requests is answered:
 
-* ``"sequential"`` — one chain at a time, the correctness oracle;
-* ``"vectorized"`` — all chains advance as one batched ``(chains, dim)``
-  state; every synchronized step of every chain is served by a single batched
-  potential/gradient evaluation (NumPyro's ``chain_method="vectorized"``).
+* ``"sequential"`` — a row loop of single-row evaluations, the batched
+  tape's oracle (NumPyro's ``chain_method="sequential"``);
+* ``"vectorized"`` — one batched ``(chains, dim)`` potential/gradient
+  evaluation per round (NumPyro's ``chain_method="vectorized"``).
 
 Per-chain RNG streams are spawned from one :class:`numpy.random.SeedSequence`,
 so chain ``c`` consumes exactly the same randomness under either method and
@@ -22,21 +24,23 @@ Checkpoint / resume
 
 ``run(checkpoint_every=N, checkpoint_path=path)`` snapshots the complete
 explicit sampler state — per-chain positions, step sizes, dual-averaging and
-Welford accumulators, retained draws and the RNG bit-states — at iteration
-boundaries (under ``"vectorized"``, at synchronization barriers where no
-transition generator is mid-flight).  :meth:`MCMC.resume` rebuilds the run
-from such a file and continues **bitwise-identically** to an uninterrupted
-run: every chain's remaining trajectory is a deterministic function of the
-restored state.  The model itself is not stored (generated code is not
-picklable); ``resume`` takes the rebuilt kernel.
+Welford accumulators, retained draws and the RNG bit-states — at barriers
+where every chain sits at an iteration multiple of ``N`` and no transition
+generator is mid-flight.  Both chain methods write the same layout.
+:meth:`MCMC.resume` rebuilds the run from such a file and continues
+**bitwise-identically** to an uninterrupted run: every chain's remaining
+trajectory is a deterministic function of the restored state.  The model
+itself is not stored (generated code is not picklable); ``resume`` takes the
+rebuilt kernel.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,19 +54,113 @@ from repro.infer.checkpoint import (
 )
 from repro.infer.hmc import (
     HMC,
-    VectorizedChains,
+    DualAveraging,
+    WelfordVariance,
+    answer_for,
+    check_chain_method,
     check_kernel_config,
+    drive,
     kernel_config,
-    restore_kernel_state,
-    snapshot_kernel_state,
 )
 from repro.infer.potential import Potential
 from repro.infer.results import Posterior
 from repro.obs import as_telemetry
 
-CHAIN_METHODS = ("sequential", "vectorized")
-
 MCMC_CHECKPOINT_FORMAT = "repro-mcmc-checkpoint"
+
+
+class _ChainState:
+    """Everything one chain carries between transitions.
+
+    Position, RNG, step size, diagonal inverse mass, the *scalar*
+    :class:`~repro.infer.hmc.DualAveraging` recursion, a
+    :class:`~repro.infer.hmc.WelfordVariance`, the iteration count and the
+    ``(U, grad)`` at the position.  (A NumPy-vectorized dual-averaging update
+    can differ from the scalar one by an ulp, which compounds into different
+    trajectories; the recursion is a handful of scalar ops per iteration,
+    nowhere near the sampling hot path.)  :meth:`snapshot` is the MCMC
+    checkpoint layout under both chain methods.
+    """
+
+    __slots__ = ("position", "rng", "step_size", "inv_mass", "dual_avg",
+                 "welford", "iteration", "last_eval")
+
+    def __init__(self, position: np.ndarray, rng: np.random.Generator, kernel: HMC):
+        self.position = position
+        self.rng = rng
+        self.step_size = float(kernel.step_size)
+        # Fresh chains adapt from identity; a manually configured matrix
+        # (adapt_mass_matrix=False) is every chain's to keep.
+        self.inv_mass = np.ones(kernel.potential.dim) if kernel.adapt_mass_matrix \
+            else np.asarray(kernel.inv_mass, dtype=float).copy()
+        self.dual_avg = DualAveraging(target_accept=kernel.target_accept)
+        self.welford = WelfordVariance(kernel.potential.dim)
+        self.iteration = 0
+        self.last_eval: Optional[Tuple[float, np.ndarray]] = None
+
+    def transition(self, kernel: HMC):
+        """The generator of this chain's next transition.
+
+        A chain's first transition evaluates its start; every later one
+        reuses the ``(U, grad)`` of the previous transition's returned
+        position — evaluations are deterministic, so either way the draws
+        are identical.
+        """
+        return kernel._transition_gen(self.position, self.rng, self.step_size,
+                                      self.inv_mass, initial_eval=self.last_eval)
+
+    def advance(self, kernel: HMC, z: np.ndarray, info: dict, num_warmup: int) -> None:
+        """Take the transition's result, then one warmup-adaptation update."""
+        self.last_eval = info.pop("_next_eval")
+        self.position = z
+        iteration = self.iteration
+        self.iteration += 1
+        if iteration < num_warmup:
+            if kernel.adapt_step_size:
+                self.step_size = self.dual_avg.update(info["accept_prob"])
+            if kernel.adapt_mass_matrix:
+                self.welford.update(z)
+                # Update the mass matrix at a few fixed points of the warmup.
+                if iteration in (int(num_warmup * 0.5), int(num_warmup * 0.75)) \
+                        and self.welford.count > 10:
+                    self.inv_mass = self.welford.variance()
+                    self.welford.reset()
+            if iteration == num_warmup - 1 and kernel.adapt_step_size:
+                self.step_size = self.dual_avg.adapted_step_size
+        info["step_size"] = self.step_size
+
+    # -- explicit state (checkpoint/resume) ---------------------------------
+    def snapshot(self) -> Dict[str, Any]:
+        """Picklable copy of everything the next transition depends on."""
+        last_eval = self.last_eval
+        return {
+            "position": np.array(self.position, dtype=float),
+            "rng_state": rng_state(self.rng),
+            "step_size": float(self.step_size),
+            "inv_mass": np.array(self.inv_mass, dtype=float),
+            "dual_avg": dataclasses.asdict(self.dual_avg),
+            "welford": dataclasses.asdict(self.welford),
+            "iteration": int(self.iteration),
+            "last_eval": None if last_eval is None
+            else (float(last_eval[0]), np.array(last_eval[1], dtype=float)),
+        }
+
+    @classmethod
+    def from_snapshot(cls, snap: Dict[str, Any], kernel: HMC) -> "_ChainState":
+        state = cls(np.array(snap["position"], dtype=float),
+                    restore_rng(snap["rng_state"]), kernel)
+        state.step_size = float(snap["step_size"])
+        state.inv_mass = np.array(snap["inv_mass"], dtype=float)
+        state.dual_avg = DualAveraging(**snap["dual_avg"])
+        welford = snap["welford"]
+        state.welford = WelfordVariance(dim=int(welford["dim"]))
+        state.welford.count = int(welford["count"])
+        state.welford.mean = np.array(welford["mean"], dtype=float)
+        state.welford.m2 = np.array(welford["m2"], dtype=float)
+        state.iteration = int(snap["iteration"])
+        state.last_eval = snap["last_eval"]
+        return state
+
 
 class _ChainCollector:
     """Accumulates one chain's retained draws and sampler stats.
@@ -105,12 +203,7 @@ class _ChainCollector:
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         self.draws = [np.array(d) for d in state["draws"]]
-        stats = {k: list(v) for k, v in state["stats"].items()}
-        # Checkpoints written before a stat key existed lack its column;
-        # backfill with NaN so resumed runs keep a rectangular stats table.
-        for key in self.STAT_KEYS:
-            stats.setdefault(key, [float("nan")] * len(self.draws))
-        self.stats = stats
+        self.stats = {k: list(v) for k, v in state["stats"].items()}
 
 
 class _ProgressMeter:
@@ -202,8 +295,9 @@ class MCMC:
     Parameters
     ----------
     kernel:
-        Callable returning a fresh kernel (e.g. ``lambda: NUTS(potential)``),
-        or a kernel instance (reused across chains with re-initialisation).
+        An :class:`~repro.infer.hmc.HMC` or :class:`~repro.infer.nuts.NUTS`
+        kernel.  Kernels hold configuration only, so one instance serves
+        every chain.
     num_warmup, num_samples:
         Warmup (adaptation) iterations and retained post-warmup draws.
     num_chains:
@@ -212,16 +306,16 @@ class MCMC:
         Keep every ``thinning``-th post-warmup draw (PosteriorDB configs use
         thinning for a few models).
     chain_method:
-        ``"sequential"`` (default) or ``"vectorized"``; both produce the same
-        draws for a fixed seed.
+        ``"sequential"`` (default) or ``"vectorized"``: how a round of the
+        chains' evaluation requests is answered.  Both produce the same draws
+        for a fixed seed.
     """
 
-    def __init__(self, kernel, num_warmup: int = 500, num_samples: int = 500,
+    def __init__(self, kernel: HMC, num_warmup: int = 500, num_samples: int = 500,
                  num_chains: int = 1, thinning: int = 1, seed: int = 0,
                  progress: bool = False, chain_method: str = "sequential",
                  telemetry=None, on_iteration: Optional[Callable] = None):
-        self._kernel_factory = kernel if callable(kernel) and not isinstance(kernel, HMC) else None
-        self._kernel_instance = kernel if isinstance(kernel, HMC) else None
+        self.kernel = kernel
         self.num_warmup = int(num_warmup)
         self.num_samples = int(num_samples)
         self.num_chains = int(num_chains)
@@ -234,12 +328,10 @@ class MCMC:
         self.telemetry = as_telemetry(telemetry)
         #: optional user sink ``on_iteration(chain, iteration, z, info)``
         #: called for every transition of every chain (warmup included),
-        #: under both chain methods.
+        #: under both chain methods: in iteration order per chain, with the
+        #: chains interleaved.
         self.on_iteration = on_iteration
-        if chain_method not in CHAIN_METHODS:
-            raise ValueError(
-                f"unknown chain_method {chain_method!r}; expected one of {CHAIN_METHODS}")
-        self.chain_method = chain_method
+        self.chain_method = check_chain_method(chain_method)
         self._samples_by_chain: List[Dict[str, np.ndarray]] = []
         self._stats_by_chain: List[Dict[str, np.ndarray]] = []
         self._unconstrained_by_chain: List[np.ndarray] = []
@@ -252,11 +344,6 @@ class MCMC:
         self._posterior_cache: Optional[Posterior] = None
         self.last_checkpoint_path: Optional[str] = None
         self._progress: Optional[_ProgressMeter] = None
-
-    def _get_kernel(self) -> HMC:
-        if self._kernel_instance is not None:
-            return self._kernel_instance
-        return self._kernel_factory()
 
     def _chain_rngs(self) -> List[np.random.Generator]:
         """Per-chain generators spawned from one SeedSequence.
@@ -288,9 +375,9 @@ class MCMC:
 
         With ``checkpoint_every=N`` and ``checkpoint_path`` given, a snapshot
         of the complete sampler state is written (atomically, overwriting the
-        previous one) every ``N`` per-chain iterations; ``checkpoint_keep``
-        additionally retains every snapshot as ``<path>.snap<k>``.  A snapshot
-        can be continued with :meth:`resume`.
+        previous one) each time every chain has completed another ``N``
+        iterations; ``checkpoint_keep`` additionally retains every snapshot as
+        ``<path>.snap<k>``.  A snapshot can be continued with :meth:`resume`.
         """
         return self._run(init_params, resume=None, checkpoint_every=checkpoint_every,
                          checkpoint_path=checkpoint_path, checkpoint_keep=checkpoint_keep)
@@ -328,7 +415,7 @@ class MCMC:
         mcmc = cls(kernel, **payload["config"])
         stored_kernel = payload.get("kernel")
         if stored_kernel:
-            check_kernel_config(mcmc._get_kernel(), stored_kernel)
+            check_kernel_config(kernel, stored_kernel)
         every = payload.get("checkpoint_every") if checkpoint_every is None \
             else checkpoint_every
         keep = bool(payload.get("checkpoint_keep", False)) if checkpoint_keep is None \
@@ -354,8 +441,6 @@ class MCMC:
                                  checkpoint_keep, init_params, base_runtime,
                                  start_count=int(resume.get("snapshot_count", 0))
                                  if resume else 0)
-        rngs = self._chain_rngs()
-        resume_chains = resume["chains"] if resume else None
         total_iters = self.num_warmup + self.num_samples * self.thinning
         self._progress = _ProgressMeter(total_iters, self.num_chains) \
             if self.progress else None
@@ -370,10 +455,8 @@ class MCMC:
                 # as a divergence, so the warning is noise.  Silenced once
                 # per fit: a per-call ``np.errstate`` would tax the leapfrog.
                 with np.errstate(over="ignore"):
-                    if self.chain_method == "vectorized" and self.num_chains > 1:
-                        self._run_vectorized(rngs, init_params, resume_chains, ckpt)
-                    else:
-                        self._run_sequential(rngs, init_params, resume_chains, ckpt)
+                    self._run_chains(init_params, resume["chains"] if resume else None,
+                                     ckpt)
             finally:
                 if self._progress is not None:
                     self._progress.close()
@@ -383,9 +466,6 @@ class MCMC:
             self.last_checkpoint_path = ckpt.writer.last_path
         self.runtime_seconds = base_runtime + (time.perf_counter() - start)
         return self
-
-    def _new_collector(self) -> "_ChainCollector":
-        return _ChainCollector(self.num_warmup, self.thinning)
 
     def _emit(self, collector: "_ChainCollector", chain: int, iteration: int,
               z: np.ndarray, info: dict) -> None:
@@ -416,114 +496,64 @@ class MCMC:
         self._stats_by_chain.append(stats)
         self._unconstrained_by_chain.append(draws)
 
-    def _run_sequential(self, rngs: List[np.random.Generator],
-                        init_params: Optional[np.ndarray],
-                        resume_chains: Optional[List[Dict[str, Any]]],
-                        ckpt: Optional[_Checkpointer]) -> None:
-        total_iters = self.num_warmup + self.num_samples * self.thinning
-        collectors: List[_ChainCollector] = []
-        for chain in range(self.num_chains):
-            snap = resume_chains[chain] if resume_chains else None
-            kernel = self._get_kernel()
-            self._kernel_name = type(kernel).__name__.lower()
-            if chain == 0:
-                # Captured before any transition mutates the kernel, so
-                # checkpoints record the *configured* options.
-                self._kernel_config = kernel_config(kernel)
-            potential = kernel.potential
-            kernel.record_divergences = self.telemetry.wants_divergences
-            if self._progress is not None:
-                self._progress.potential = potential
-            collector = self._new_collector()
-            collectors.append(collector)
-            if snap is not None and snap["status"] == "done":
-                # Completed before the snapshot: replay the retained draws.
-                collector.load_state_dict(snap["collector"])
-                self._store_chain(potential, collector)
-                continue
-            rng = rngs[chain]
-            if snap is not None and snap["status"] == "running":
-                collector.load_state_dict(snap["collector"])
-                z = np.array(snap["position"], dtype=float)
-                rng = restore_rng(snap["rng_state"])
-                restore_kernel_state(kernel, snap["kernel"], self.num_warmup)
-                start_iter = int(snap["kernel"]["iteration"])
-            else:
-                z = self._initial_position(potential, rng, init_params)
-                kernel.setup(z, rng, self.num_warmup)
-                start_iter = 0
-            for i in range(start_iter, total_iters):
-                z, info = kernel.sample(z, rng)
-                self._emit(collector, chain, i, z, info)
-                if ckpt is not None and (i + 1) % ckpt.every == 0 and (i + 1) < total_iters:
-                    ckpt.write(self._sequential_payload(collectors, chain, z, rng, kernel))
-            self._store_chain(potential, collector)
+    def _run_chains(self, init_params: Optional[np.ndarray],
+                    resume_chains: Optional[List[Dict[str, Any]]],
+                    ckpt: Optional[_Checkpointer]) -> None:
+        """Run every chain, under either chain method, through one :func:`drive`.
 
-    def _sequential_payload(self, collectors: List[_ChainCollector], chain: int,
-                            z: np.ndarray, rng: np.random.Generator,
-                            kernel: HMC) -> List[Dict[str, Any]]:
-        chains: List[Dict[str, Any]] = []
-        for ci in range(self.num_chains):
-            if ci < chain:
-                chains.append({"status": "done",
-                               "collector": collectors[ci].state_dict()})
-            elif ci == chain:
-                chains.append({
-                    "status": "running",
-                    "position": np.array(z, dtype=float),
-                    "rng_state": rng_state(rng),
-                    "kernel": snapshot_kernel_state(kernel),
-                    "collector": collectors[ci].state_dict(),
-                })
-            else:
-                # Untouched: chain rngs depend only on (seed, index), so a
-                # resumed run re-spawns them and starts these chains fresh.
-                chains.append({"status": "pending"})
-        return chains
-
-    def _run_vectorized(self, rngs: List[np.random.Generator],
-                        init_params: Optional[np.ndarray],
-                        resume_chains: Optional[List[Dict[str, Any]]],
-                        ckpt: Optional[_Checkpointer]) -> None:
-        kernel = self._get_kernel()
+        Chains pause at barriers, iteration multiples of ``checkpoint_every``,
+        where no transition is mid-flight and every chain's state is
+        explicit.  Pausing cannot change the draws: chains are mutually
+        independent, so holding a fast chain at a barrier only delays *when*
+        its next transition runs, not what it computes.
+        """
+        kernel = self.kernel
+        potential = kernel.potential
         self._kernel_name = type(kernel).__name__.lower()
         self._kernel_config = kernel_config(kernel)
-        potential = kernel.potential
         kernel.record_divergences = self.telemetry.wants_divergences
         if self._progress is not None:
             self._progress.potential = potential
         total_iters = self.num_warmup + self.num_samples * self.thinning
-        collectors = [self._new_collector() for _ in range(self.num_chains)]
-        positions = None
-        resume_states = None
+        collectors = [_ChainCollector(self.num_warmup, self.thinning)
+                      for _ in range(self.num_chains)]
+        # A single chain has nothing to batch.
+        method = self.chain_method if self.num_chains > 1 else "sequential"
+        answer = answer_for(potential, method, self.num_chains, self.telemetry)
         if resume_chains is not None:
             for collector, snap in zip(collectors, resume_chains):
                 collector.load_state_dict(snap["collector"])
-            resume_states = [snap["state"] for snap in resume_chains]
-            kernel.divergences = int(resume_chains[0].get("divergences",
-                                                          kernel.divergences))
+            chains = [_ChainState.from_snapshot(snap["state"], kernel)
+                      for snap in resume_chains]
+            kernel.divergences = int(resume_chains[0]["divergences"])
         else:
-            positions = np.stack([
-                self._initial_position(potential, rngs[c], init_params)
-                for c in range(self.num_chains)
-            ])
-        driver = VectorizedChains(kernel, self.num_chains,
-                                  telemetry=self.telemetry)
-        on_barrier = None
-        if ckpt is not None:
-            def on_barrier(chains, iteration):
-                ckpt.write([
-                    {"status": "running",
-                     "state": state.snapshot(),
-                     "collector": collectors[state.index].state_dict(),
-                     "divergences": int(kernel.divergences)}
-                    for state in chains
-                ])
-        driver.run(positions, rngs, self.num_warmup, total_iters,
-                   on_result=lambda chain, i, z, info:
-                   self._emit(collectors[chain], chain, i, z, info),
-                   barrier_every=ckpt.every if ckpt is not None else None,
-                   on_barrier=on_barrier, resume_states=resume_states)
+            chains = [_ChainState(self._initial_position(potential, rng, init_params),
+                                  rng, kernel)
+                      for rng in self._chain_rngs()]
+            if kernel.adapt_step_size:
+                def found(c, step_size):
+                    chains[c].step_size = step_size
+                    chains[c].dual_avg.initialize(step_size)
+                drive([kernel._step_size_gen(state.position, state.rng, state.inv_mass)
+                       for state in chains], answer, found)
+        stop_at = min((state.iteration for state in chains), default=0)
+
+        def finished(c, result):
+            z, info = result
+            state = chains[c]
+            state.advance(kernel, z, info, self.num_warmup)
+            self._emit(collectors[c], c, state.iteration - 1, z, info)
+            return state.transition(kernel) if state.iteration < stop_at else None
+
+        every = ckpt.every if ckpt is not None else total_iters
+        while stop_at < total_iters:
+            stop_at = min((stop_at // every + 1) * every, total_iters)
+            drive([state.transition(kernel) for state in chains], answer, finished)
+            if ckpt is not None and stop_at < total_iters:
+                ckpt.write([{"state": state.snapshot(),
+                             "collector": collector.state_dict(),
+                             "divergences": int(kernel.divergences)}
+                            for state, collector in zip(chains, collectors)])
         for collector in collectors:
             self._store_chain(potential, collector)
 

@@ -4,23 +4,23 @@ This is the preferred inference method of Stan and of the Pyro/NumPyro
 runtimes the paper targets; all the accuracy and speed comparisons of Tables
 3–5 run NUTS on both sides.  The implementation follows the iterative
 formulation with slice sampling (Algorithm 6 of the NUTS paper) and reuses the
-step-size/mass adaptation of :class:`~repro.infer.hmc.HMC`.
+leapfrog integrator of :class:`~repro.infer.hmc.HMC` and the step-size/mass
+adaptation every chain of :class:`~repro.infer.mcmc.MCMC` applies.
 
 Like :class:`~repro.infer.hmc.HMC`, the transition is written as a generator
-that yields every point requiring a potential/gradient evaluation: the
-inherited sequential ``sample`` drives it one evaluation at a time, while the
-vectorized multi-chain driver batches the outstanding requests of all chains
-into a single ``(chains, dim)`` potential call per tree-building step.  Tree
-building is therefore carried per chain along axis 0 without changing the
-algorithm: chains whose trajectories terminate early simply stop requesting
-evaluations.
+that yields every point requiring a potential/gradient evaluation and never
+calls the potential itself: :func:`~repro.infer.hmc.drive` advances one
+generator per chain and answers each round of requests with a row loop
+(``"sequential"``) or a single batched ``(chains, dim)`` evaluation
+(``"vectorized"``).  Tree building therefore runs per chain without changing
+the algorithm: chains whose trajectories terminate early simply stop
+requesting evaluations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -74,9 +74,7 @@ class NUTS(HMC):
 
     # ------------------------------------------------------------------
     def _is_turning(self, z_minus, r_minus, z_plus, r_plus,
-                    inv_mass: Optional[np.ndarray] = None) -> bool:
-        if inv_mass is None:
-            inv_mass = self.inv_mass
+                    inv_mass: np.ndarray) -> bool:
         diff = z_plus - z_minus
         return (
             float(np.dot(diff, inv_mass * r_minus)) < 0.0
@@ -87,11 +85,8 @@ class NUTS(HMC):
                   step_size, inv_mass, div_log=None):
         """Recursive doubling as a generator; yields evaluation points."""
         if depth == 0:
-            step = direction * step_size
-            r_new = r - 0.5 * step * grad
-            z_new = z + step * inv_mass * r_new
-            u_new, grad_new = yield z_new
-            r_new = r_new - 0.5 * step * grad_new
+            z_new, r_new, u_new, grad_new = yield from self._leapfrog_gen(
+                z, r, None, grad, direction * step_size, 1, inv_mass)
             h_new = u_new + self._kinetic(r_new, inv_mass)
             if not np.isfinite(h_new):
                 h_new = float("inf")
@@ -183,7 +178,7 @@ class NUTS(HMC):
         keep_going = True
         # Forensic capture of divergent leaves (positions + energy changes)
         # for the flight recorder; local to this transition so interleaved
-        # vectorized chains sharing the kernel cannot mix records.
+        # chains sharing the kernel cannot mix records.
         div_log = [] if self.record_divergences else None
         while keep_going and depth < self.max_tree_depth:
             direction = 1 if rng.uniform() < 0.5 else -1

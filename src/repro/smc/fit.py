@@ -20,12 +20,13 @@ Each :class:`SMCUpdate` runs the adaptive ladder: reweight (one value-only
 batched evaluation of each bridge endpoint), pick the next rung by ESS
 bisection (``smc.temper`` span), resample when the ESS decays
 (``smc.resample`` span), and rejuvenate with generator-driven HMC/NUTS
-transitions over the tempered potential — the same PR-1 generator
-protocol, so moves run batched under ``chain_method="vectorized"`` and are
-bitwise-identical to the sequential driver.  A ``Posterior`` is emitted
-after every assimilation, and the full engine state (ensemble, every RNG
-bit-state, ladder position, move tuning) checkpoints through the PR-3
-machinery so long-lived streaming fits kill/resume bitwise.
+transitions over the tempered potential, advanced by the same
+:func:`~repro.infer.hmc.drive` loop as MCMC chains, so moves run batched
+under ``chain_method="vectorized"`` and are bitwise-identical to the
+sequential row loop.  A ``Posterior`` is emitted after every assimilation,
+and the full engine state (ensemble, every RNG bit-state, ladder position,
+move tuning) checkpoints through :mod:`repro.infer.checkpoint` so long-lived
+streaming fits kill/resume bitwise.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.infer.checkpoint import CHECKPOINT_VERSION, CheckpointWriter
+from repro.infer.hmc import HMC, answer_for, check_chain_method, drive
+from repro.infer.nuts import NUTS
 from repro.infer.results import Posterior
 
 from .ensemble import ParticleEnsemble
@@ -150,8 +153,6 @@ class StreamingFit:
         if move_kernel not in ("hmc", "nuts"):
             raise ValueError(f"move_kernel must be 'hmc' or 'nuts', "
                              f"got {move_kernel!r}")
-        if chain_method not in (None, "sequential", "vectorized"):
-            raise ValueError(f"unknown chain_method {chain_method!r}")
         self.conditioned = conditioned
         self.num_particles = int(num_particles)
         self.seed = int(seed)
@@ -165,7 +166,8 @@ class StreamingFit:
         self.move_kernel = move_kernel
         self.max_tree_depth = int(max_tree_depth)
         self.target_accept = float(target_accept)
-        self.chain_method = chain_method or "vectorized"
+        self.chain_method = check_chain_method(
+            "vectorized" if chain_method is None else chain_method)
         self.init_draws = int(init_draws)
         self.init_inflation = float(init_inflation)
         self.engine = engine
@@ -329,9 +331,6 @@ class StreamingFit:
     # rejuvenation (resample-move)
     # ------------------------------------------------------------------
     def _make_move_kernel(self, bridge: TemperedPotential):
-        from repro.infer.hmc import HMC
-        from repro.infer.nuts import NUTS
-
         if self.move_kernel == "nuts":
             return NUTS(bridge, step_size=self.move_step_size,
                         max_tree_depth=self.max_tree_depth,
@@ -351,10 +350,12 @@ class StreamingFit:
         history, so checkpoints restore the tuning state exactly.
         """
         kernel = self._make_move_kernel(bridge)
+        answer = answer_for(bridge, self.chain_method, self.ensemble.num_particles,
+                            self.telemetry)
         inv_mass = self.ensemble.weighted_variance()
         accept = np.zeros(self.ensemble.num_particles)
         for _ in range(self.num_moves):
-            infos = self._move_round(kernel, self.move_step_size, inv_mass)
+            infos = self._move_round(kernel, answer, self.move_step_size, inv_mass)
             accept = np.array([info["accept_prob"] for info in infos])
             self.metrics.inc("smc.moves")
         self._divergences = int(kernel.divergences)
@@ -367,58 +368,24 @@ class StreamingFit:
             self.move_step_size = min(self.move_step_size * 1.4, 2.0)
         return mean_accept
 
-    def _move_round(self, kernel, step_size: float,
+    def _move_round(self, kernel, answer, step_size: float,
                     inv_mass: np.ndarray) -> List[dict]:
-        """One transition per particle via the PR-1 generator protocol.
+        """One transition per particle, all advanced by one :func:`drive`.
 
-        ``sequential`` answers each generator's evaluation requests with the
-        scalar path; ``vectorized`` stacks every outstanding request into a
-        single ``potential_and_grad_batched`` call.  The bridge inherits the
-        endpoints' batched-vs-sequential bitwise contract, so both drivers
-        produce identical ensembles.
+        ``answer`` is the chain method's: the sequential row loop or one
+        ``potential_and_grad_batched`` call per round.  The bridge inherits
+        the endpoints' batched-vs-sequential bitwise contract, so both give
+        identical ensembles.
         """
         ensemble = self.ensemble
-        n = ensemble.num_particles
         new_positions = np.empty_like(ensemble.positions)
-        infos: List[Optional[dict]] = [None] * n
-        if self.chain_method == "sequential":
-            for i in range(n):
-                gen = kernel._transition_gen(ensemble.positions[i].copy(),
-                                             ensemble.rngs[i], step_size,
-                                             inv_mass)
-                response = None
-                while True:
-                    try:
-                        request = gen.send(response)
-                    except StopIteration as stop:
-                        new_positions[i], infos[i] = stop.value
-                        break
-                    response = kernel.potential.potential_and_grad(request)
-        else:
-            gens = [kernel._transition_gen(ensemble.positions[i].copy(),
-                                           ensemble.rngs[i], step_size,
-                                           inv_mass) for i in range(n)]
-            responses: List[Any] = [None] * n
-            active = list(range(n))
-            while active:
-                requests = []
-                requesters = []
-                for i in active:
-                    try:
-                        request = gens[i].send(responses[i])
-                    except StopIteration as stop:
-                        new_positions[i], infos[i] = stop.value
-                        continue
-                    requests.append(request)
-                    requesters.append(i)
-                if requesters:
-                    if self.telemetry.enabled:
-                        self.telemetry.record_batch(len(requests), n)
-                    values, grads = kernel.potential.potential_and_grad_batched(
-                        np.stack(requests))
-                    for j, i in enumerate(requesters):
-                        responses[i] = (values[j], grads[j])
-                active = requesters
+        infos: List[Optional[dict]] = [None] * ensemble.num_particles
+
+        def finished(i, result):
+            new_positions[i], infos[i] = result
+        drive([kernel._transition_gen(position.copy(), rng, step_size, inv_mass)
+               for position, rng in zip(ensemble.positions, ensemble.rngs)],
+              answer, finished)
         ensemble.positions = new_positions
         return infos  # type: ignore[return-value]
 

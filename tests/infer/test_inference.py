@@ -159,8 +159,12 @@ def test_nuts_step_size_adaptation_changes_step(rng):
     pot = make_potential(conjugate_normal_model, data)
     kernel = NUTS(pot)
     mcmc = MCMC(kernel, num_warmup=100, num_samples=10, seed=0).run()
-    assert kernel.step_size > 0
     stats = mcmc.get_extra_fields(group_by_chain=False)
+    # The kernel keeps its configured step size; the chain's adapted one is
+    # reported per draw.
+    assert kernel.step_size == 0.1
+    assert np.all(stats["step_size"] > 0)
+    assert np.all(stats["step_size"] != kernel.step_size)
     assert np.nanmean(stats["accept_prob"]) > 0.4
 
 

@@ -26,6 +26,7 @@ from repro import (
     compile_model,
 )
 from repro.infer import MCMC, NUTS, VI, make_potential
+from repro.infer.checkpoint import read_checkpoint, write_checkpoint
 from repro.ppl import distributions as dist
 from repro.ppl.primitives import observe, sample
 
@@ -178,6 +179,55 @@ def test_mcmc_kill_and_resume_is_bitwise_identical(tmp_path, chain_method, num_c
         for key in base_stats:
             np.testing.assert_array_equal(res_stats[key], base_stats[key],
                                           err_msg=f"{snap}: stats diverged")
+
+
+def _assert_bitwise_equal(a, b, where):
+    """Recursive equality of checkpoint payload pieces; floats and arrays
+    are compared bit for bit."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_bitwise_equal(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_bitwise_equal(x, y, f"{where}[{i}]")
+    elif isinstance(a, (np.ndarray, float)):
+        x, y = np.asarray(a), np.asarray(b)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), where
+        assert x.tobytes() == y.tobytes(), where
+    else:
+        assert a == b, where
+
+
+def test_both_chain_methods_write_one_checkpoint_layout(tmp_path):
+    """A sequential and a vectorized run snapshot the same per-chain state."""
+    snapshots = {}
+    for method in ("sequential", "vectorized"):
+        path = str(tmp_path / method / "mcmc.ckpt")
+        run_mcmc(method, num_chains=3, checkpoint_every=17, checkpoint_path=path,
+                 checkpoint_keep=True)
+        snapshots[method] = sorted(p for p in os.listdir(tmp_path / method)
+                                   if p.startswith("mcmc.ckpt."))
+    # one snapshot per barrier (every chain at iteration 17k), not per chain
+    assert snapshots["sequential"] == snapshots["vectorized"]
+    assert len(snapshots["sequential"]) == 4
+    for snap in snapshots["sequential"]:
+        seq = read_checkpoint(str(tmp_path / "sequential" / snap))["chains"]
+        vec = read_checkpoint(str(tmp_path / "vectorized" / snap))["chains"]
+        assert len(seq) == len(vec) == 3
+        for c, (a, b) in enumerate(zip(seq, vec)):
+            assert set(a) == {"state", "collector", "divergences"}
+            _assert_bitwise_equal(a, b, f"{snap} chain {c}")
+
+
+def test_checkpoint_of_another_version_is_refused(tmp_path):
+    path = str(tmp_path / "v.ckpt")
+    run_mcmc("sequential", checkpoint_every=17, checkpoint_path=path)
+    payload = read_checkpoint(path)
+    write_checkpoint(path, dict(payload, version=1))
+    with pytest.raises(ValueError, match="checkpoint version 1 is not supported"):
+        MCMC.resume(path, fresh_kernel())
 
 
 def test_mcmc_resume_continues_checkpointing_and_chains(tmp_path):

@@ -304,6 +304,32 @@ def test_chain_streams_independent_of_chain_count():
         np.testing.assert_array_equal(three[name][:2], two[name])
 
 
+def test_kernels_never_call_the_potential(monkeypatch):
+    """Every evaluation, the step-size search included, is answered by the
+    chain method: a vectorized fit makes no single-row gradient calls and a
+    sequential fit no batched ones."""
+    pot = _eight_schools_potential()
+    calls = {"potential_and_grad": 0, "potential_and_grad_batched": 0}
+    for name in calls:
+        def counted(z, name=name, original=getattr(pot, name)):
+            calls[name] += 1
+            return original(z)
+        monkeypatch.setattr(pot, name, counted)
+
+    def fit(chain_method):
+        calls.update(dict.fromkeys(calls, 0))
+        MCMC(NUTS(pot, max_tree_depth=4), num_warmup=10, num_samples=5, num_chains=3,
+             seed=2, chain_method=chain_method).run()
+        return dict(calls)
+
+    vectorized = fit("vectorized")
+    assert vectorized["potential_and_grad"] == 0
+    assert vectorized["potential_and_grad_batched"] > 0
+    sequential = fit("sequential")
+    assert sequential["potential_and_grad_batched"] == 0
+    assert sequential["potential_and_grad"] > 0
+
+
 def test_chain_method_validation():
     pot = _eight_schools_potential()
     with pytest.raises(ValueError):
