@@ -65,7 +65,7 @@ def test_vectorized_chain_speedup(benchmark):
             seq_draws = seq.get_samples(group_by_chain=True)
             vec_draws = vec.get_samples(group_by_chain=True)
             identical = all(
-                np.allclose(vec_draws[site], seq_draws[site], atol=1e-12)
+                np.array_equal(vec_draws[site], seq_draws[site], equal_nan=True)
                 for site in seq_draws
             )
             rows.append((entry.name, seq_time, vec_time, identical, widths))

@@ -97,7 +97,7 @@ def main() -> None:
     potential = enum_model.potential(0)
     table_digits = len(str(potential.enum_plan.table_size))
     print(f"enumeration strategy : {potential.enum_strategy} "
-          f"({potential.factorization_note})")
+          f"({potential.enum_metadata()['note']})")
     print(f"joint table avoided  : ~10^{table_digits - 1} assignments "
           f"(2^{n}); contraction batch: "
           f"{potential.factorization.batch_rows if potential.factorization else '-'} rows")

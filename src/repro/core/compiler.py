@@ -739,7 +739,7 @@ def compile_model(source_or_program, backend: str = "numpyro", scheme: str = "co
     (:mod:`repro.infer.validated`), not options.
 
     ``enum`` configures discrete-latent enumeration — pass a strategy name
-    (``"auto"``/``"contract"``/``"parallel"``/``"off"``) or a full
+    (``"auto"``/``"parallel"``/``"off"``) or a full
     :class:`~repro.engine.EnumConfig` carrying the strategy and the table
     cap.  ``enum="auto"`` (the recommended
     spelling) resolves in a documented order: tensor variable elimination

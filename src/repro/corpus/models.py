@@ -1213,7 +1213,7 @@ model {
 """)
 
 # Multi-site coupled workloads for the general contraction engine
-# (enum="auto"/"contract"): discrete structure no chain or independent-block
+# (enum="auto"): discrete structure no chain or independent-block
 # special case covers.  The factorial HMM couples TWO latent chains through a
 # joint emission — its factor graph is a ladder (treewidth 2), eliminated by
 # the greedy contraction order in O(T * K^3)-ish message sizes while the

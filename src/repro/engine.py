@@ -36,7 +36,7 @@ ENGINES = ("interpreted", "compiled")
 #: accepted :class:`EnumConfig` strategies.  ``"auto"`` resolves, in order:
 #: tensor variable elimination -> the joint assignment table -> error
 #: (TableSizeError when nothing fits).
-ENUM_STRATEGIES = ("auto", "contract", "parallel", "off")
+ENUM_STRATEGIES = ("auto", "parallel", "off")
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,17 @@ class EnumConfig:
 
     Thread it through :func:`repro.compile_model` as
     ``compile_model(source, enum=EnumConfig(...))`` (or just
-    ``enum="contract"``).
+    ``enum="auto"``).
 
     Parameters
     ----------
     strategy:
-        ``"auto"`` (default; resolution order contract -> joint table ->
-        error), ``"contract"`` (tensor variable elimination with a greedy
-        contraction order — independent elements, chains, trees, grids,
-        factorial HMMs), ``"parallel"`` (the joint assignment table) or
-        ``"off"`` (reject discrete parameters).
+        ``"auto"`` (default; resolution order: tensor variable elimination
+        with a greedy contraction order — independent elements, chains,
+        trees, grids, factorial HMMs — then the joint table, then an error),
+        ``"parallel"`` (the joint assignment table) or ``"off"`` (reject
+        discrete parameters).  ``"contract"`` names the *resolved*
+        contraction strategy (``Potential.enum_strategy``), not a request.
     max_table_size:
         Cap on the joint enumeration table *and* on any single intermediate
         the contraction planner may materialize (``None`` = engine default,

@@ -13,9 +13,9 @@ Pieces
   the joint assignment table over the discrete latent sites, with the
   unbounded-support and table-size guard rails
   (:class:`EnumerationError` / :class:`TableSizeError`).
-* :class:`~repro.enum.handler.enum_sites` — the effect handler lifting each
-  discrete site onto its own reserved broadcast axis so one traced execution
-  evaluates all joint assignments (plus the trace reduction
+* :class:`~repro.enum.handler.enum_sites` — the effect handler substituting
+  each discrete site's values over the flattened joint table so one traced
+  execution evaluates all joint assignments (plus the trace reduction
   :func:`enum_trace_log_density` and the convenience
   :func:`enum_log_density`).
 * :func:`~repro.enum.factorize.collect_term_structure` — element-level

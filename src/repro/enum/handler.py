@@ -3,23 +3,17 @@
 :class:`enum_sites` is an ordinary effect handler (a
 :class:`repro.ppl.handlers.Messenger`): at every discrete latent sample site
 named in its :class:`~repro.enum.plan.EnumerationPlan` it supplies the site's
-*entire* enumerated support instead of a single draw, lifted onto the site's
-reserved broadcast axis.  One traced execution of the model therefore
-evaluates every joint assignment of the discrete latents at once; the
-per-site log-probability terms broadcast into the joint table, and
-:func:`enum_trace_log_density` reduces them to a per-assignment log-joint
-vector that the potential ``logsumexp``-es into the exact marginal density.
+values over the flattened joint table (``plan.flat_values()``) instead of a
+single draw, the leading table axis marked ``is_batched`` so the runtime's
+indexing helpers (``_index``, ``_mul``) treat it exactly like a chain
+batch.  One traced execution of the model therefore evaluates every
+joint assignment of the discrete latents at once, and
+:func:`enum_trace_log_density` reduces the log-probability terms to a
+per-assignment log-joint vector that the potential ``logsumexp``-es into
+the exact marginal density.
 
-Two layouts are supported (see :mod:`repro.enum.plan`):
-
-* ``"axes"`` — each site on its own leading axis (the handler default; what
-  the trace-based pyro runtime uses);
-* ``"flat"`` — the flattened joint table as one leading axis, marked
-  ``is_batched`` so the vectorized runtime helpers (``_index``, ``_mul``,
-  the fast log-density context) treat it exactly like a chain batch.
-
-Both layouts materialize the **joint** table (``prod_i K_i^numel_i`` rows)
-and therefore serve the ``"parallel"``/``"rows"`` strategies only; the
+The handler materializes the **joint** table (``prod_i K_i^numel_i`` rows)
+and therefore serves the ``"parallel"``/``"rows"`` strategies only; the
 ``"contract"`` strategy (:mod:`repro.enum.contract`) substitutes mixed-radix
 per-element grids through the fast log-density context instead and never
 builds the table.  The graph-walk term classification below
@@ -43,14 +37,11 @@ class enum_sites(handlers.Messenger):
     """Substitute every planned discrete latent site with its support table."""
 
     def __init__(self, fn: Optional[Callable] = None,
-                 plan: Optional[EnumerationPlan] = None, layout: str = "axes"):
+                 plan: Optional[EnumerationPlan] = None):
         super().__init__(fn)
         if plan is None:
             raise ValueError("enum_sites requires an EnumerationPlan")
-        if layout not in ("axes", "flat"):
-            raise ValueError(f"unknown enumeration layout {layout!r}")
         self.plan = plan
-        self.layout = layout
 
     def process_message(self, msg: Dict[str, Any]) -> None:
         if msg["type"] != "sample" or msg["is_observed"] or msg["value"] is not None:
@@ -58,11 +49,8 @@ class enum_sites(handlers.Messenger):
         name = msg["name"]
         if name not in self.plan:
             return
-        if self.layout == "axes":
-            value = as_tensor(self.plan.axis_values(name))
-        else:
-            value = as_tensor(self.plan.flat_values()[name])
-            value.is_batched = True
+        value = as_tensor(self.plan.flat_values()[name])
+        value.is_batched = True
         msg["value"] = value
         msg["enumerated"] = True
 
@@ -95,71 +83,40 @@ def _enum_term_ids(model_trace: Dict[str, Dict[str, Any]]) -> set:
     }
 
 
-def _looks_enum_shaped(lp: Tensor, num_axes: int, axis_sizes) -> bool:
-    """Shape-based fallback when no autodiff graph was recorded (no_grad).
-
-    Can misread a data term whose leading length coincides with an axis
-    size; the graph walk above is authoritative whenever grads are on.
-    """
-    shape = lp.data.shape
-    return (
-        lp.data.ndim >= num_axes
-        and all(shape[j] in (1, axis_sizes[j]) for j in range(num_axes))
-        and any(shape[j] == axis_sizes[j] != 1 for j in range(num_axes))
-    )
-
-
-def _reduce_enum_term(lp: Tensor, num_axes: int, axis_sizes, enum_indexed: bool) -> Tensor:
+def _reduce_enum_term(lp: Tensor, enum_indexed: bool) -> Tensor:
     """Sum a log-prob term over its trailing (event/data) axes.
 
-    A term that carries the reserved enumeration prefix keeps those axes; a
-    term that never touched an enumerated value is summed to a scalar (it is
-    constant across assignments and broadcasts into the joint table).
+    A term that carries the leading table axis keeps it; a term that never
+    touched an enumerated value is summed to a scalar (it is constant across
+    assignments and broadcasts into the joint table).
     """
     if not enum_indexed:
         return lp.sum() if lp.data.ndim > 0 else lp
-    if lp.data.ndim > num_axes:
-        return ops.sum_(lp, axis=tuple(range(num_axes, lp.data.ndim)))
+    if lp.data.ndim > 1:
+        return ops.sum_(lp, axis=tuple(range(1, lp.data.ndim)))
     return lp
 
 
 def enum_trace_log_density(model_trace: Dict[str, Dict[str, Any]],
-                           plan: EnumerationPlan, layout: str = "axes") -> Tensor:
+                           plan: EnumerationPlan) -> Tensor:
     """Per-assignment log joint of an enumerated trace.
 
     Returns a ``(table_size,)`` tensor: entry ``t`` is the log joint density
     of the trace with the discrete latents fixed to joint assignment ``t``
-    (flattened row-major over the reserved axes).  ``layout`` must match the
-    layout the values were substituted with: ``"axes"`` reduces into the
-    per-site axis prefix, ``"flat"`` keeps the flattened table axis.
+    (row ``t`` of the flattened table).
 
     Assignment-dependence of each term is decided by walking the recorded
     autodiff graph back to the enumerated value tensors — exact, no shape
     coincidences (a data vector whose length happens to equal the table
     size is still summed to a scalar).  Under ``no_grad`` no graph is
-    recorded and a shape heuristic takes over; inside
-    :class:`repro.infer.Potential` evaluations additionally sit behind the
-    bitwise rows-oracle validation.
+    recorded and a term whose leading axis has the table's length counts
+    as assignment-dependent; inside :class:`repro.infer.Potential`
+    evaluations additionally sit behind the bitwise rows-oracle validation.
     """
     enum_ids = _enum_term_ids(model_trace)
     use_graph = is_grad_enabled()
-    if layout == "flat":
-        t_size = plan.table_size
-        total = as_tensor(np.zeros(t_size))
-        for site in model_trace.values():
-            if site["type"] == "sample":
-                lp = as_tensor(site["fn"].log_prob(site["value"]))
-            elif site["type"] == "factor":
-                lp = as_tensor(site["value"])
-            else:
-                continue
-            enum_indexed = _depends_on(lp, enum_ids) if use_graph else (
-                lp.data.ndim >= 1 and lp.data.shape[0] == t_size)
-            total = ops.add(total, _reduce_enum_term(lp, 1, (t_size,), enum_indexed))
-        return total
-    axis_sizes = plan.axis_sizes
-    e = len(axis_sizes)
-    total = as_tensor(np.zeros(axis_sizes))
+    t_size = plan.table_size
+    total = as_tensor(np.zeros(t_size))
     for site in model_trace.values():
         if site["type"] == "sample":
             lp = as_tensor(site["fn"].log_prob(site["value"]))
@@ -167,31 +124,26 @@ def enum_trace_log_density(model_trace: Dict[str, Dict[str, Any]],
             lp = as_tensor(site["value"])
         else:
             continue
-        enum_indexed = _depends_on(lp, enum_ids) if use_graph else \
-            _looks_enum_shaped(lp, e, axis_sizes)
-        total = ops.add(total, _reduce_enum_term(lp, e, axis_sizes, enum_indexed))
-    return ops.reshape(total, (plan.table_size,))
+        enum_indexed = _depends_on(lp, enum_ids) if use_graph else (
+            lp.data.ndim >= 1 and lp.data.shape[0] == t_size)
+        total = ops.add(total, _reduce_enum_term(lp, enum_indexed))
+    return total
 
 
 def enum_log_density(model: Callable, plan: EnumerationPlan, model_args=(),
                      model_kwargs=None, substituted: Optional[Dict[str, Any]] = None,
-                     observed: Optional[Dict[str, Any]] = None, rng_seed: int = 0,
-                     layout: str = "axes"):
+                     observed: Optional[Dict[str, Any]] = None, rng_seed: int = 0):
     """Run ``model`` once with parallel enumeration; return per-assignment log joints.
 
     ``substituted`` fixes the continuous latent sites; ``observed`` conditions
     data sites.  Returns ``(per_assignment, trace)`` where ``per_assignment``
-    is a differentiable ``(table_size,)`` tensor.  The ``"axes"`` layout is
-    the natural one for hand-written models; compiled Stan models (whose
-    generated code indexes sites elementwise, ``z[n]``) need ``"flat"`` —
-    its ``is_batched`` marking routes the runtime's indexing helpers around
-    the table axis.
+    is a differentiable ``(table_size,)`` tensor.
     """
     model_kwargs = model_kwargs or {}
     tracer = handlers.trace()
     with handlers.seed(rng_seed=rng_seed), \
          handlers.condition(data=observed or {}), \
          handlers.substitute(data=substituted or {}), \
-         enum_sites(plan=plan, layout=layout), tracer:
+         enum_sites(plan=plan), tracer:
         model(*model_args, **model_kwargs)
-    return enum_trace_log_density(tracer.trace, plan, layout=layout), tracer.trace
+    return enum_trace_log_density(tracer.trace, plan), tracer.trace

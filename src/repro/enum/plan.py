@@ -7,24 +7,18 @@ engine: given the discrete latent sample sites of a traced model execution it
 builds an :class:`EnumerationPlan` describing the *joint assignment table* —
 every combination of values the discrete latents can take.
 
-Layout conventions
-------------------
+Table layout
+------------
 
-Each discrete site owns one reserved broadcast axis.  A site whose value is
-an array (e.g. ``int<lower=1,upper=2> z[N]``) enumerates the cartesian
-product over its elements, so its axis has ``K ** N`` entries.  The plan
-offers two equivalent views of the table:
-
-* ``flat_values()`` — every site as a ``(T, *event_shape)`` array whose
-  leading axis is the *flattened joint table* (``T = prod(site sizes)``,
-  row-major over sites in trace order).  This is what the vectorized
-  potential fast path substitutes: the table rides the existing batched
-  evaluation machinery, with per-assignment log joints coming back as a
-  ``(T,)`` vector to be ``logsumexp``-ed.
-* ``axis_values(name)`` — the same values shaped ``(1, ..., A_i, ..., 1,
-  *event_shape)`` with site ``i``'s axis at position ``i`` of the reserved
-  prefix, used by the :class:`repro.enum.handler.enum_sites` effect handler
-  (one traced execution evaluates all joint assignments by broadcasting).
+A site whose value is an array (e.g. ``int<lower=1,upper=2> z[N]``)
+enumerates the cartesian product over its elements, so it has ``K ** N``
+joint assignments.  ``flat_values()`` gives every site as a
+``(T, *event_shape)`` array whose leading axis is the *flattened joint
+table* (``T = prod(site sizes)``, row-major over sites in trace order).  The
+vectorized potential path and the :class:`repro.enum.handler.enum_sites`
+effect handler substitute it with that axis marked ``is_batched``: the table
+rides the existing batched evaluation machinery, with per-assignment log
+joints coming back as a ``(T,)`` vector to be ``logsumexp``-ed.
 
 Guard rails: a site whose distribution has no finite support (``Poisson``,
 an unbounded ``int`` declaration) raises :class:`EnumerationError`; a joint
@@ -100,7 +94,7 @@ class DiscreteSiteInfo:
         """``(num_assignments, *event_shape)`` joint support of the site.
 
         Row-major: the last element of the site varies fastest, mirroring
-        ``numpy`` reshape order so axis/flat views stay consistent.
+        ``numpy`` reshape order.
         """
         k, m = self.cardinality, self.numel
         idx = np.arange(self.num_assignments)
@@ -141,29 +135,23 @@ class EnumerationPlan:
         self._rows_cache: Dict[str, np.ndarray] = {}
         self._digits_cache: Dict[str, np.ndarray] = {}
 
-    def ensure_table_capacity(self, factorization_note: Optional[str] = None,
-                              strategy: Optional[str] = None) -> None:
+    def ensure_table_capacity(self, note: Optional[str] = None) -> None:
         """Raise :class:`TableSizeError` if the joint table exceeds the cap.
 
         Called at construction for joint-table plans and *lazily* — only when
         a joint evaluation is actually needed — for contract plans, whose
         table may be astronomically large without ever being built.
-        ``factorization_note`` reports whether the structured strategy was
-        attempted and why it did not apply; ``strategy`` names the strategy
-        that was requested (``"auto"`` or ``"contract"``) so the fallback
-        diagnostic does not mislead.
+        ``note`` (the potential's strategy resolution) reports whether the
+        structured strategy was attempted and why it did not apply.
         """
         if self.table_size <= self.max_table_size:
             return
         detail = ", ".join(
             f"{s.name}: {s.cardinality}^{s.numel} = {s.num_assignments}"
             for s in self.sites)
-        if factorization_note is None:
-            attempted = (f"the {strategy} strategy was not attempted"
-                         if strategy else
-                         "tensor variable elimination was not attempted")
-            factorization_note = (
-                f"{attempted} on this path — "
+        if note is None:
+            note = (
+                "tensor variable elimination was not attempted on this path — "
                 'recompile with enum="auto" (instead of the joint-table '
                 'enum="parallel") so the contraction planner eliminates '
                 "conditionally-independent elements in O(N*K), chains in "
@@ -172,7 +160,7 @@ class EnumerationPlan:
         raise TableSizeError(
             f"joint enumeration table has {self.table_size} entries "
             f"({detail}), exceeding the cap of {self.max_table_size}. "
-            f"{factorization_note}. Otherwise reduce the discrete state space "
+            f"{note}. Otherwise reduce the discrete state space "
             "(fewer elements / tighter bounds) or raise the cap "
             "(compile_model(..., enum=EnumConfig(max_table_size=...)) / "
             "Potential(enum=EnumConfig(max_table_size=...))).")
@@ -199,11 +187,6 @@ class EnumerationPlan:
     @property
     def site_names(self) -> List[str]:
         return [site.name for site in self.sites]
-
-    @property
-    def axis_sizes(self) -> Tuple[int, ...]:
-        """One reserved axis per site: ``(A_0, ..., A_{E-1})``."""
-        return tuple(site.num_assignments for site in self.sites)
 
     def __contains__(self, name: str) -> bool:
         return any(site.name == name for site in self.sites)
@@ -279,20 +262,6 @@ class EnumerationPlan:
                     (self.table_size,) + self._event_pad(site))
             self._flat_cache = out
         return self._flat_cache
-
-    def axis_values(self, name: str) -> np.ndarray:
-        """Site values with the site's own reserved broadcast axis.
-
-        Shape ``(1, ..., A_i, ..., 1, *event_shape)`` — axis ``i`` of the
-        ``E`` reserved leading axes carries the site's joint assignments;
-        every other reserved axis is a singleton, so values of different
-        sites broadcast against each other into the full joint table.
-        """
-        axis = self.site_axis(name)
-        site = self.sites[axis]
-        e = len(self.sites)
-        shape = (1,) * axis + (site.num_assignments,) + (1,) * (e - 1 - axis)
-        return site.assignments().reshape(shape + self._event_pad(site))
 
     def decode(self, table_idx: int) -> Dict[str, np.ndarray]:
         """Concrete per-site values of one joint assignment (flat row)."""

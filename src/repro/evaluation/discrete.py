@@ -256,7 +256,7 @@ def measure_enum_cost(model_name: str, data_for_size, sizes: Tuple[int, int],
             raise RuntimeError(
                 f"{model_name} at size {size} resolved to "
                 f"{potential.enum_strategy!r}, not the contract strategy "
-                f"({potential.factorization_note}) — the cost measurement "
+                f"({potential.enum_metadata()['note']}) — the cost measurement "
                 "would time the wrong engine")
         best = float("inf")
         for i in range(repeats):

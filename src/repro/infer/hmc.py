@@ -276,7 +276,8 @@ class HMC:
                        inv_mass: np.ndarray):
         """Heuristic initial step size (Hoffman & Gelman 2014, Algorithm 4).
 
-        A generator like :meth:`_transition_gen`; returns the step size.
+        A generator like :meth:`_transition_gen`; returns the step size and
+        the ``(U, grad)`` at ``z``, which the chain's first transition reuses.
         """
         step_size = 1.0
         u0, grad0 = yield z
@@ -300,7 +301,7 @@ class HMC:
                 break
             if direction == -1.0 and log_ratio >= math.log(0.5):
                 break
-        return max(min(step_size, 10.0), 1e-6)
+        return max(min(step_size, 10.0), 1e-6), (u0, grad0)
 
     # ------------------------------------------------------------------
     # the transition as a generator

@@ -101,9 +101,10 @@ class _ChainState:
     def transition(self, kernel: HMC):
         """The generator of this chain's next transition.
 
-        A chain's first transition evaluates its start; every later one
-        reuses the ``(U, grad)`` of the previous transition's returned
-        position — evaluations are deterministic, so either way the draws
+        A transition reuses the ``(U, grad)`` at its start when the chain
+        holds it — from the previous transition's returned position, or
+        from the step-size search for a fresh chain — and evaluates it
+        otherwise; evaluations are deterministic, so either way the draws
         are identical.
         """
         return kernel._transition_gen(self.position, self.rng, self.step_size,
@@ -531,7 +532,8 @@ class MCMC:
                                   rng, kernel)
                       for rng in self._chain_rngs()]
             if kernel.adapt_step_size:
-                def found(c, step_size):
+                def found(c, result):
+                    step_size, chains[c].last_eval = result
                     chains[c].step_size = step_size
                     chains[c].dual_avg.initialize(step_size)
                 drive([kernel._step_size_gen(state.position, state.rng, state.inv_mass)

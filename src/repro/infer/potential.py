@@ -110,12 +110,6 @@ class Potential:
         #: joint assignment table over the discrete latent sites
         #: (``None`` unless enumeration is enabled and found any).
         self.enum_plan = None
-        #: the contraction layout (a :class:`~repro.enum.ContractionPlan`, set
-        #: when the dependency analysis succeeds and the strategy validates).
-        self.factorization = None
-        #: why the contract strategy does / does not apply (human-readable;
-        #: threaded into TableSizeError so the failure is actionable).
-        self.factorization_note: Optional[str] = None
         #: telemetry session (the shared null sink unless ``obs=`` was
         #: given) and the unified engine metrics registry.
         self.telemetry = as_telemetry(obs)
@@ -132,13 +126,13 @@ class Potential:
         # because validations call back into evaluation paths.
         self._validation_lock = threading.RLock()
         self._decisions: List[Dict[str, Any]] = []
-        # The fast paths (see repro.infer.validated).  Compiled programs by
-        # label ("single", "batched-<width>"), dropped whenever the graph
-        # structure changes; batched widths, whose tiers live in the
-        # (possibly shared) store ``_batched_tiers``.
-        self._programs: Dict[str, ValidatedPath] = {}
+        # The fast paths (see repro.infer.validated).  The single tape and
+        # the widths' paths are dropped whenever the graph structure changes;
+        # a width's tier lives only in the (possibly shared) store
+        # ``_batched_tiers``.
+        self._single: Optional[ValidatedPath] = None
         self._batched_tiers: Dict[int, str] = {}
-        self._widths: Dict[int, ValidatedPath] = {}
+        self._widths: Dict[int, _WidthPath] = {}
         self._marginal = ValidatedPath(self, "enum", "strategy", ("contract", None, "joint"),
                                        "joint", tolerance=(VALUE_RTOL, VALUE_ATOL))
         self._table = ValidatedPath(self, "enum", "table", ("parallel", None, "rows"), "rows")
@@ -205,8 +199,7 @@ class Potential:
             # lazily (only on joint fallback).
             self.enum_plan = EnumerationPlan.from_trace_sites(
                 discrete, max_table_size=self.enum_config.max_table_size,
-                defer_size_check=(self.enum_config.strategy
-                                  in ("contract", "auto")))
+                defer_size_check=self.enum_config.strategy == "auto")
         self.dim = offset
         if self.dim == 0:
             if self.enum_plan is not None:
@@ -359,14 +352,10 @@ class Potential:
         else:
             from repro.enum import enum_log_density
 
-            # The flat layout: generated code indexes sites elementwise
-            # (``z[n]``), which the ``is_batched`` marking routes around the
-            # table axis; the per-site "axes" layout is for hand-written
-            # broadcast-style models.
             total, _ = enum_log_density(
                 self.model, plan, model_args=self.model_args,
                 model_kwargs=self.model_kwargs, substituted=dict(constrained),
-                observed=self.observed, rng_seed=self.rng_seed, layout="flat")
+                observed=self.observed, rng_seed=self.rng_seed)
         if total.data.shape != (t_size,):
             raise RuntimeError(
                 f"enumerated log joint has shape {total.data.shape}, expected ({t_size},)")
@@ -451,35 +440,21 @@ class Potential:
                 self._demote_structured(exc)
         return ops.logsumexp(self._enum_log_joint(constrained))
 
-    def _attempted_strategy(self) -> Optional[str]:
-        """The structured strategy this potential attempts, for diagnostics.
-
-        ``None`` when no structured elimination applies (``"parallel"`` /
-        ``"off"``); threaded into
-        :meth:`~repro.enum.EnumerationPlan.ensure_table_capacity` fallback
-        messages.
-        """
-        strategy = self.enum_config.strategy
-        return strategy if strategy in ("contract", "auto") else None
-
     def _demote_structured(self, reason) -> None:
         """Fall back for good from the contraction to the joint table.
 
-        Raises :class:`~repro.enum.TableSizeError` (with the elimination
-        context) if the joint table does not fit the cap.
+        Every compiled program recorded the structured graph: the single
+        tape is classified afresh and each width's program is rechecked
+        against the interpreted batched tape.  Raises
+        :class:`~repro.enum.TableSizeError` (with the elimination context) if
+        the joint table does not fit the cap.
         """
-        attempted = self._attempted_strategy() or "contract"
-        note = (f"elimination planning (strategy {attempted!r}) was attempted "
-                f"and bailed: {reason}")
         with self._validation_lock:
-            self.factorization_note = note
-            self.factorization = None
-            # Every compiled program recorded the structured graph.
-            for path in self._programs.values():
-                path.program = None
-            self._programs.clear()
-            self._marginal.decide("joint", note)
-        self.enum_plan.ensure_table_capacity(note, strategy=attempted)
+            self._single = None
+            self._widths.clear()
+            self._marginal.decide(
+                "joint", f"elimination planning was attempted and bailed: {reason}")
+        self.enum_plan.ensure_table_capacity(self._marginal.reason)
 
     def _ensure_enum_strategy(self) -> None:
         """Resolve the marginalization strategy before the first evaluation."""
@@ -491,23 +466,24 @@ class Potential:
     def _resolve_enum_strategy(self) -> None:
         """Pick the marginalization strategy once, at the canonical probe.
 
-        ``"auto"`` and ``"contract"`` resolve in order: tensor variable
-        elimination (cross-checked against the joint table while that is at
-        most :data:`~repro.infer.validated.CROSS_CHECK_TABLE_CAP` entries) ->
+        ``"auto"`` resolves in order: tensor variable elimination
+        (cross-checked against the joint table while that is at most
+        :data:`~repro.infer.validated.CROSS_CHECK_TABLE_CAP` entries) ->
         joint table -> TableSizeError when nothing fits; ``"parallel"`` goes
-        straight to the joint table.
+        straight to the joint table.  The contraction plan is the
+        ``enum``/``strategy`` path's candidate, and each decision's reason
+        says how the strategy resolved.
         """
         from repro.enum import FactorizationError, analyze_contraction
 
         path, plan = self._marginal, self.enum_plan
-        if self._attempted_strategy() is None:
+        if self.enum_config.strategy != "auto":
             return path.decide("joint", f"strategy {self.enum_config.strategy!r}")
         if not self.fast:
-            self.factorization_note = (
-                "tensor variable elimination requires the vectorized (numpyro) "
-                "runtime; this potential uses the trace-based handler stack")
-            path.decide("joint", self.factorization_note)
-            return plan.ensure_table_capacity(self.factorization_note)
+            path.decide("joint", "tensor variable elimination requires the "
+                        "vectorized (numpyro) runtime; this potential uses the "
+                        "trace-based handler stack")
+            return plan.ensure_table_capacity(path.reason)
         if all(not site.event_shape for site in plan.sites) \
                 and plan.table_size <= plan.max_table_size:
             # Scalar sites only *and* the table fits: keep the joint
@@ -515,35 +491,38 @@ class Potential:
             # engine.  Many scalar sites can still blow the cap (2^17
             # Bernoullis) — those fall through to the contraction, which
             # eliminates each scalar site in O(K).
-            self.factorization_note = (
-                "all discrete sites are scalar; the joint table is already "
-                "small and keeps bitwise-stable draws")
-            return path.decide("joint", self.factorization_note)
+            return path.decide("joint", "all discrete sites are scalar; the joint "
+                               "table is already small and keeps bitwise-stable draws")
         probe = self._canonical_probe((self.dim,))
         try:
             with np.errstate(all="ignore"):
                 constrained, _ = self.constrain(as_tensor(probe))
-            self.factorization = analyze_contraction(
+            path.program = analyze_contraction(
                 self.model, plan, model_args=self.model_args,
                 model_kwargs=self.model_kwargs, observed=self.observed,
                 constrained=dict(constrained), rng_seed=self.rng_seed,
                 max_table_size=plan.max_table_size, telemetry=self.telemetry)
         except FactorizationError as exc:
             return self._demote_structured(exc)
-        self.factorization_note = self.factorization.describe()
+        description = path.program.describe()
         if plan.table_size > min(plan.max_table_size, CROSS_CHECK_TABLE_CAP):
-            self.factorization_note += (
+            return path.decide("contract", description + (
                 "; joint table too large for oracle cross-validation — "
-                "trusting the exact graph-walk dependency analysis")
-            return path.decide("contract", self.factorization_note)
+                "trusting the exact graph-walk dependency analysis"))
         tier, reason = path.compare(
             value_and_grad(partial(self._neg_log_joint_tensor, trial="contract")),
             value_and_grad(partial(self._neg_log_joint_tensor, trial="joint")),
             [probe])
         if tier == "contract":
-            path.decide(tier, reason)
+            path.decide(tier, f"{description}; {reason}")
         else:
             self._demote_structured(f"the joint-table oracle disagrees ({reason})")
+
+    @property
+    def factorization(self):
+        """The contraction layout the ``enum``/``strategy`` path serves (a
+        :class:`~repro.enum.ContractionPlan`), or ``None`` on the joint table."""
+        return self._marginal.program
 
     @property
     def enum_strategy(self) -> Optional[str]:
@@ -557,9 +536,9 @@ class Potential:
         """
         if self.enum_plan is None:
             return None
-        tier = self._marginal.tier
-        if tier == "contract" or (tier is None and self._attempted_strategy()):
-            return tier or self.enum_config.strategy
+        strategy = self._marginal.tier or self.enum_config.strategy
+        if strategy in ("contract", "auto"):
+            return strategy
         return self._table.tier or "parallel"
 
     def assignment_log_joints(self, z: np.ndarray) -> np.ndarray:
@@ -579,8 +558,7 @@ class Potential:
         """
         if self.enum_plan is None:
             raise RuntimeError("assignment_log_joints requires an enumerated potential")
-        self.enum_plan.ensure_table_capacity(self.factorization_note,
-                                             strategy=self._attempted_strategy())
+        self.enum_plan.ensure_table_capacity(self._marginal.reason)
         with np.errstate(all="ignore"):
             constrained, _ = self.constrain(as_tensor(np.asarray(z, dtype=float)))
             return np.asarray(self._enum_log_joint(constrained).data, dtype=float)
@@ -609,20 +587,17 @@ class Potential:
         ``None`` for non-enumerated potentials; otherwise the requested and
         *resolved* strategy, the planner cost estimate (total contraction
         table entries for structured strategies, the joint table size for the
-        joint fallback), and the human-readable resolution note.
+        joint fallback), and the resolution note: the reason of the
+        ``enum``/``strategy`` path's last decision.
         """
         if self.enum_plan is None:
             return None
-        meta: Dict[str, Any] = {
-            "requested": self.enum_config.strategy,
-            "strategy": self.enum_strategy,
-            "note": self.factorization_note,
-        }
-        if self.factorization is not None:
-            meta["cost_estimate"] = int(self.factorization.cost_estimate())
-        else:
-            meta["cost_estimate"] = int(self.enum_plan.table_size)
-        return meta
+        plan = self.factorization
+        return {"requested": self.enum_config.strategy,
+                "strategy": self.enum_strategy,
+                "note": self._marginal.reason,
+                "cost_estimate": int(plan.cost_estimate() if plan is not None
+                                     else self.enum_plan.table_size)}
 
     # ------------------------------------------------------------------
     # density evaluation
@@ -642,12 +617,10 @@ class Potential:
         self.metrics.inc("value_evals")
         start = time.perf_counter()
         try:
-            if self.engine_config.engine == "compiled":
-                out = self._compiled_value("single", z)
-                if out is not None:
-                    return float(out)
-                return float(self._single_vg(z)[0])
-            return self._vg(z)[0]
+            out = self._compiled_value(z)
+            if out is not None:
+                return float(out)
+            return float(self._single_vg(z)[0])
         finally:
             self.metrics.inc("tape_seconds", time.perf_counter() - start)
 
@@ -671,54 +644,64 @@ class Potential:
     # ------------------------------------------------------------------
     # A graph the potential evaluates repeatedly — the single-row tape, a
     # batched width's tape — is lowered once into a straight-line NumPy
-    # program.  A shape/dtype guard invalidates a program when the input
-    # signature changes; the retrace is classified afresh.
+    # program.  The single tape's shape/dtype guard invalidates its program
+    # when the input signature changes; the retrace is classified afresh.
     def _single_vg(self, z: np.ndarray) -> Tuple[float, np.ndarray]:
         """Engine dispatch for one ``(dim,)`` evaluation."""
         if self.engine_config.engine != "compiled":
             return self._vg(z)
-        value, grad = (self._compiled_vg("single", z, self._neg_log_joint_tensor,
-                                         self._vg) or self._vg(z))
+        value, grad = self._compiled_vg(z) or self._vg(z)
         return float(value), np.asarray(grad, dtype=float)
 
-    def _compiled_vg(self, label: str, z: np.ndarray, fn: Callable,
-                     oracle: Callable):
-        """``(value, grad)`` for ``z`` through the program labelled ``label``.
+    def _compiled_vg(self, z: np.ndarray):
+        """``(value, grad)`` for ``z`` through the single tape's program.
 
-        Classifies the program against ``oracle`` (the interpreted
-        evaluation of ``fn``) on first use; ``None`` unless the program
-        serves gradients (the ``fast`` tier, and it did not raise).
+        Classifies the program against the interpreted tape on first use;
+        ``None`` unless the program serves gradients (the ``fast`` tier, and
+        it did not raise).
         """
-        path = self._programs.get(label)
+        path = self._single
         if path is None or (path.program is not None and not path.program.matches(z)):
             with self._validation_lock:
-                if self._programs.get(label) is path:  # not reclassified meanwhile
-                    self._programs[label] = self._classify_program(label, z.shape, fn, oracle)
-                path = self._programs[label]
+                if self._single is path:  # not reclassified meanwhile
+                    self._single = self._classify_program(z.shape)
+                path = self._single
         if path.tier == "fast" and path.program is not None:
             try:
-                out = path.program.value_and_grad(z)
-                self.metrics.inc("compiled_evals")
-                return out
+                return self._compiled(path.program.value_and_grad, z)
             except Exception as exc:  # noqa: BLE001
                 path.demote(exc)
         return None
 
-    def _classify_program(self, label: str, shape: Tuple[int, ...],
-                          fn: Callable, oracle: Callable) -> ValidatedPath:
-        path = ValidatedPath(self, "tape", label, ("fast", "value_fast", "off"),
+    def _classify_program(self, shape: Tuple[int, ...]) -> ValidatedPath:
+        path = ValidatedPath(self, "tape", "single", ("fast", "value_fast", "off"),
                              "interpreted")
-        with self.telemetry.span("tape.compile", key=label) as span:
-            try:
-                path.program = compile_tape(fn, self._canonical_probe(shape),
-                                            telemetry=self.telemetry)
-            except Exception as exc:  # noqa: BLE001 - the graph does not lower
-                span.set(tier="off", compile_error=describe_error(exc))
-                path.decide("off", describe_error(exc))
-            else:
-                path.decide(*path.compare(path.program.value_and_grad, oracle,
-                                          self._probes(shape), span))
+        with self.telemetry.span("tape.compile", key="single") as span:
+            tier, reason = "off", self._lower(path, self._neg_log_joint_tensor, shape, span)
+            if reason is None:
+                tier, reason = path.compare(path.program.value_and_grad, self._vg,
+                                            self._probes(shape), span)
+            span.set(tier=tier)
+            path.decide(tier, reason)
         return path
+
+    def _lower(self, path: ValidatedPath, fn: Callable, shape: Tuple[int, ...],
+               span) -> Optional[str]:
+        """Lower ``fn`` at the canonical probe into ``path.program``; the
+        error when the graph does not lower."""
+        try:
+            path.program = compile_tape(fn, self._canonical_probe(shape),
+                                        telemetry=self.telemetry)
+        except Exception as exc:  # noqa: BLE001 - the graph does not lower
+            span.set(compile_error=describe_error(exc))
+            return describe_error(exc)
+        return None
+
+    def _compiled(self, run: Callable, z: np.ndarray):
+        """``run(z)`` of a compiled program, counted in ``compiled_evals``."""
+        out = run(z)
+        self.metrics.inc("compiled_evals")
+        return out
 
     def _canonical_probe(self, shape: Tuple[int, ...],
                          salt: int = 0) -> np.ndarray:
@@ -740,21 +723,19 @@ class Potential:
         return (self._canonical_probe(shape, salt)
                 for salt in range(VALIDATION_PROBES))
 
-    def _compiled_value(self, label: str, z: np.ndarray):
-        """Value via a compiled forward program, or ``None`` to interpret.
+    def _compiled_value(self, z: np.ndarray):
+        """Value via the single tape's forward program, or ``None`` to interpret.
 
         ``value_fast`` programs qualify (their values are bitwise).  Never
         classifies: that needs gradients, so the gradient path does it.
         """
-        path = self._programs.get(label)
+        path = self._single
         if (path is None or path.program is None
                 or path.tier not in ("fast", "value_fast")
                 or not path.program.matches(z)):
             return None
         try:
-            out = path.program.value(z)
-            self.metrics.inc("compiled_evals")
-            return out
+            return self._compiled(path.program.value, z)
         except Exception as exc:  # noqa: BLE001
             path.demote(exc)
             return None
@@ -771,13 +752,16 @@ class Potential:
     def metrics_view(self) -> Dict[str, Any]:
         """Engine observability snapshot: resolved engine, tape tiers, counters.
 
-        ``tape_modes`` maps each compiled program's label to the tier it
-        serves at (``"off"`` when it serves nothing); ``grad_evals``,
-        ``value_evals``, ``compiled_evals`` and ``tape_seconds`` read the
-        :attr:`metrics` registry.
+        ``tape_modes`` maps each compiled program's label (``"single"``,
+        ``"batched-<width>"``) to the tier it serves at (``"off"`` when it
+        serves nothing); ``grad_evals``, ``value_evals``, ``compiled_evals``
+        and ``tape_seconds`` read the :attr:`metrics` registry.
         """
+        paths = {"single": self._single}
+        if self.engine_config.engine == "compiled":
+            paths.update((f"batched-{w}", path) for w, path in list(self._widths.items()))
         modes = {label: path.tier if path.program is not None else "off"
-                 for label, path in list(self._programs.items())}
+                 for label, path in paths.items() if path is not None}
         counters = self.metrics.counters()
         return {"engine": self.engine_config.engine, "tape_modes": modes,
                 "grad_evals": int(counters.get("grad_evals", 0)),
@@ -794,7 +778,7 @@ class Potential:
         Consumed by the live progress meter and the telemetry report.
         """
         parts = [self.engine_config.engine]
-        single = self._programs.get("single")
+        single = self._single
         if single is not None:
             parts[0] = f"{self.engine_config.engine}:{single.tier}"
         if num_chains is not None and num_chains > 1:
@@ -895,32 +879,6 @@ class Potential:
         grad = t.grad if t.grad is not None else np.zeros_like(z)
         return np.asarray(out.data, dtype=float), np.asarray(grad, dtype=float)
 
-    def _batched_vg(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The batched graph at a classified width, through the engine
-        (raising where :meth:`_require_interpreted` does)."""
-        if self.engine_config.engine != "compiled":
-            return self._batched_fast_interpreted(z)
-        out = self._compiled_vg(f"batched-{z.shape[0]}", z,
-                                self._neg_log_joint_tensor_batched,
-                                self._batched_fast_interpreted)
-        if out is None:
-            self._require_interpreted(z.shape[0])
-            return self._batched_fast_interpreted(z)
-        return np.asarray(out[0], dtype=float), np.asarray(out[1], dtype=float)
-
-    def _require_interpreted(self, width: int) -> None:
-        """Raise unless the interpreted batched tape may serve ``width``.
-
-        Under the compiled engine it may as the width's own candidate (a
-        width classified here whose graph does not lower) or before any
-        program is classified at the width; never after a program raised or
-        missed its check.  The raise sends the caller to the row loop.
-        """
-        path = self._programs.get(f"batched-{width}")
-        if path is not None and (path.path != "batched" or path.program is not None
-                                 or path.tier == "loop"):
-            raise RuntimeError(f"no validated batched evaluation at width {width}")
-
     def _potential_and_grad_batched_loop(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         values = np.empty(z.shape[0])
         grads = np.empty_like(z)
@@ -959,11 +917,13 @@ class Potential:
         if width is None:
             with self._validation_lock:
                 if self._serving_width(c) is None:
-                    self._classify_batched(c, z.shape[1])
+                    self._classify_width(c, z.shape[1])
             return self._potential_and_grad_batched_impl(z, c)
-        if self._batched_tiers[width] == "fast":
+        serve = (self._width_vg(width, z.shape[1])
+                 if self._batched_tiers[width] == "fast" else None)
+        if serve is not None:
             try:
-                return self._in_blocks(self._batched_vg, z, width)
+                return self._in_blocks(serve, z, width)
             except Exception as exc:  # noqa: BLE001
                 # A state-dependent branch may only trigger away from the
                 # probes (e.g. a latent crossing a control-flow boundary).
@@ -1005,40 +965,66 @@ class Potential:
             return parts[0]
         return tuple(np.concatenate(column) for column in zip(*parts))
 
-    def _width_path(self, width: int) -> ValidatedPath:
-        path = self._widths.get(width)
-        if path is None:
-            path = self._widths[width] = ValidatedPath(
-                self, "batched", width, ("fast", "value_fast", "loop"), "loop",
-                table=self._batched_tiers)
-        return path
+    def _width_path(self, width: int) -> "_WidthPath":
+        """This potential's path for ``width`` (one made here records a
+        demotion of a width it never checked)."""
+        return self._widths.setdefault(width, _WidthPath(self, width, "loop"))
 
-    def _classify_batched(self, c: int, dim: int) -> None:
-        """Classify width ``c`` against the per-row loop.
+    def _classify_width(self, width: int, dim: int) -> None:
+        """Classify ``width`` against the per-row loop.
 
         The candidate is the compiled batched program under the compiled
         engine (the interpreted batched tape when the graph does not lower);
         it then serves the width directly, with the loop as its only oracle.
         """
-        path, shape = self._width_path(c), (c, dim)
-        with self.telemetry.span("batched.validate", num_chains=c, dim=dim) as span:
+        path, shape = _WidthPath(self, width, "loop"), (width, dim)
+        with self.telemetry.span("batched.validate", num_chains=width, dim=dim) as span:
             candidate = self._batched_fast_interpreted
             if self.engine_config.engine == "compiled":
-                label = f"batched-{c}"
-                self._programs[label] = path
-                with self.telemetry.span("tape.compile", key=label) as lowering:
-                    try:
-                        path.program = compile_tape(
-                            self._neg_log_joint_tensor_batched,
-                            self._canonical_probe(shape), telemetry=self.telemetry)
+                with self.telemetry.span("tape.compile", key=f"batched-{width}") as lowering:
+                    if self._lower(path, self._neg_log_joint_tensor_batched,
+                                   shape, lowering) is None:
                         candidate = path.program.value_and_grad
-                    except Exception as exc:  # noqa: BLE001
-                        lowering.set(compile_error=describe_error(exc))
             tier, reason = path.compare(candidate, self._potential_and_grad_batched_loop,
                                         self._probes(shape), span)
             if tier == "fast" and self.enum_plan is not None:
                 tier, reason = "value_fast", reason + "; enumerated widths cap at value_fast"
             path.decide(tier, reason)
+        self._widths[width] = path
+
+    def _check_inherited(self, width: int, dim: int) -> "_WidthPath":
+        """Check the compiled program of a ``fast`` width this potential did
+        not classify against the interpreted batched tape.
+
+        The program serves gradients bitwise or not at all: one that does
+        not lower or misses demotes the width for every sharer.
+        """
+        path, shape = _WidthPath(self, width, "interpreted"), (width, dim)
+        with self.telemetry.span("tape.compile", key=f"batched-{width}") as span:
+            tier, reason = "loop", self._lower(
+                path, self._neg_log_joint_tensor_batched, shape, span)
+            if reason is None:
+                tier, reason = path.compare(path.program.value_and_grad,
+                                            self._batched_fast_interpreted,
+                                            self._probes(shape), span)
+            path.decide("fast" if tier == "fast" else "loop", reason)
+        return path
+
+    def _width_vg(self, width: int, dim: int) -> Optional[Callable]:
+        """What serves gradients at the ``fast`` width ``width``: its compiled
+        program, else the interpreted batched tape; ``None`` once this
+        potential's path no longer serves gradients."""
+        if self.engine_config.engine != "compiled":
+            return self._batched_fast_interpreted
+        with self._validation_lock:
+            if width not in self._widths:
+                self._widths[width] = self._check_inherited(width, dim)
+            path = self._widths[width]
+        if path.tier != "fast":
+            return None
+        if path.program is None:
+            return self._batched_fast_interpreted
+        return partial(self._compiled, path.program.value_and_grad)
 
     def share_batched_classification(self, store: Dict[int, str]) -> None:
         """Adopt ``store`` as this potential's batched-tier table.
@@ -1049,19 +1035,22 @@ class Potential:
         share one table instead of each paying the row-loop comparison on
         first batched use (the serving layer's cold-dataset k-hat tax).  The
         store's widths serve every batch size of every sharer, so a
-        potential that adopts a non-empty store never classifies a width;
-        its compiled batched program is checked against the interpreted
-        batched tape instead, and a program that misses demotes the width.
-        Tiers this potential already established are merged in without
-        overwriting the store's; later classifications and demotions (which
-        are conservative) write straight into the shared dict.
+        potential that adopts a non-empty store never classifies a width:
+        an inherited width's compiled program is checked against the
+        interpreted batched tape on first gradient use, and a program that
+        misses demotes the width for every sharer.  Tiers this potential
+        already established are merged in; where the store holds a better
+        tier, this potential's verdict demotes it (a recorded decision).
+        Later classifications and demotions write straight into the shared
+        dict; only a demotion overwrites a tier there.
         """
         with self._validation_lock:
-            for width, tier in self._batched_tiers.items():
-                store.setdefault(width, tier)
-            for path in self._widths.values():
-                path.table = store
-            self._batched_tiers = store
+            own, self._batched_tiers = self._batched_tiers, store
+            for width, tier in own.items():
+                held = store.setdefault(width, tier)
+                if _WIDTH_TIERS.index(tier) > _WIDTH_TIERS.index(held):
+                    self._width_path(width).decide(
+                        tier, f"this potential's verdict; the shared store held {held!r}")
 
     def potential_batched(self, z: np.ndarray) -> np.ndarray:
         """Batched potential *values* only, shape ``(C,)`` — no gradients.
@@ -1091,25 +1080,31 @@ class Potential:
     def _potential_batched_impl(self, z: np.ndarray, width: int) -> np.ndarray:
         if z.shape[0] > 1 and self._batched_tiers[width] in ("fast", "value_fast"):
             try:
-                return self._in_blocks(lambda block: (self._values(
-                    f"batched-{width}", block, self._neg_log_joint_tensor_batched),),
-                    z, width)[0]
+                return self._in_blocks(self._width_values, z, width)[0]
             except Exception as exc:  # noqa: BLE001
                 self._width_path(width).demote(exc)
         with no_grad():
-            return np.array([float(self._values("single", zi, self._neg_log_joint_tensor))
-                             for zi in z])
+            return np.array([float(self._values(zi)) for zi in z])
 
-    def _values(self, label: str, z: np.ndarray, fn: Callable) -> np.ndarray:
-        """Values of ``fn`` at ``z``: the program ``label`` when it serves
-        values, else the interpreted tape (for a batch, only where
-        :meth:`_require_interpreted` allows)."""
-        if self.engine_config.engine == "compiled":
-            out = self._compiled_value(label, z)
-            if out is not None:
-                return np.asarray(out, dtype=float)
-            if z.ndim == 2:
-                self._require_interpreted(z.shape[0])
+    def _width_values(self, block: np.ndarray) -> Tuple[np.ndarray]:
+        """``(values,)`` of a width-row block: the width's program when this
+        potential classified or checked it, else the interpreted batched
+        tape."""
+        path = self._widths.get(block.shape[0])
+        if path is not None and path.program is not None:
+            return (self._compiled(path.program.value, block),)
+        return (self._interpreted_values(self._neg_log_joint_tensor_batched, block),)
+
+    def _values(self, z: np.ndarray) -> np.ndarray:
+        """Value at one row: the single tape's program when it serves values,
+        else the interpreted tape."""
+        out = self._compiled_value(z)
+        if out is not None:
+            return np.asarray(out, dtype=float)
+        return self._interpreted_values(self._neg_log_joint_tensor, z)
+
+    @staticmethod
+    def _interpreted_values(fn: Callable, z: np.ndarray) -> np.ndarray:
         # Recorded like the validated gradient tape, not under no_grad: the
         # runtime recognizes derived per-chain tensors by their graph
         # provenance, which no_grad erases.
@@ -1158,6 +1153,32 @@ class Potential:
             except Exception as exc:  # noqa: BLE001
                 path.demote(exc)
         return self._constrained_rows(z)
+
+
+#: a batched width's tiers, best first.
+_WIDTH_TIERS = ("fast", "value_fast", "loop")
+
+
+class _WidthPath(ValidatedPath):
+    """A batched width's path.  Its tier lives only in the owner's (possibly
+    shared) store ``_batched_tiers``."""
+
+    def __init__(self, owner: Potential, width: int, oracle: str) -> None:
+        super().__init__(owner, "batched", width, _WIDTH_TIERS, oracle)
+
+    @property
+    def tier(self) -> Optional[str]:
+        return self.owner._batched_tiers.get(self.key)
+
+    @tier.setter
+    def tier(self, tier: str) -> None:
+        # The store keeps the worse of its tier and this one: a sharer's
+        # passing check cannot undo another sharer's demotion.  The
+        # read-modify-write holds only this potential's lock; sharers never
+        # evaluate concurrently (model evaluation is not thread-safe, and the
+        # serving layer serialises it under ``repro.serve.EVAL_LOCK``).
+        store = self.owner._batched_tiers
+        store[self.key] = max(store.get(self.key, tier), tier, key=_WIDTH_TIERS.index)
 
 
 def make_potential(model: Callable, *model_args, observed: Optional[Dict[str, Any]] = None,

@@ -3,16 +3,17 @@
 :class:`~repro.infer.Potential` evaluates the density through optimistic fast
 paths, and every one follows the contract stated here:
 
-* **paths and oracles.**  ``tape``: a compiled program against the
-  interpreted evaluation of the same graph — the single-row tape, or a
-  batched width's program when the width was not classified by this
-  potential (its tier came from a shared store, or a structural demotion
-  dropped the program).  ``batched``: the batched evaluation of a width the
-  potential classifies itself — its compiled program under the compiled
-  engine, else (or when the graph does not lower) the interpreted batched
-  tape — against the per-row loop, its only oracle.  ``enum``/``strategy``:
-  the contraction against the joint table.  ``enum``/``table``: the
-  table-vectorized joint execution against the per-assignment rows.
+* **paths and oracles.**  ``tape``: the compiled single-row program against
+  the interpreted evaluation of the same graph.  ``batched``: the batched
+  evaluation at a width — its compiled program under the compiled engine,
+  else (or when the graph does not lower) the interpreted batched tape.  Its
+  oracle is the per-row loop when the potential classifies the width
+  itself, and the interpreted batched tape when the width's tier was
+  inherited from a shared store or a structural demotion dropped the
+  program; the width's tier lives only in that (possibly shared) store.
+  ``enum``/``strategy``: the contraction plan against the joint table; the
+  decision's reason says how the strategy resolved.  ``enum``/``table``:
+  the table-vectorized joint execution against the per-assignment rows.
   ``constrain``: the batched constrain against per-row constraining.
 * **canonical probes.**  A path is classified once, at fixed jittered points
   around the prior-init point (:meth:`Potential._canonical_probe`) — three
@@ -39,11 +40,14 @@ paths, and every one follows the contract stated here:
   fallback tier for good, under the potential's validation lock.  A batched
   width falls back to the row loop, never to an evaluation that no loop
   comparison vouched for: when its program raises, or when an inherited
-  width's program misses its interpreted-tape check, the width is demoted.
-  The interpreted batched tape serves a compiled-engine width only as the
-  width's own candidate (the graph does not lower), or for a sharer's
-  value-only calls before its program is classified — values the program
-  reproduces bitwise by construction (:mod:`repro.autodiff.compile`).
+  width's program does not lower or misses its interpreted-tape check, the
+  width is demoted for every potential sharing the store; a potential that
+  adopts a store holding a better tier at a width it classified itself
+  demotes the store to its own verdict.  The interpreted batched tape
+  serves a compiled-engine width only as the width's own candidate (the
+  graph does not lower), or for a sharer's value-only calls before its
+  program is checked — values the program reproduces bitwise by
+  construction (:mod:`repro.autodiff.compile`).
 * **decisions.**  Every classification and demotion appends one record
   ``{path, key, tier, oracle, reason}`` to :meth:`Potential.decisions`, emits
   it as a ``potential.decision`` telemetry event and sets the metrics info
@@ -52,7 +56,7 @@ paths, and every one follows the contract stated here:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -95,21 +99,21 @@ class ValidatedPath:
 
     ``tiers`` is ``(best, value_only, fallback)`` (``value_only`` is ``None``
     for paths without a value-only tier); ``tolerance``, the values'
-    ``(rtol, atol)``, selects the value-tol comparator.  ``tier`` is ``None`` until classified.  ``table``, when
-    given, also receives the tier under ``key`` — the batched widths write
-    into the (possibly shared) tier store this way.  ``program`` holds the
-    compiled program a ``tape`` or compiled ``batched`` candidate runs.
+    ``(rtol, atol)``, selects the value-tol comparator.  ``tier`` is ``None``
+    until classified and ``reason`` is the last decision's reason.
+    ``program`` holds what the candidate runs: a compiled program, or the
+    contraction plan of the ``enum``/``strategy`` path.
     """
 
+    tier: Optional[str] = None
+    reason: Optional[str] = None
+    program: Any = None
+
     def __init__(self, owner: Any, path: str, key: Any, tiers: Tuple,
-                 oracle: str, tolerance: Optional[Tuple[float, float]] = None,
-                 table: Optional[Dict] = None) -> None:
+                 oracle: str, tolerance: Optional[Tuple[float, float]] = None) -> None:
         self.owner = owner
         self.path, self.key, self.tiers, self.oracle = path, key, tiers, oracle
         self.tolerance = tolerance
-        self.table = table
-        self.tier: Optional[str] = None
-        self.program = None
 
     def _verdict(self, checks) -> str:
         values_bitwise, grads_bitwise, values_tol, grads_tol = checks
@@ -157,9 +161,7 @@ class ValidatedPath:
         """Record ``tier`` as this path's classification or demotion."""
         owner = self.owner
         with owner._validation_lock:
-            self.tier = tier
-            if self.table is not None:
-                self.table[self.key] = tier
+            self.tier, self.reason = tier, reason
             if tier == self.tiers[-1]:
                 self.program = None
             record = {"path": self.path, "key": self.key, "tier": tier,

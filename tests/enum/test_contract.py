@@ -416,7 +416,7 @@ def test_infer_discrete_contract_sample_frequencies():
 # ----------------------------------------------------------------------
 def test_enum_config_coerce_and_hash():
     assert EnumConfig.coerce(None) == EnumConfig()
-    assert EnumConfig.coerce("contract") == EnumConfig(strategy="contract")
+    assert EnumConfig.coerce("auto") == EnumConfig(strategy="auto")
     config = EnumConfig(strategy="auto", max_table_size=1 << 20)
     assert EnumConfig.coerce(config) is config
     assert hash(config) == hash(config.replace())
@@ -429,9 +429,11 @@ def test_enum_config_coerce_and_hash():
 def test_enum_config_rejects_unknown_strategy():
     with pytest.raises(ValueError, match="unknown enum strategy"):
         EnumConfig(strategy="tensorized")
-    # the deleted strict engine's name is no strategy either
-    with pytest.raises(ValueError, match="unknown enum strategy"):
-        EnumConfig(strategy="factorized")
+    # the deleted strict engine's name is no strategy either, and
+    # "contract" names only the resolved strategy
+    for removed in ("factorized", "contract"):
+        with pytest.raises(ValueError, match="unknown enum strategy"):
+            EnumConfig(strategy=removed)
     with pytest.raises(ValueError, match="positive integer"):
         EnumConfig(max_table_size=0)
     with pytest.raises(TypeError):
@@ -446,9 +448,9 @@ def test_engine_config_threads_enum_onto_potential():
     assert pot.engine_config == config
     assert pot.enum_config == EnumConfig(strategy="auto", max_table_size=999)
     # an explicit enum= replaces the engine config's enum wholesale
-    pot = compile_model(source, engine=config, enum="contract") \
+    pot = compile_model(source, engine=config, enum="auto") \
         .condition(data).potential(0)
-    assert pot.enum_config == EnumConfig(strategy="contract")
+    assert pot.enum_config == EnumConfig(strategy="auto")
     # without enum= the default strategy is "off"
     assert EngineConfig().enum.strategy == "off"
     with pytest.raises(SemanticError, match='enum="auto"'):
@@ -473,7 +475,7 @@ def test_contract_cap_failure_reports_knob_and_falls_back():
     data = datagen.factorial_hmm_data(seed=0, t=5)
     pot = compile_model(
         corpus_models.get("factorial_hmm_enum"),
-        enum=EnumConfig(strategy="contract", max_table_size=4),
+        enum=EnumConfig(strategy="auto", max_table_size=4),
     ).condition(data).potential(0)
     with pytest.raises(TableSizeError) as excinfo:
         pot.log_prob(pot.initial_unconstrained())

@@ -39,19 +39,16 @@ def test_site_assignments_enumerate_cartesian_product():
     assert len({tuple(r) for r in rows}) == 8
 
 
-def test_plan_flat_and_axis_views_agree():
+def test_plan_flat_view_is_row_major_and_decodes():
     a = DiscreteSiteInfo("a", np.array([1.0, 2.0]), ())
     b = DiscreteSiteInfo("b", np.array([0.0, 1.0, 2.0]), ())
     plan = _plan([a, b])
-    assert plan.table_size == 6 and plan.axis_sizes == (2, 3)
+    assert plan.table_size == 6
     flat = plan.flat_values()
     assert flat["a"].shape == (6, 1) and flat["b"].shape == (6, 1)
-    # broadcasting the axis views into the joint table reproduces the flat one
-    full = plan.axis_sizes + (1,)  # scalar sites carry the event pad
-    axes_a = np.broadcast_to(plan.axis_values("a"), full).reshape(-1)
-    axes_b = np.broadcast_to(plan.axis_values("b"), full).reshape(-1)
-    np.testing.assert_array_equal(axes_a, flat["a"].reshape(-1))
-    np.testing.assert_array_equal(axes_b, flat["b"].reshape(-1))
+    # row-major over sites in trace order: the last site varies fastest
+    np.testing.assert_array_equal(flat["a"].reshape(-1), [1, 1, 1, 2, 2, 2])
+    np.testing.assert_array_equal(flat["b"].reshape(-1), [0, 1, 2, 0, 1, 2])
     # decode(t) matches row t of the flat table (concrete scalar values)
     for t in range(plan.table_size):
         decoded = plan.decode(t)
@@ -83,7 +80,7 @@ def test_site_support_wraps_unbounded_distributions():
 # ----------------------------------------------------------------------
 # the effect handler
 # ----------------------------------------------------------------------
-def test_enum_sites_lifts_each_site_onto_its_own_axis():
+def test_enum_sites_substitutes_the_flat_table():
     plan = EnumerationPlan([
         DiscreteSiteInfo("a", np.array([0.0, 1.0]), ()),
         DiscreteSiteInfo("b", np.array([1.0, 2.0, 3.0]), ()),
@@ -97,9 +94,10 @@ def test_enum_sites_lifts_each_site_onto_its_own_axis():
     tracer = handlers.trace()
     with handlers.seed(rng_seed=0), enum_sites(plan=plan), tracer:
         a, b = model()
-    # own reserved axis each (axes 0 and 1), plus the scalar event pad
-    assert a.data.shape == (2, 1, 1)
-    assert b.data.shape == (1, 3, 1)
+    # one leading table axis marked as the row axis, plus the scalar event pad
+    for value, name in ((a, "a"), (b, "b")):
+        assert value.data.shape == (6, 1) and value.is_batched
+        np.testing.assert_array_equal(value.data, plan.flat_values()[name])
     assert tracer.trace["a"]["enumerated"] and tracer.trace["b"]["enumerated"]
 
 
@@ -125,8 +123,7 @@ def test_enum_log_density_matches_brute_force():
     np.testing.assert_allclose(per_assignment.data, expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("layout", ["axes", "flat"])
-def test_data_term_with_table_sized_length_is_not_misread(layout):
+def test_data_term_with_table_sized_length_is_not_misread():
     # regression: an assignment-independent observed vector whose length
     # equals the table size must be summed to a scalar, not spread across
     # assignments — the graph-provenance classification sees through the
@@ -139,7 +136,7 @@ def test_data_term_with_table_sized_length_is_not_misread(layout):
         sample("y", dist.Normal(np.zeros(2), 1.0), obs=y)
         return z
 
-    per_assignment, _ = enum_log_density(model, plan, layout=layout)
+    per_assignment, _ = enum_log_density(model, plan)
     import scipy.stats as st
 
     expected = np.array([

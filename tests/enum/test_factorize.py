@@ -272,7 +272,7 @@ def test_trace_runtime_keeps_the_joint_table():
     pot = make_potential(model, fast=False, enum="auto")
     pot.potential(pot.initial_unconstrained())
     assert pot.enum_strategy in ("parallel", "rows")
-    assert "runtime" in pot.factorization_note
+    assert "runtime" in pot.enum_metadata()["note"]
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +343,49 @@ def test_scalar_site_models_keep_bitwise_draws_vs_joint_engine():
         potential = model.potential(3)
         assert potential.enum_strategy in ("parallel", "rows")
     assert fits["auto"].posterior.equals(fits["parallel"].posterior)
+
+
+# ----------------------------------------------------------------------
+# the resolution note is the enum/strategy path's decision reason
+# ----------------------------------------------------------------------
+def _resolved_potential(case):
+    mixture = corpus_models.get("gauss_mix_enum")
+    y = [0.4, -1.1, 2.3, 0.2]
+    if case == "cross_checked":      # 2^6 rows: checked against the table
+        return compile_model(mixture, enum="auto").condition(
+            datagen.gauss_mix_enum_data(n=6)).potential(0)
+    if case == "trusted":            # 2^13 rows: beyond the cross-check cap
+        return compile_model(mixture, enum="auto").condition(
+            datagen.gauss_mix_enum_data(n=13)).potential(0)
+    if case == "pyro_backend":
+        return compile_model(mixture, backend="pyro", enum="auto").condition(
+            datagen.gauss_mix_enum_data(n=6)).potential(0)
+    source = SCALAR_SITE_MODEL if case == "scalar_sites" else WHOLE_ARRAY
+    return compile_model(source, enum="auto").condition(
+        {"N": len(y), "y": y}).potential(0)
+
+
+@pytest.mark.parametrize("case, tier, phrase", [
+    ("cross_checked", "contract", "at 1 probe(s)"),
+    ("trusted", "contract", "trusting the exact graph-walk"),
+    ("scalar_sites", "joint", "all discrete sites are scalar"),
+    ("pyro_backend", "joint", "requires the vectorized (numpyro) runtime"),
+    ("bail_out", "joint", "attempted and bailed"),
+])
+def test_enum_note_is_the_strategy_decision_reason(case, tier, phrase):
+    """``enum_metadata()["note"]`` reads the ``enum``/``strategy`` path: it
+    is the reason of that path's last decision, however it resolved."""
+    pot = _resolved_potential(case)
+    pot.potential(pot.initial_unconstrained())
+    strategy = [d for d in pot.decisions()
+                if (d["path"], d["key"]) == ("enum", "strategy")]
+    assert strategy[-1]["tier"] == tier
+    assert phrase in strategy[-1]["reason"]
+    assert pot.enum_metadata()["note"] == strategy[-1]["reason"]
+    if tier == "contract":  # the plan's description leads the reason
+        assert strategy[-1]["reason"].startswith(pot.factorization.describe())
+    else:
+        assert pot.factorization is None
 
 
 # ----------------------------------------------------------------------

@@ -278,9 +278,10 @@ def test_batched_program_has_one_oracle():
     sharer = model.potential(1)
     sharer.share_batched_classification(store)
     values, grads = sharer.potential_and_grad_batched(z)
+    # one record: the inherited width's program check
     assert [(d["path"], d["key"], d["tier"], d["oracle"])
-            for d in sharer.decisions()] == [("tape", "batched-4", "fast",
-                                              "interpreted")]
+            for d in sharer.decisions()] == [("batched", 4, "fast", "interpreted")]
+    assert sharer.metrics_view()["tape_modes"] == {"batched-4": "fast"}
     # the row loop would have classified (and compiled) the single tape
     assert "single" not in sharer.metrics_view()["tape_modes"]
     rows = [sharer.potential_and_grad(zi) for zi in z]
@@ -363,10 +364,56 @@ def test_inherited_width_program_that_misses_its_check_serves_the_row_loop(
     rows = [sharer.potential_and_grad(zi) for zi in z]
     np.testing.assert_array_equal(values, [v for v, _ in rows])
     np.testing.assert_array_equal(grads, np.array([g for _, g in rows]))
-    assert [(d["path"], d["key"], d["tier"]) for d in sharer.decisions()][:2] == [
-        ("tape", "batched-4", "off"), ("batched", 4, "loop")]
+    (check,) = [d for d in sharer.decisions() if d["path"] == "batched"]
+    assert (check["key"], check["tier"], check["oracle"]) == (4, "loop", "interpreted")
+    assert "differ" in check["reason"]
     assert store == {4: "loop"}
     assert first.eval_tier(4).split()[1] == "vec:loop"
+
+
+@pytest.mark.parametrize("own, nudge", [("loop", (1e-3, 0.0)),
+                                        ("value_fast", (0.0, 1e-11))])
+def test_adopting_a_better_store_keeps_the_worse_verdict(monkeypatch, own, nudge):
+    """A potential whose own row-loop check put a width below the tier a
+    store it adopts holds there demotes the store to its own verdict: it
+    never serves a batched gradient its own check rejected, and every
+    sharer serves the worse tier from then on."""
+    from repro.infer import potential as potential_module
+
+    model, first, z = _eight_schools_width_4()
+    store = {}
+    first.share_batched_classification(store)
+    first.potential_and_grad_batched(z)
+    assert store == {4: "fast"}
+    real_compile = potential_module.compile_tape
+
+    def nudged_compile(fn, z0, **kwargs):
+        # relative nudges of the batched program's (values, gradients)
+        tape = real_compile(fn, z0, **kwargs)
+        if np.ndim(z0) == 2:
+            real_vg = tape.value_and_grad
+            tape.value_and_grad = lambda x: tuple(
+                out * (1.0 + eps) for out, eps in zip(real_vg(x), nudge))
+        return tape
+
+    monkeypatch.setattr(potential_module, "compile_tape", nudged_compile)
+    pot = model.potential(1)
+    pot.potential_and_grad_batched(z)
+    assert pot._batched_tiers == {4: own}
+    pot.share_batched_classification(store)
+    assert store == {4: own}
+    assert first.eval_tier(4).split()[1] == f"vec:{own}"
+    last = pot.decisions()[-1]
+    assert (last["path"], last["key"], last["tier"], last["oracle"]) == (
+        "batched", 4, own, "loop")
+    assert "'fast'" in last["reason"]
+    # the row loop serves the gradients: one single-program call per row
+    before = pot.metrics_view()["compiled_evals"]
+    values, grads = pot.potential_and_grad_batched(z)
+    assert pot.metrics_view()["compiled_evals"] - before == 4
+    rows = [pot.potential_and_grad(zi) for zi in z]
+    np.testing.assert_array_equal(values, [v for v, _ in rows])
+    np.testing.assert_array_equal(grads, np.array([g for _, g in rows]))
 
 
 def test_vectorized_fit_emits_one_decision_event_per_path():

@@ -723,6 +723,10 @@ def test_cold_datasets_share_batched_classification(trained):
         per_row = [pot.potential_and_grad(zi) for zi in z]
         np.testing.assert_array_equal(values, [u for u, _ in per_row])
         np.testing.assert_array_equal(grads, np.array([g for _, g in per_row]))
-    assert [d for pot in (pot_a, pot_b) for d in pot.decisions()
-            if d["path"] == "batched"] == []
-    assert set(trained.batched_tiers) == widths
+    # each sharer's one batched record is the check of the inherited
+    # width's program against the interpreted batched tape, at the trained
+    # tier: no classification against the row loop and no demotion
+    assert [(d["tier"], d["oracle"]) for pot in (pot_a, pot_b)
+            for d in pot.decisions() if d["path"] == "batched"] == \
+        [(tier, "interpreted")] * 2
+    assert trained.batched_tiers == {width: tier}
