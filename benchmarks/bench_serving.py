@@ -14,8 +14,14 @@ configured servers sharing one registry:
 * ``sequential`` — the same requests awaited one at a time: every request
   pays the full batching window and round trip alone.
 
-The gate: batched throughput >= ``SPEEDUP_MIN`` x sequential, and the
-measured window used strictly fewer batched evaluations than requests.
+One burst of the batched arm lasts ~50 ms, too short for one timing to
+resolve anything on a shared host, so both arms run ``REPEATS``
+interleaved repetitions of the workload; the JSON records every
+repetition's speedup and their quartiles, and ``speedup`` is their median.
+
+The gate: median batched throughput >= ``SPEEDUP_MIN`` x sequential, and
+every measured repetition used strictly fewer batched evaluations than
+requests.
 Also recorded (and gated by the regression guard): every response carries
 a finite k-hat, and sampled responses are bitwise-identical to
 ``AmortizedModel.query_direct``.  ``REPRO_BENCH_ITERS`` (CI smoke) shrinks
@@ -45,6 +51,8 @@ FULL_RUN = BENCH_ITERS == 0
 SPEEDUP_MIN = 3.0
 #: the acceptance workload: this many queries in flight at once.
 CONCURRENCY = 64
+#: interleaved timed repetitions of the workload per arm.
+REPEATS = 7
 #: distinct datasets cycled across the workload (each is one cache entry).
 POOL = 8
 NUM_DRAWS = 32
@@ -124,17 +132,23 @@ def test_batched_serving_beats_sequential():
         for request in requests[:4]:
             sequential.query(request, timeout=600.0)
 
-        evals_before = batched.metrics.value("serve.batch_evals")
-        start = time.perf_counter()
-        batched_responses = batched.serve_many(requests, timeout=600.0)
-        batched_wall = time.perf_counter() - start
-        batch_evals = batched.metrics.value("serve.batch_evals") - evals_before
+        batched_walls, sequential_walls, batch_evals = [], [], []
+        batched_runs, sequential_runs = [], []
+        for _ in range(REPEATS):
+            evals_before = batched.metrics.value("serve.batch_evals")
+            start = time.perf_counter()
+            batched_runs.append(batched.serve_many(requests, timeout=600.0))
+            batched_walls.append(time.perf_counter() - start)
+            batch_evals.append(
+                batched.metrics.value("serve.batch_evals") - evals_before)
 
-        start = time.perf_counter()
-        sequential_responses = [sequential.query(request, timeout=600.0)
-                                for request in requests]
-        sequential_wall = time.perf_counter() - start
+            start = time.perf_counter()
+            sequential_runs.append([sequential.query(request, timeout=600.0)
+                                    for request in requests])
+            sequential_walls.append(time.perf_counter() - start)
 
+    batched_responses = [r for run in batched_runs for r in run]
+    sequential_responses = [r for run in sequential_runs for r in run]
     assert all(r["status"] == "ok"
                for r in batched_responses + sequential_responses)
     khat_all_present = all(np.isfinite(r["khat"]) for r in batched_responses)
@@ -145,12 +159,19 @@ def test_batched_serving_beats_sequential():
         direct = model.query_direct(data=datasets[i % POOL],
                                     num_draws=NUM_DRAWS, seed=1000 + i)
         for site, value in direct["draws"].items():
-            served = np.asarray(batched_responses[i]["draws"][site])
-            bitwise = bitwise and np.array_equal(served, value)
+            for run in batched_runs:
+                served = np.asarray(run[i]["draws"][site])
+                bitwise = bitwise and np.array_equal(served, value)
 
+    # Per repetition: batched over sequential throughput, i.e. the
+    # sequential wall over the batched one.
+    speedups = np.asarray(sequential_walls) / np.asarray(batched_walls)
+    speedup = float(np.median(speedups))
+    batched_wall = float(np.median(batched_walls))
+    sequential_wall = float(np.median(sequential_walls))
     batched_qps = CONCURRENCY / batched_wall
     sequential_qps = CONCURRENCY / sequential_wall
-    speedup = batched_qps / sequential_qps
+    batch_evals = max(batch_evals)
     batched_lat = _latency_ms(batched_responses)
     sequential_lat = _latency_ms(sequential_responses)
     row = {
@@ -158,8 +179,12 @@ def test_batched_serving_beats_sequential():
         "dataset_pool": POOL,
         "num_draws": NUM_DRAWS,
         "train_steps": TRAIN_STEPS,
+        "repeats": REPEATS,
         "batch_mode": batched_responses[0]["metadata"]["batch_mode"],
         "speedup": speedup,
+        "speedups": [float(v) for v in speedups],
+        "speedup_quartiles": [float(np.percentile(speedups, 25)),
+                              float(np.percentile(speedups, 75))],
         "speedup_min": SPEEDUP_MIN,
         "batch_evals": int(batch_evals),
         "khat_all_present": bool(khat_all_present),
@@ -182,12 +207,14 @@ def test_batched_serving_beats_sequential():
         f"batched:    {batched_qps:8.1f} posteriors/s "
         f"(p50 {row['batched']['latency_p50_ms']:.1f}ms, "
         f"p95 {row['batched']['latency_p95_ms']:.1f}ms, "
-        f"{batch_evals} batched evals for {CONCURRENCY} requests, "
+        f"at most {batch_evals} batched evals for {CONCURRENCY} requests, "
         f"mode {row['batch_mode']})",
         f"sequential: {sequential_qps:8.1f} posteriors/s "
         f"(p50 {row['sequential']['latency_p50_ms']:.1f}ms, "
         f"p95 {row['sequential']['latency_p95_ms']:.1f}ms)",
-        f"speedup: {speedup:.2f}x (gate >= {SPEEDUP_MIN}x) | "
+        f"speedup: median {speedup:.2f}x over {REPEATS} repetitions "
+        f"(quartiles {row['speedup_quartiles'][0]:.2f}-"
+        f"{row['speedup_quartiles'][1]:.2f}x; gate >= {SPEEDUP_MIN}x) | "
         f"khat on every response: {khat_all_present} | "
         f"bitwise vs query_direct: {bitwise}",
     ])
@@ -199,5 +226,5 @@ def test_batched_serving_beats_sequential():
         f"{batch_evals} batched evaluations for {CONCURRENCY} requests — "
         "the micro-batcher did not coalesce")
     assert speedup >= SPEEDUP_MIN, (
-        f"batched serving speedup {speedup:.2f}x fell below the "
+        f"median batched serving speedup {speedup:.2f}x fell below the "
         f"{SPEEDUP_MIN}x acceptance bar")

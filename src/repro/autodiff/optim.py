@@ -1,10 +1,11 @@
-"""Optimisers for variational inference (SGD, Adam).
+"""The Adam optimiser of trace-based SVI.
 
-Both operate on a list of :class:`~repro.autodiff.tensor.Tensor` parameters:
+It operates on a list of :class:`~repro.autodiff.tensor.Tensor` parameters:
 after ``loss.backward()`` has populated ``.grad`` fields, calling ``step()``
 updates parameter data in place and ``zero_grad()`` clears gradients for the
 next iteration, following the PyTorch optimiser protocol that Pyro's SVI
-loop assumes.
+loop assumes.  (The autoguide engine :class:`~repro.infer.vi.VI` keeps its
+own Adam, written in the arithmetic of the historical ADVI loop.)
 """
 
 from __future__ import annotations
@@ -16,52 +17,7 @@ import numpy as np
 from repro.autodiff.tensor import Tensor
 
 
-class Optimizer:
-    """Base class holding the parameter list."""
-
-    def __init__(self, params: Iterable[Tensor]) -> None:
-        self.params: List[Tensor] = list(params)
-        if not self.params:
-            raise ValueError("optimizer needs at least one parameter")
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def add_param(self, param: Tensor) -> None:
-        """Register a parameter created lazily (e.g. by a ``param`` site)."""
-        if all(param is not p for p in self.params):
-            self.params.append(param)
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-2, momentum: float = 0.0) -> None:
-        super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for p in self.params:
-            if p.grad is None:
-                continue
-            if self.momentum > 0.0:
-                v = self._velocity.get(id(p))
-                if v is None:
-                    v = np.zeros_like(p.data)
-                v = self.momentum * v - self.lr * p.grad
-                self._velocity[id(p)] = v
-                p.data = p.data + v
-            else:
-                p.data = p.data - self.lr * p.grad
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimiser (Kingma & Ba, 2015)."""
 
     def __init__(
@@ -71,13 +27,24 @@ class Adam(Optimizer):
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
     ) -> None:
-        super().__init__(params)
+        self.params: List[Tensor] = list(params)
+        if not self.params:
+            raise ValueError("optimizer needs at least one parameter")
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         self._t: Dict[int, int] = {}
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
+
+    def add_param(self, param: Tensor) -> None:
+        """Register a parameter created lazily (e.g. by a ``param`` site)."""
+        if all(param is not p for p in self.params):
+            self.params.append(param)
 
     def step(self) -> None:
         for p in self.params:
@@ -98,24 +65,3 @@ class Adam(Optimizer):
             self._m[key] = m
             self._v[key] = v
             self._t[key] = t
-
-
-class ClippedAdam(Adam):
-    """Adam with gradient-norm clipping (Pyro's default SVI optimiser)."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3, clip_norm: float = 10.0, **kwargs) -> None:
-        super().__init__(params, lr=lr, **kwargs)
-        self.clip_norm = clip_norm
-
-    def step(self) -> None:
-        total = 0.0
-        for p in self.params:
-            if p.grad is not None:
-                total += float((p.grad ** 2).sum())
-        norm = np.sqrt(total)
-        if norm > self.clip_norm and norm > 0:
-            scale = self.clip_norm / norm
-            for p in self.params:
-                if p.grad is not None:
-                    p.grad = p.grad * scale
-        super().step()

@@ -41,7 +41,7 @@ from repro.frontend.parser import parse_program
 from repro.frontend.semantics import check_program
 from repro.gprob import ir
 from repro.guides import AutoGuide
-from repro.infer import HMC, MCMC, NUTS, VI, ExplicitVI, ImportanceSampling, Potential
+from repro.infer import HMC, MCMC, NUTS, SVI, VI, ImportanceSampling, Potential
 from repro.infer.results import FitResult, Posterior
 from repro.obs import NULL_TELEMETRY, as_telemetry
 from repro.ppl import handlers
@@ -292,11 +292,12 @@ class ConditionedModel:
           :meth:`ConditionedModel.resume`).
         * ``"vi"`` — variational inference over any autoguide family (or the
           explicit DeepStan guide); returns the fitted
-          :class:`~repro.infer.VI` / :class:`~repro.infer.ExplicitVI`.
+          :class:`~repro.infer.VI` (autoguides) or :class:`~repro.infer.SVI`
+          (explicit guides).
           Mean-field ADVI (Stan's baseline in Fig. 10) is
           ``fit("vi", guide="auto_normal")``.
         * ``"svi"`` — ``fit("vi", guide="explicit")`` with learning rate
-          0.01 by default.
+          0.01 by default; returns the fitted :class:`~repro.infer.SVI`.
         * ``"importance"`` — likelihood-weighted sampling from the compiled
           prior; returns the completed
           :class:`~repro.infer.ImportanceSampling`.
@@ -379,8 +380,9 @@ class ConditionedModel:
           :class:`~repro.guides.AutoGuide` instance;
         * ``"explicit"`` (or ``None`` on a program with a ``guide`` block, or
           any other callable) — the DeepStan explicit guide, optimised with
-          trace-based SVI.  The explicit path clears the global param store
-          first so repeated fits do not leak state into each other.
+          trace-based :class:`~repro.infer.SVI` (learning rate 0.05 unless
+          given).  The explicit path clears the global param store first so
+          repeated fits do not leak state into each other.
         """
         guide_kwargs = dict(guide_kwargs or {})
         if isinstance(guide, type) and issubclass(guide, AutoGuide):
@@ -392,7 +394,7 @@ class ConditionedModel:
                 explicit = True
             else:
                 guide = "auto_normal"
-        elif isinstance(guide, str) and guide.lower() in ("explicit", "deepstan", "guide"):
+        elif isinstance(guide, str) and guide.lower() == "explicit":
             explicit = True
         elif callable(guide) and not isinstance(guide, AutoGuide):
             explicit = True
@@ -414,10 +416,11 @@ class ConditionedModel:
             from repro.ppl import primitives
 
             primitives.clear_param_store()
-            driver = ExplicitVI(self.model_callable(), guide_fn,
-                                latent_names=self.compiled.parameter_names,
-                                learning_rate=learning_rate,
-                                num_particles=num_particles, seed=seed)
+            # Trace-based particles re-execute the model, so the default is 1.
+            driver = SVI(self.model_callable(), guide_fn,
+                         learning_rate=0.05 if learning_rate is None else learning_rate,
+                         num_particles=num_particles or 1, seed=seed,
+                         latent_names=self.compiled.parameter_names)
             driver.metadata.update(self._metadata("vi", seed))
             return driver.run(num_steps)
         config = self.compiled.resolved_engine(engine)

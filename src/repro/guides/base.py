@@ -165,19 +165,13 @@ class AutoGuide:
 _REGISTRY: Dict[str, Callable[..., AutoGuide]] = {}
 
 
-def register_autoguide(factory: Callable[..., AutoGuide], *names: str) -> None:
-    for name in names:
-        _REGISTRY[name] = factory
+def register_autoguide(factory: Callable[..., AutoGuide], name: str) -> None:
+    _REGISTRY[name] = factory
 
 
 def autoguide_names() -> List[str]:
-    """Canonical guide-family names (aliases excluded)."""
-    seen, out = set(), []
-    for name, factory in _REGISTRY.items():
-        if factory not in seen:
-            seen.add(factory)
-            out.append(name)
-    return out
+    """The guide-family names, in registration order."""
+    return list(_REGISTRY)
 
 
 def get_autoguide(name: str, **kwargs) -> AutoGuide:

@@ -268,9 +268,7 @@ class AutoLowRankMultivariateNormal(AutoGuide):
         return -0.5 * (quad_diag - quad_corr) - 0.5 * logdet - 0.5 * self.dim * _LOG_2PI
 
 
-register_autoguide(AutoDelta, "auto_delta", "delta", "map")
-register_autoguide(AutoNormal, "auto_normal", "normal", "meanfield", "advi")
-register_autoguide(AutoMultivariateNormal, "auto_mvn", "mvn",
-                   "auto_multivariate_normal", "fullrank")
-register_autoguide(AutoLowRankMultivariateNormal, "auto_lowrank", "lowrank",
-                   "auto_low_rank_multivariate_normal")
+register_autoguide(AutoDelta, "auto_delta")
+register_autoguide(AutoNormal, "auto_normal")
+register_autoguide(AutoMultivariateNormal, "auto_mvn")
+register_autoguide(AutoLowRankMultivariateNormal, "auto_lowrank")

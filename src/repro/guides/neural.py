@@ -164,4 +164,4 @@ class AutoNeural(AutoGuide):
                 - 0.5 * self.dim * _LOG_2PI)
 
 
-register_autoguide(AutoNeural, "auto_neural", "neural", "amortized")
+register_autoguide(AutoNeural, "auto_neural")

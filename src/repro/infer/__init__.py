@@ -14,15 +14,14 @@ inference for the DeepStan extensions.  This package provides:
   re-parameterisation and checkpoint/resume (``checkpoint_every`` /
   :meth:`~repro.infer.mcmc.MCMC.resume`, bitwise-identical continuation).
 * :class:`~repro.infer.hmc.HMC` and :class:`~repro.infer.nuts.NUTS` — kernels.
-* :class:`~repro.infer.vi.VI` — the unified variational-inference engine over
-  the automatic guide families of :mod:`repro.guides` (mean-field, full-rank,
-  low-rank, point-mass, amortized-neural), with ELBO histories and PSIS k-hat
-  guide-quality diagnostics; ``VI(guide=AutoNormal())`` is mean-field ADVI
-  (Stan's baseline in Fig. 10).
-* :class:`~repro.infer.vi.ExplicitVI` — the same result interface over
-  explicit DeepStan ``guide`` blocks (via SVI).
+* :class:`~repro.infer.vi.VI` — the variational-inference engine over the
+  automatic guide families of :mod:`repro.guides` (mean-field, full-rank,
+  low-rank, point-mass, amortized-neural); ``VI(guide=AutoNormal())`` is
+  mean-field ADVI (Stan's baseline in Fig. 10).
 * :class:`~repro.infer.svi.SVI` — trace-based ELBO optimisation against an
-  explicit guide (DeepStan ``guide`` blocks, §5.1).
+  explicit guide (DeepStan ``guide`` blocks, §5.1).  Both VI engines share
+  one fitted-guide result surface: ELBO histories, guide draws, guide
+  densities and PSIS k-hat guide-quality diagnostics.
 * :class:`~repro.infer.importance.ImportanceSampling` — self-normalised
   importance sampling, plus the Pareto-smoothed weight machinery (PSIS k-hat,
   importance ESS) shared with the VI guide diagnostics.
@@ -35,8 +34,8 @@ from repro.infer.hmc import HMC
 from repro.infer.nuts import NUTS
 from repro.infer.mcmc import MCMC
 from repro.infer.results import FitResult, Posterior, POSTERIOR_SCHEMA_VERSION
-from repro.infer.vi import VI, ExplicitVI, PSISResult
-from repro.infer.svi import SVI, TraceELBO
+from repro.infer.vi import VI, PSISResult
+from repro.infer.svi import SVI
 from repro.infer.importance import (
     PSIS_MIN_DRAWS,
     ImportanceSampling,
@@ -58,10 +57,8 @@ __all__ = [
     "FitResult",
     "POSTERIOR_SCHEMA_VERSION",
     "VI",
-    "ExplicitVI",
     "PSISResult",
     "SVI",
-    "TraceELBO",
     "ImportanceSampling",
     "PSIS_MIN_DRAWS",
     "fit_generalized_pareto",

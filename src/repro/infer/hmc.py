@@ -273,14 +273,14 @@ class HMC:
         return z, r, u, grad
 
     def _step_size_gen(self, z: np.ndarray, rng: np.random.Generator,
-                       inv_mass: np.ndarray):
+                       inv_mass: np.ndarray, initial_eval):
         """Heuristic initial step size (Hoffman & Gelman 2014, Algorithm 4).
 
-        A generator like :meth:`_transition_gen`; returns the step size and
-        the ``(U, grad)`` at ``z``, which the chain's first transition reuses.
+        A generator like :meth:`_transition_gen`, starting from
+        ``initial_eval``, the ``(U, grad)`` at ``z``; returns the step size.
         """
         step_size = 1.0
-        u0, grad0 = yield z
+        u0, grad0 = initial_eval
         momentum = self._sample_momentum(rng, inv_mass)
         h0 = u0 + self._kinetic(momentum, inv_mass)
         _, r1, u1, _ = yield from self._leapfrog_gen(z, momentum, u0, grad0,
@@ -301,7 +301,7 @@ class HMC:
                 break
             if direction == -1.0 and log_ratio >= math.log(0.5):
                 break
-        return max(min(step_size, 10.0), 1e-6), (u0, grad0)
+        return max(min(step_size, 10.0), 1e-6)
 
     # ------------------------------------------------------------------
     # the transition as a generator

@@ -98,14 +98,29 @@ class _ChainState:
         self.iteration = 0
         self.last_eval: Optional[Tuple[float, np.ndarray]] = None
 
+    def start(self, potential: Potential, may_move: bool):
+        """The generator evaluating a fresh chain's start point.
+
+        Its first evaluation decides feasibility: with ``may_move``, a
+        non-finite ``U`` at the jittered start moves the chain to the
+        prior-draw point, which is then evaluated.  The ``(U, grad)`` at
+        the final start becomes :attr:`last_eval`, which the step-size
+        search and the first transition reuse.
+        """
+        u, grad = yield self.position
+        if may_move and not np.isfinite(u):
+            self.position = potential.initial_unconstrained()
+            u, grad = yield self.position
+        self.last_eval = (u, grad)
+
     def transition(self, kernel: HMC):
         """The generator of this chain's next transition.
 
         A transition reuses the ``(U, grad)`` at its start when the chain
         holds it — from the previous transition's returned position, or
-        from the step-size search for a fresh chain — and evaluates it
-        otherwise; evaluations are deterministic, so either way the draws
-        are identical.
+        from :meth:`start` for a fresh chain — and evaluates it otherwise;
+        evaluations are deterministic, so either way the draws are
+        identical.
         """
         return kernel._transition_gen(self.position, self.rng, self.step_size,
                                       self.inv_mass, initial_eval=self.last_eval)
@@ -356,17 +371,6 @@ class MCMC:
         children = np.random.SeedSequence(self.seed).spawn(self.num_chains)
         return [np.random.default_rng(child) for child in children]
 
-    @staticmethod
-    def _initial_position(potential: Potential, rng: np.random.Generator,
-                          init_params: Optional[np.ndarray]) -> np.ndarray:
-        if init_params is not None:
-            return np.asarray(init_params, dtype=float).copy()
-        z = potential.initial_unconstrained(rng=rng)
-        # Fall back to the prior-draw point if the jittered start is infeasible.
-        if not np.isfinite(potential.potential(z)):
-            z = potential.initial_unconstrained()
-        return z
-
     # ------------------------------------------------------------------
     def run(self, init_params: Optional[np.ndarray] = None,
             checkpoint_every: Optional[int] = None,
@@ -528,15 +532,19 @@ class MCMC:
                       for snap in resume_chains]
             kernel.divergences = int(resume_chains[0]["divergences"])
         else:
-            chains = [_ChainState(self._initial_position(potential, rng, init_params),
+            chains = [_ChainState(potential.initial_unconstrained(rng=rng)
+                                  if init_params is None
+                                  else np.asarray(init_params, dtype=float).copy(),
                                   rng, kernel)
                       for rng in self._chain_rngs()]
+            drive([state.start(potential, may_move=init_params is None)
+                   for state in chains], answer, lambda c, _: None)
             if kernel.adapt_step_size:
-                def found(c, result):
-                    step_size, chains[c].last_eval = result
+                def found(c, step_size):
                     chains[c].step_size = step_size
                     chains[c].dual_avg.initialize(step_size)
-                drive([kernel._step_size_gen(state.position, state.rng, state.inv_mass)
+                drive([kernel._step_size_gen(state.position, state.rng, state.inv_mass,
+                                             initial_eval=state.last_eval)
                        for state in chains], answer, found)
         stop_at = min((state.iteration for state in chains), default=0)
 

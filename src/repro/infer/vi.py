@@ -1,18 +1,19 @@
-"""The unified variational-inference engine.
+"""Variational inference: the autoguide engine and the fitted-guide surface.
 
-One engine, many guides: :class:`VI` optimises any
+Two engines optimise a guide.  :class:`VI` optimises any
 :class:`~repro.guides.base.AutoGuide` against a
 :class:`~repro.infer.potential.Potential` with Adam, evaluating multi-particle
 ELBOs through the vectorized ``potential_and_grad_batched`` fast path (the
-particles ride the chain axis of the batched tape).  Explicit DeepStan
-``guide`` blocks run through :class:`ExplicitVI`, a wrapper over the
-trace-based :class:`~repro.infer.svi.SVI` that exposes the same result API,
-so ``compiled.condition(data).fit("vi", guide=...)`` behaves uniformly across
-the whole guide spectrum:
+particles ride the chain axis of the batched tape).
+:class:`~repro.infer.svi.SVI` optimises an explicit guide function (DeepStan
+``guide`` blocks) with trace-based ELBOs.  Both are a :class:`FittedGuide`,
+which writes the result surface once, so
+``compiled.condition(data).fit("vi", guide=...)`` behaves uniformly across the
+whole guide spectrum:
 
 * ``elbo_history`` / ``losses`` — the per-step objective trace;
-* ``guide_sample()`` / ``posterior_draws()`` — draws from the fitted guide in
-  constrained parameter space;
+* ``posterior`` / ``guide_sample()`` / ``posterior_draws()`` — draws from the
+  fitted guide in constrained parameter space;
 * ``guide_log_density()`` — the exact guide density of constrained values;
 * ``psis_diagnostic()`` — Pareto-smoothed importance weights of guide draws
   reweighted against the model joint.  The fitted shape ``k-hat`` reports
@@ -20,20 +21,24 @@ the whole guide spectrum:
   "reliable" threshold), turning the paper's Fig. 10 contrast between
   mean-field ADVI and the explicit multimodal guide into a measurable number.
 
-The Adam update is written in the exact arithmetic of the historical ADVI
-optimiser, so ``VI(guide=AutoNormal())`` stays bitwise equal to it under a
-fixed seed.
+An engine supplies only how it draws from its fitted guide
+(:meth:`FittedGuide._draw`) and how it weights a draw
+(:meth:`FittedGuide._log_weights`).
+
+The Adam update of :class:`VI` is written in the exact arithmetic of the
+historical ADVI optimiser, so ``VI(guide=AutoNormal())`` stays bitwise equal
+to it under a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, as_tensor
+from repro.autodiff.tensor import as_tensor
 from repro.guides import AutoGuide, get_autoguide
 from repro.infer.checkpoint import (
     CHECKPOINT_VERSION,
@@ -46,7 +51,6 @@ from repro.infer.checkpoint import (
 from repro.infer.importance import importance_ess, pareto_smoothed_log_weights
 from repro.infer.potential import Potential
 from repro.infer.results import Posterior, posterior_rng
-from repro.ppl import handlers
 
 VI_CHECKPOINT_FORMAT = "repro-vi-checkpoint"
 
@@ -73,7 +77,110 @@ class PSISResult:
                 f"num_samples={self.num_samples}, ok={self.ok})")
 
 
-class VI:
+class FittedGuide:
+    """The result surface of a fitted guide, shared by :class:`VI` and
+    :class:`~repro.infer.svi.SVI`.
+
+    An engine supplies two things: :meth:`_draw`, draws from its fitted
+    guide, and :meth:`_log_weights`, the importance log weights
+    ``log p(z, x) - log q(z)`` of fresh guide draws.  It also holds
+    ``guide_name``, ``seed``, ``rng`` (the ``posterior_draws`` stream),
+    ``elbo_history``, ``metadata`` (extra run facts merged into
+    ``posterior.metadata``; the fluent pipeline records scheme/backend/model
+    name here) and ``_posterior_cache``.
+    """
+
+    #: guide draws of ``psis_diagnostic()`` / ``diagnostics()`` by default.
+    psis_draws = 1000
+    has_density = True
+
+    def _draw(self, rng: np.random.Generator, num_samples: int
+              ) -> Tuple[Dict[str, np.ndarray], Optional[np.ndarray]]:
+        """``num_samples`` constrained draws by site, and their unconstrained
+        ``(num_samples, dim)`` matrix when the guide has one (else ``None``)."""
+        raise NotImplementedError
+
+    def _log_weights(self, rng: np.random.Generator, num_samples: int) -> np.ndarray:
+        """``log p(z, x) - log q(z)`` of ``num_samples`` fresh guide draws."""
+        raise NotImplementedError
+
+    def _elbo_final(self) -> Optional[float]:
+        return float(np.mean(self.elbo_history[-10:])) if self.elbo_history else None
+
+    @property
+    def posterior(self) -> Posterior:
+        """The fitted guide as a :class:`Posterior` (1000 draws, built once).
+
+        Uses a dedicated RNG derived from the engine seed, so materialising
+        the posterior never perturbs the training or ``posterior_draws``
+        stream and is reproducible for a fixed seed.
+        """
+        if self._posterior_cache is None:
+            num_samples = 1000
+            draws, z = self._draw(posterior_rng(self.seed), num_samples)
+            metadata = {
+                "method": "vi",
+                "guide": self.guide_name,
+                "num_steps": len(self.elbo_history),
+                "num_samples": num_samples,
+                "seed": self.seed,
+                "elbo_final": self._elbo_final(),
+            }
+            metadata.update(self.metadata)
+            self._posterior_cache = Posterior(
+                {name: value[None] for name, value in draws.items()},
+                unconstrained=None if z is None else z[None], metadata=metadata)
+        return self._posterior_cache
+
+    def posterior_draws(self, num_samples: int = 1000) -> Dict[str, np.ndarray]:
+        """Draws from the fitted guide, mapped to constrained space."""
+        return self._draw(self.rng, num_samples)[0]
+
+    def guide_sample(self, num_samples: int = 1) -> Dict[str, np.ndarray]:
+        """Like :meth:`posterior_draws`; a single draw loses the leading axis."""
+        draws = self.posterior_draws(num_samples)
+        if num_samples == 1:
+            return {name: value[0] for name, value in draws.items()}
+        return draws
+
+    def psis_diagnostic(self, num_samples: Optional[int] = None,
+                        seed: Optional[int] = None,
+                        min_draws: Optional[int] = None) -> PSISResult:
+        """PSIS of guide draws reweighted against the model joint.
+
+        ``num_samples`` defaults to :attr:`psis_draws`.  Uses a dedicated RNG
+        derived from the engine seed so the diagnostic never perturbs the
+        training / posterior-draw stream.  ``min_draws`` makes the documented
+        500-draw k-hat stability floor a hard error (see
+        :func:`repro.infer.importance.pareto_smoothed_log_weights`).
+        """
+        if not self.has_density:
+            raise RuntimeError(
+                f"guide {self.guide_name!r} is a point mass; PSIS requires "
+                "a proper guide density")
+        rng = np.random.default_rng(self.seed + 1 if seed is None else seed)
+        log_weights = self._log_weights(
+            rng, self.psis_draws if num_samples is None else num_samples)
+        slw, khat = pareto_smoothed_log_weights(log_weights, min_draws=min_draws)
+        return PSISResult(khat=khat, ess=importance_ess(slw),
+                          log_weights=slw, num_samples=len(log_weights))
+
+    def diagnostics(self, num_psis_samples: Optional[int] = None) -> Dict[str, Any]:
+        """Summary of guide fit: ELBO trajectory plus the PSIS k-hat."""
+        out: Dict[str, Any] = {
+            "guide": self.guide_name,
+            "num_steps": len(self.elbo_history),
+            "elbo_initial": self.elbo_history[0] if self.elbo_history else None,
+            "elbo_final": self._elbo_final(),
+            "khat": None, "psis_ess": None, "psis_ok": None,
+        }
+        if self.has_density:
+            psis = self.psis_diagnostic(num_samples=num_psis_samples)
+            out.update(khat=psis.khat, psis_ess=psis.ess, psis_ok=psis.ok)
+        return out
+
+
+class VI(FittedGuide):
     """Stochastic VI of an automatic guide against a potential function.
 
     Parameters
@@ -83,8 +190,7 @@ class VI:
     guide:
         An :class:`~repro.guides.base.AutoGuide` instance or a family name
         (``"auto_normal"``, ``"auto_mvn"``, ``"auto_lowrank"``,
-        ``"auto_delta"``, ``"auto_neural"``; see
-        :func:`repro.guides.get_autoguide` for aliases).
+        ``"auto_delta"``, ``"auto_neural"``).
     learning_rate, num_particles, seed:
         Adam step size, Monte-Carlo particles per ELBO estimate, RNG seed.
         ``None`` for the first two defers to the guide family's preference
@@ -113,8 +219,6 @@ class VI:
         self._adam_m: Optional[List[np.ndarray]] = None
         self._adam_v: Optional[List[np.ndarray]] = None
         self._adam_t = 0
-        #: extra run facts merged into ``posterior.metadata`` (the fluent
-        #: pipeline records scheme/backend/model name here).
         self.metadata: Dict[str, Any] = {}
         self._posterior_cache: Optional[Posterior] = None
         self._run_target = 0
@@ -283,44 +387,22 @@ class VI:
     # the fitted guide as a posterior approximation
     # ------------------------------------------------------------------
     @property
-    def posterior(self) -> Posterior:
-        """The fitted guide as a :class:`Posterior` (1000 draws, built once).
+    def guide_name(self) -> str:
+        return self.guide.guide_name
 
-        Uses a dedicated RNG derived from the engine seed, so materialising
-        the posterior never perturbs the training or ``posterior_draws``
-        stream and is reproducible for a fixed seed.
-        """
-        if self._posterior_cache is None:
-            num_samples = 1000
-            rng = posterior_rng(self.seed)
-            z = self.guide.sample_unconstrained(rng, num_samples)
-            constrained = self.potential.constrained_dict_batched(z)
-            draws = {name: value[None] for name, value in constrained.items()}
-            metadata = {
-                "method": "vi",
-                "guide": self.guide.guide_name,
-                "num_steps": len(self.elbo_history),
-                "num_samples": num_samples,
-                "seed": self.seed,
-                "elbo_final": (float(np.mean(self.elbo_history[-10:]))
-                               if self.elbo_history else None),
-            }
-            metadata.update(self.metadata)
-            self._posterior_cache = Posterior(draws, unconstrained=z[None],
-                                              metadata=metadata)
-        return self._posterior_cache
+    @property
+    def has_density(self) -> bool:
+        return self.guide.has_density
 
-    def posterior_draws(self, num_samples: int = 1000) -> Dict[str, np.ndarray]:
-        """Draws from the fitted guide, mapped to constrained space."""
-        z = self.guide.sample_unconstrained(self.rng, num_samples)
-        return dict(self.potential.constrained_dict_batched(z))
+    def _draw(self, rng, num_samples):
+        z = self.guide.sample_unconstrained(rng, num_samples)
+        return dict(self.potential.constrained_dict_batched(z)), z
 
-    def guide_sample(self, num_samples: int = 1) -> Dict[str, np.ndarray]:
-        """Like :meth:`posterior_draws`; a single draw loses the leading axis."""
-        draws = self.posterior_draws(num_samples)
-        if num_samples == 1:
-            return {name: value[0] for name, value in draws.items()}
-        return draws
+    def _log_weights(self, rng, num_samples):
+        # Over unconstrained space: both densities include the same Jacobian
+        # terms, so the ratio is parameterisation independent.
+        z = self.guide.sample_unconstrained(rng, num_samples)
+        return -self.potential.potential_batched(z) - self.guide.log_density(z)
 
     def guide_log_density(self, params: Dict[str, Any]):
         """Exact guide log density of *constrained* parameter values.
@@ -331,8 +413,8 @@ class VI:
         are subtracted, so this is a proper density over the constrained
         space.  Returns a float for a single draw, an array for a batch.
         """
-        if not self.guide.has_density:
-            raise RuntimeError(f"guide {self.guide.guide_name!r} has no density")
+        if not self.has_density:
+            raise RuntimeError(f"guide {self.guide_name!r} has no density")
         sites = self.potential.sites
         missing = set(sites) - set(params)
         if missing:
@@ -364,243 +446,3 @@ class VI:
             log_det = log_det + np.asarray(term.data, dtype=float)
         out = self.guide.log_density(z) - log_det
         return out if batched else float(out[0])
-
-    # ------------------------------------------------------------------
-    # guide-quality diagnostics
-    # ------------------------------------------------------------------
-    def psis_diagnostic(self, num_samples: int = 1000,
-                        seed: Optional[int] = None,
-                        min_draws: Optional[int] = None) -> PSISResult:
-        """PSIS of guide draws reweighted against the model joint.
-
-        Importance ratios ``log p(z, x) - log q(z)`` are computed over
-        unconstrained space (both densities include the same Jacobian terms,
-        so the ratio is parameterisation independent).  Uses a dedicated RNG
-        derived from the engine seed so the diagnostic never perturbs the
-        training / posterior-draw stream.  ``min_draws`` makes the documented
-        500-draw k-hat stability floor a hard error (see
-        :func:`repro.infer.importance.pareto_smoothed_log_weights`).
-        """
-        if not self.guide.has_density:
-            raise RuntimeError(
-                f"guide {self.guide.guide_name!r} is a point mass; PSIS requires "
-                "a proper guide density")
-        rng = np.random.default_rng(self.seed + 1 if seed is None else seed)
-        z = self.guide.sample_unconstrained(rng, num_samples)
-        neg_logp = self.potential.potential_batched(z)
-        log_q = self.guide.log_density(z)
-        log_weights = (-neg_logp) - log_q
-        slw, khat = pareto_smoothed_log_weights(log_weights, min_draws=min_draws)
-        return PSISResult(khat=khat, ess=importance_ess(slw),
-                          log_weights=slw, num_samples=num_samples)
-
-    def diagnostics(self, num_psis_samples: int = 1000) -> Dict[str, Any]:
-        """Summary of guide fit: ELBO trajectory plus the PSIS k-hat."""
-        out: Dict[str, Any] = {
-            "guide": self.guide.guide_name,
-            "num_steps": len(self.elbo_history),
-            "elbo_initial": self.elbo_history[0] if self.elbo_history else None,
-            "elbo_final": (float(np.mean(self.elbo_history[-10:]))
-                           if self.elbo_history else None),
-        }
-        if self.guide.has_density:
-            psis = self.psis_diagnostic(num_samples=num_psis_samples)
-            out["khat"] = psis.khat
-            out["psis_ess"] = psis.ess
-            out["psis_ok"] = psis.ok
-        else:
-            out["khat"] = None
-            out["psis_ess"] = None
-            out["psis_ok"] = None
-        return out
-
-
-class ExplicitVI:
-    """VI against an explicit guide function (DeepStan ``guide`` blocks).
-
-    Wraps the trace-based :class:`~repro.infer.svi.SVI` optimiser and exposes
-    the same result interface as :class:`VI`, so ``fit("vi", guide=...)``
-    callers can treat automatic and hand-written guides uniformly.
-    ``model`` and ``guide`` are zero-argument callables over the
-    :mod:`repro.ppl` primitives sharing latent site names.
-    """
-
-    guide_name = "explicit"
-
-    def __init__(self, model: Callable, guide: Callable,
-                 latent_names: Optional[Sequence[str]] = None,
-                 learning_rate: Optional[float] = None,
-                 num_particles: Optional[int] = None,
-                 seed: int = 0):
-        from repro.infer.svi import SVI, TraceELBO
-
-        self.model = model
-        self.guide_fn = guide
-        self.latent_names = list(latent_names) if latent_names is not None else None
-        self.seed = seed
-        self.learning_rate = 0.05 if learning_rate is None else learning_rate
-        # Trace-based particles re-execute the model, so the default stays 1.
-        self.svi = SVI(model, guide, learning_rate=self.learning_rate,
-                       loss=TraceELBO(num_particles=num_particles or 1), seed=seed)
-        # Snapshot of the fitted guide parameters (see _restore_params).
-        self._param_snapshot: Dict[str, np.ndarray] = {}
-        #: extra run facts merged into ``posterior.metadata``.
-        self.metadata: Dict[str, Any] = {}
-        self._posterior_cache: Optional[Posterior] = None
-
-    def run(self, num_steps: int = 1000) -> "ExplicitVI":
-        self._posterior_cache = None
-        self.svi.run(num_steps)
-        from repro.ppl import primitives
-
-        # The param store is global (Pyro's design); another fit may clear or
-        # overwrite it.  Snapshotting the fitted values right after training —
-        # and restoring them before every use of the guide — keeps each
-        # ExplicitVI result self-contained.
-        self._param_snapshot = {name: np.array(tensor.data)
-                                for name, tensor in primitives.get_param_store().items()}
-        return self
-
-    def _restore_params(self) -> None:
-        if not self._param_snapshot:
-            return
-        from repro.autodiff.tensor import Tensor as _Tensor
-        from repro.ppl import primitives
-
-        store = primitives.get_param_store()
-        for name, value in self._param_snapshot.items():
-            if name in store:
-                store[name].data = np.array(value)
-            else:
-                tensor = _Tensor(np.array(value), requires_grad=True)
-                tensor.name = name
-                store[name] = tensor
-
-    @property
-    def losses(self) -> List[float]:
-        return self.svi.losses
-
-    @property
-    def elbo_history(self) -> List[float]:
-        return self.svi.elbo_history
-
-    # ------------------------------------------------------------------
-    @property
-    def posterior(self) -> Posterior:
-        """The fitted explicit guide as a :class:`Posterior` (1000 draws).
-
-        Trace-based guides have no flat unconstrained parameterisation, so
-        ``unconstrained`` is ``None``; the draw stream comes from a dedicated
-        RNG derived from the engine seed.
-        """
-        if self._posterior_cache is None:
-            num_samples = 1000
-            self._restore_params()
-            rng = posterior_rng(self.seed)
-            out: Dict[str, List[np.ndarray]] = {}
-            for _ in range(num_samples):
-                latents, _ = self._sample_latents(rng)
-                for name, value in latents.items():
-                    if self.latent_names is None or name in self.latent_names:
-                        out.setdefault(name, []).append(value)
-            draws = {name: np.array(values)[None] for name, values in out.items()}
-            metadata = {
-                "method": "vi",
-                "guide": self.guide_name,
-                "num_steps": len(self.elbo_history),
-                "num_samples": num_samples,
-                "seed": self.seed,
-                "elbo_final": (float(np.mean(self.elbo_history[-10:]))
-                               if self.elbo_history else None),
-            }
-            metadata.update(self.metadata)
-            self._posterior_cache = Posterior(draws, metadata=metadata)
-        return self._posterior_cache
-
-    def posterior_draws(self, num_samples: int = 1000) -> Dict[str, np.ndarray]:
-        self._restore_params()
-        return self.svi.sample_posterior(num_samples, site_names=self.latent_names)
-
-    def guide_sample(self, num_samples: int = 1) -> Dict[str, np.ndarray]:
-        draws = self.posterior_draws(num_samples)
-        if num_samples == 1:
-            return {name: value[0] for name, value in draws.items()}
-        return draws
-
-    def _sample_latents(self, rng: np.random.Generator):
-        """One guide execution: ``(latent values, trace)`` — no density work.
-
-        Callers must :meth:`_restore_params` first (once, not per draw).
-        """
-        tracer = handlers.trace()
-        with handlers.seed(rng_seed=rng), tracer:
-            self.guide_fn()
-        latents: Dict[str, np.ndarray] = {}
-        for name, site in handlers.latent_sites(tracer.trace).items():
-            value = site["value"]
-            raw = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=float)
-            latents[name] = np.array(raw, dtype=float)
-        return latents, tracer.trace
-
-    def _trace_guide(self, rng: np.random.Generator):
-        """One guide execution: latent values and their joint log density.
-
-        Callers must :meth:`_restore_params` first (once, not per draw).
-        """
-        latents, trace = self._sample_latents(rng)
-        log_q = 0.0
-        for site in handlers.latent_sites(trace).values():
-            lp = site["fn"].log_prob(site["value"])
-            lp_val = lp.data if isinstance(lp, Tensor) else np.asarray(lp)
-            log_q += float(np.sum(lp_val))
-        return latents, log_q
-
-    def guide_log_density(self, params: Dict[str, Any]) -> float:
-        """Joint guide density of one set of latent values.
-
-        The guide runs with its sample sites substituted by ``params`` — for
-        branching guides this scores the branch the substituted values select.
-        """
-        self._restore_params()
-        tracer = handlers.trace()
-        with handlers.seed(rng_seed=self.seed), \
-             handlers.substitute(data=dict(params)), tracer:
-            self.guide_fn()
-        total = 0.0
-        for name, site in tracer.trace.items():
-            if site["type"] != "sample" or site["is_observed"]:
-                continue
-            lp = site["fn"].log_prob(site["value"])
-            lp_val = lp.data if isinstance(lp, Tensor) else np.asarray(lp)
-            total += float(np.sum(lp_val))
-        return total
-
-    # ------------------------------------------------------------------
-    def psis_diagnostic(self, num_samples: int = 500,
-                        seed: Optional[int] = None,
-                        min_draws: Optional[int] = None) -> PSISResult:
-        """PSIS k-hat of the explicit guide against the model joint."""
-        self._restore_params()
-        rng = np.random.default_rng(self.seed + 1 if seed is None else seed)
-        log_weights = np.empty(num_samples)
-        for i in range(num_samples):
-            latents, log_q = self._trace_guide(rng)
-            log_p, _ = handlers.log_density(self.model, substituted=latents)
-            log_weights[i] = float(log_p.data) - log_q
-        slw, khat = pareto_smoothed_log_weights(log_weights, min_draws=min_draws)
-        return PSISResult(khat=khat, ess=importance_ess(slw),
-                          log_weights=slw, num_samples=num_samples)
-
-    def diagnostics(self, num_psis_samples: int = 500) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "guide": self.guide_name,
-            "num_steps": len(self.elbo_history),
-            "elbo_initial": self.elbo_history[0] if self.elbo_history else None,
-            "elbo_final": (float(np.mean(self.elbo_history[-10:]))
-                           if self.elbo_history else None),
-        }
-        psis = self.psis_diagnostic(num_samples=num_psis_samples)
-        out["khat"] = psis.khat
-        out["psis_ess"] = psis.ess
-        out["psis_ok"] = psis.ok
-        return out

@@ -5,7 +5,7 @@ import pytest
 
 from repro.autodiff import Tensor, ops
 from repro.autodiff.nn import MLP, Linear, Sequential, Sigmoid, Tanh
-from repro.autodiff.optim import SGD, Adam, ClippedAdam
+from repro.autodiff.optim import Adam
 
 
 def test_linear_shapes():
@@ -83,27 +83,6 @@ def _quadratic_loss(params):
     return ops.sum_(ops.square(ops.sub(params, target)))
 
 
-def test_sgd_converges_on_quadratic():
-    x = Tensor(np.zeros(2), requires_grad=True)
-    opt = SGD([x], lr=0.1)
-    for _ in range(200):
-        opt.zero_grad()
-        loss = _quadratic_loss(x)
-        loss.backward()
-        opt.step()
-    np.testing.assert_allclose(x.data, [1.0, -2.0], atol=1e-3)
-
-
-def test_sgd_with_momentum_converges():
-    x = Tensor(np.zeros(2), requires_grad=True)
-    opt = SGD([x], lr=0.05, momentum=0.9)
-    for _ in range(200):
-        opt.zero_grad()
-        _quadratic_loss(x).backward()
-        opt.step()
-    np.testing.assert_allclose(x.data, [1.0, -2.0], atol=1e-2)
-
-
 def test_adam_converges_on_quadratic():
     x = Tensor(np.zeros(2), requires_grad=True)
     opt = Adam([x], lr=0.1)
@@ -114,20 +93,9 @@ def test_adam_converges_on_quadratic():
     np.testing.assert_allclose(x.data, [1.0, -2.0], atol=1e-2)
 
 
-def test_clipped_adam_limits_gradient_norm():
-    x = Tensor(np.zeros(2), requires_grad=True)
-    opt = ClippedAdam([x], lr=0.1, clip_norm=1.0)
-    opt.zero_grad()
-    loss = ops.sum_(ops.mul(x, 1e6))
-    loss.backward()
-    opt.step()
-    # A clipped step with Adam is bounded by the learning rate.
-    assert np.all(np.abs(x.data) <= 0.2)
-
-
 def test_optimizer_requires_parameters():
     with pytest.raises(ValueError):
-        SGD([])
+        Adam([])
 
 
 def test_optimizer_add_param_deduplicates():

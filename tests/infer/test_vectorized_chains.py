@@ -54,10 +54,10 @@ def test_batched_potential_matches_rowwise_eight_schools():
     assert batched_tiers(pot)[5] == "fast"
     for i in range(5):
         u, g = pot.potential_and_grad(z[i])
-        assert values[i] == pytest.approx(u)
-        assert values2[i] == pytest.approx(u)
-        np.testing.assert_allclose(grads[i], g)
-        np.testing.assert_allclose(grads2[i], g)
+        assert values[i] == u
+        assert values2[i] == u
+        np.testing.assert_array_equal(grads[i], g)
+        np.testing.assert_array_equal(grads2[i], g)
 
 
 def test_batched_potential_falls_back_for_unbatchable_model():
@@ -69,8 +69,8 @@ def test_batched_potential_falls_back_for_unbatchable_model():
     assert batched_tiers(pot)[3] == "loop"
     for i in range(3):
         u, g = pot.potential_and_grad(z[i])
-        assert values[i] == pytest.approx(u)
-        np.testing.assert_allclose(grads[i], g)
+        assert values[i] == u
+        np.testing.assert_array_equal(grads[i], g)
 
 
 def test_branch_on_reduced_parameter_falls_back():
@@ -100,8 +100,8 @@ def test_branch_on_reduced_parameter_falls_back():
     values, grads = pot.potential_and_grad_batched(straddling)
     for i in range(3):
         u, g = pot.potential_and_grad(straddling[i])
-        assert values[i] == pytest.approx(u)
-        np.testing.assert_allclose(grads[i], g)
+        assert values[i] == u
+        np.testing.assert_array_equal(grads[i], g)
 
 
 def test_sum_statement_batches_per_chain():
@@ -114,7 +114,7 @@ def test_sum_statement_batches_per_chain():
     assert batched_tiers(pot)[4] == "fast"
     values, _ = pot.potential_and_grad_batched(z)
     for i in range(4):
-        assert values[i] == pytest.approx(pot.potential_and_grad(z[i])[0])
+        assert values[i] == pot.potential_and_grad(z[i])[0]
 
 
 def test_batched_constrained_dict_matches_rowwise():
@@ -306,11 +306,12 @@ def test_chain_streams_independent_of_chain_count():
 
 
 def test_kernels_never_call_the_potential(monkeypatch):
-    """Every evaluation, the step-size search included, is answered by the
-    chain method: a vectorized fit makes no single-row gradient calls and a
-    sequential fit no batched ones."""
+    """Every evaluation, the start point and the step-size search included,
+    is answered by the chain method: a vectorized fit makes no single-row
+    gradient calls and a sequential fit no batched ones; neither makes a
+    value-only call."""
     pot = _eight_schools_potential()
-    calls = {"potential_and_grad": 0, "potential_and_grad_batched": 0}
+    calls = {"potential": 0, "potential_and_grad": 0, "potential_and_grad_batched": 0}
     for name in calls:
         def counted(z, name=name, original=getattr(pot, name)):
             calls[name] += 1
@@ -329,6 +330,29 @@ def test_kernels_never_call_the_potential(monkeypatch):
     sequential = fit("sequential")
     assert sequential["potential_and_grad_batched"] == 0
     assert sequential["potential_and_grad"] > 0
+    assert vectorized["potential"] == sequential["potential"] == 0
+
+
+def test_infeasible_start_moves_to_the_prior_draw_point(monkeypatch):
+    """A fresh chain's first evaluation decides feasibility: a non-finite U
+    at the jittered start moves the chain to the prior-draw point, whose
+    evaluation seeds the step-size search (which then asks for a new point)."""
+    pot = _eight_schools_potential()
+    prior_point = pot.initial_unconstrained()
+    points = []
+    original = pot.potential_and_grad
+
+    def first_infeasible(z):
+        points.append(np.array(z))
+        u, grad = original(z)
+        return (np.inf if len(points) == 1 else u), grad
+
+    monkeypatch.setattr(pot, "potential_and_grad", first_infeasible)
+    fit = MCMC(NUTS(pot, max_tree_depth=4), num_warmup=10, num_samples=5, seed=2).run()
+    np.testing.assert_array_equal(points[1], prior_point)
+    assert not np.array_equal(points[0], prior_point)
+    assert not np.array_equal(points[2], prior_point)
+    assert all(np.all(np.isfinite(v)) for v in fit.get_samples().values())
 
 
 def test_chain_method_validation():

@@ -19,11 +19,13 @@ from repro.guides import (
     AutoNormal,
     AutoNeural,
     GuideSetupError,
+    autoguide_names,
     get_autoguide,
 )
 from repro.infer import MCMC, NUTS, SVI, VI, make_potential
 from repro.posteriordb import get as pdb_get
 from repro.ppl import distributions as dist
+from repro.ppl import handlers, primitives
 from repro.ppl.primitives import observe, param, sample
 
 FAMILIES = ("auto_delta", "auto_normal", "auto_mvn", "auto_lowrank", "auto_neural")
@@ -45,14 +47,17 @@ def _conjugate_posterior(data, prior_sigma=2.0, noise=1.0):
 # guide registry
 # ----------------------------------------------------------------------
 def test_registry_resolves_families_and_aliases():
+    """Each family has one name, its ``auto_*`` name; an alias raises."""
+    assert sorted(autoguide_names()) == sorted(FAMILIES)
+    assert isinstance(get_autoguide("auto_delta"), AutoDelta)
     assert isinstance(get_autoguide("auto_normal"), AutoNormal)
-    assert isinstance(get_autoguide("meanfield"), AutoNormal)
-    assert isinstance(get_autoguide("fullrank"), AutoMultivariateNormal)
-    assert isinstance(get_autoguide("map"), AutoDelta)
-    assert isinstance(get_autoguide("lowrank", rank=2), AutoLowRankMultivariateNormal)
-    assert isinstance(get_autoguide("amortized"), AutoNeural)
+    assert isinstance(get_autoguide("auto_mvn"), AutoMultivariateNormal)
+    assert isinstance(get_autoguide("auto_lowrank", rank=2), AutoLowRankMultivariateNormal)
+    assert isinstance(get_autoguide("auto_neural"), AutoNeural)
     with pytest.raises(ValueError):
         get_autoguide("auto_bogus")
+    with pytest.raises(ValueError):
+        get_autoguide("meanfield")
 
 
 def test_guide_rejects_dim_mismatch(rng):
@@ -325,6 +330,89 @@ def test_explicit_vi_result_survives_param_store_clear(coin_source, coin_data):
     primitives.clear_param_store()
     evi.guide_sample()
     assert float(primitives.get_param_store()["z_loc"].data) == fitted
+
+
+def _multimodal_guided():
+    return compile_model(corpus_models.get("multimodal_guide"), backend="pyro",
+                         scheme="comprehensive", name="multimodal_guide").condition({})
+
+
+def test_explicit_fits_return_the_svi_they_trained(coin_source, coin_data):
+    guided = _multimodal_guided()
+    svi = guided.fit("svi", num_steps=3, seed=0)
+    explicit = guided.fit("vi", guide="explicit", num_steps=3, seed=0)
+    assert type(svi) is SVI and type(explicit) is SVI
+    # the default learning rates of the two spellings
+    assert (svi.learning_rate, explicit.learning_rate) == (0.01, 0.05)
+    assert explicit.posterior.metadata["guide"] == "explicit"
+    assert explicit.psis_diagnostic().num_samples == 500
+
+    def my_guide():
+        loc = param("z_loc", 0.0)
+        sample("z", dist.Beta(np.exp(float(loc.data)) + 1e-3, 1.0))
+
+    evi = compile_model(coin_source).condition(coin_data).fit(
+        "vi", guide=my_guide, num_steps=3, seed=0)
+    assert type(evi) is SVI and evi.guide is my_guide
+    # "explicit" is the explicit guide's only name
+    with pytest.raises(ValueError):
+        guided.fit("vi", guide="deepstan", num_steps=1)
+
+
+def test_explicit_psis_weights_are_guide_traces_against_the_model():
+    """PSIS of an explicit guide weights each guide trace by
+    ``log p - log q``, with ``log p`` from ``handlers.log_density``."""
+    from repro.infer.importance import pareto_smoothed_log_weights
+
+    fit = _multimodal_guided().fit("vi", guide="explicit", num_steps=50, seed=4)
+    psis = fit.psis_diagnostic(seed=11)
+    rng = np.random.default_rng(11)
+    raw = np.empty(psis.num_samples)
+    for i in range(psis.num_samples):
+        tracer = handlers.trace()
+        with handlers.seed(rng_seed=rng), tracer:
+            fit.guide()
+        log_q, values = 0.0, {}
+        for name, site in handlers.latent_sites(tracer.trace).items():
+            log_q += float(np.sum(site["fn"].log_prob(site["value"]).data))
+            values[name] = np.array(site["value"].data, dtype=float)
+        log_p, _ = handlers.log_density(fit.model, substituted=values)
+        raw[i] = float(log_p.data) - log_q
+    smoothed, khat = pareto_smoothed_log_weights(raw)
+    np.testing.assert_array_equal(psis.log_weights, smoothed)
+    assert psis.khat == khat
+
+
+def test_svi_num_particles_reports_the_mean_of_trace_elbo_particles():
+    """The loss of ``SVI(num_particles=k)`` is the mean of k paired
+    guide/model trace losses drawn in turn from the SVI's stream."""
+    data = np.random.default_rng(0).normal(1.0, 1.0, size=20)
+
+    def model():
+        mu = sample("mu", dist.Normal(0.0, 2.0))
+        observe(dist.Normal(mu, 1.0), data, name="y")
+
+    def guide():
+        loc = param("loc", 0.3)
+        sample("mu", dist.Normal(loc, 0.5))
+
+    primitives.clear_param_store()
+    param("loc", 0.3)  # created before the step, so it is not jittered
+    rng = np.random.default_rng(5)
+    total = 0.0
+    for _ in range(3):
+        guide_tracer = handlers.trace()
+        with handlers.seed(rng_seed=rng), guide_tracer:
+            guide()
+        model_tracer = handlers.trace()
+        with handlers.seed(rng_seed=rng), \
+                handlers.replay(guide_trace=guide_tracer.trace), model_tracer:
+            model()
+        total += float(handlers.trace_log_density(guide_tracer.trace).data) \
+            - float(handlers.trace_log_density(model_tracer.trace).data)
+    svi = SVI(model, guide, num_particles=3, seed=5)
+    assert svi.step() == total / 3
+    assert svi.losses == [total / 3]
 
 
 # ----------------------------------------------------------------------
