@@ -36,11 +36,23 @@ one rendering pass over it prints the program:
   straight-line code textually mirroring the interpreted VJP closures, in
   the interpreter's exact traversal and accumulation order, so results are
   bitwise identical to the interpreted tape (gradient contributions are
-  reduced with the same :func:`~repro.autodiff.tensor.unbroadcast`, skipped
-  statically where the traced shapes prove it is the identity; a stacked
-  group's VJP is computed once per operand, and every parent folds its
-  contributions left to right in the interpreter's order; the gradients of
-  a group of cell reads add into their parent with one ``np.add.at``).
+  reduced by the ``np.add.reduce`` calls
+  :func:`~repro.autodiff.tensor.unbroadcast` would make on the traced
+  shapes, none where it is the identity; a stacked group's VJP is computed
+  once per operand, and every parent folds its contributions left to right
+  in the interpreter's order; the gradients of a group of cell reads add
+  into their parent with one ``np.add.at``);
+* **cheap idioms** — where a NumPy idiom's fixed per-call price dwarfs its
+  arithmetic, the traced shapes pick a cheaper form that computes the same
+  bits: reductions call ``np.add.reduce`` / ``np.maximum.reduce`` directly
+  (a sum over a 0-d value is ``x + 0.0``: ``ndarray.sum`` turns ``-0.0``
+  into ``0.0``); the sum/mean VJP is ``np.full(S, g)``, or ``g`` for a 0-d
+  parent; the input gradient is one ``np.zeros`` plus a ``grad[idx] = 0.0 +
+  g`` store per read when the reads' cells are disjoint; a one-cell slice
+  reshaped to ``()`` is ``z[k]``; a scalar output's seed is a baked
+  ``np.float64(1.0)``; and ``**`` is ``np.power``, which computes the same
+  bits whether an operand is a NumPy scalar or a 0-d array (the ``**``
+  operator on two scalars calls C ``pow`` instead of NumPy's loop).
 
 The compiled program freezes the traced control flow, so it is only valid
 for inputs with the trace's shape and dtype — :class:`CompiledTape.matches`
@@ -452,7 +464,7 @@ class _Lowering:
     }
     _BINARY_FWD = {
         "add": "(%s + %s)", "sub": "(%s - %s)", "mul": "(%s * %s)",
-        "div": "(%s / %s)", "pow": "(%s ** %s)", "matmul": "(%s @ %s)",
+        "div": "(%s / %s)", "pow": "np.power(%s, %s)", "matmul": "(%s @ %s)",
         "dot": "np.dot(%s, %s)", "outer": "np.outer(%s, %s)",
     }
 
@@ -497,9 +509,12 @@ class _Lowering:
             expr = (f"np.clip(%s, {lo}, {hi})", p)
         elif op == "where":
             expr = ("np.where(%s, %s, %s)", (cond or self.const(ctx[0]),) + p)
+        elif op == "sum" and not node.parents[0].data.ndim:
+            # a 0-d ``ndarray.sum`` adds the identity: ``-0.0`` becomes ``0.0``
+            expr = ("(%s + 0.0)", p)
         elif op in ("sum", "mean"):
-            axis, keepdims = ctx[0], ctx[1]
-            expr = (f"np.{op}(%s, axis={_lit(axis)}, keepdims={_lit(keepdims)})", p)
+            fn = "np.add.reduce" if op == "sum" else "np.mean"
+            expr = (f"{fn}(%s, axis={_lit(ctx[0])}, keepdims={_lit(ctx[1])})", p)
         elif op == "logsumexp":
             axis, keepdims = ctx
             expr = (f"np.asarray(lse(%s, axis={_lit(axis)}, "
@@ -507,15 +522,15 @@ class _Lowering:
         elif op == "softmax":
             axis = _lit(ctx[0])
             t = self.temp()
-            stmts.append(_Stmt(t, f"np.exp(%s - np.max(%s, axis={axis}, "
+            stmts.append(_Stmt(t, f"np.exp(%s - np.maximum.reduce(%s, axis={axis}, "
                                   f"keepdims=True))", (p[0], p[0])))
-            expr = (f"(%s / np.sum(%s, axis={axis}, keepdims=True))", (t, t))
+            expr = (f"(%s / np.add.reduce(%s, axis={axis}, keepdims=True))", (t, t))
         elif op == "log_softmax":
             axis = _lit(ctx[0])
             t = self.temp()
-            stmts.append(_Stmt(t, f"%s - np.max(%s, axis={axis}, keepdims=True)",
-                               (p[0], p[0])))
-            expr = (f"(%s - np.log(np.sum(np.exp(%s), axis={axis}, "
+            stmts.append(_Stmt(t, f"%s - np.maximum.reduce(%s, axis={axis}, "
+                                  f"keepdims=True)", (p[0], p[0])))
+            expr = (f"(%s - np.log(np.add.reduce(np.exp(%s), axis={axis}, "
                     f"keepdims=True)))", (t, t))
         elif op == "cumsum":
             expr = (f"np.cumsum(%s, axis={_lit(ctx[0])})", p)
@@ -524,7 +539,9 @@ class _Lowering:
             expr = ("np.transpose(%s)" if axes is None
                     else f"np.transpose(%s, {_lit(tuple(axes))})", p)
         elif op == "reshape":
-            expr = (f"np.reshape(%s, {_lit(tuple(ctx[0]))})", p)
+            cell = None if ctx[0] else self.one_cell(node.parents[0])
+            expr = ((f"%s[{cell[1]}]", (cell[0],)) if cell
+                    else (f"np.reshape(%s, {_lit(tuple(ctx[0]))})", p))
         elif op == "concatenate":
             parts = ", ".join("%s" if parent.data.ndim >= 1 else "np.atleast_1d(%s)"
                               for parent in node.parents)
@@ -543,6 +560,17 @@ class _Lowering:
             raise TapeCompilationError(f"unsupported op {op!r}")
         stmts.append(_Stmt(var, *expr))
         return _Unit(var, stmts, inlinable=len(stmts) == 1)
+
+    def one_cell(self, node: Tensor) -> Optional[Tuple[str, int]]:
+        """``(name, k)`` when ``node`` is a slice holding only cell ``k`` of
+        the named 1-D value ``name``: its reshape to ``()`` is ``name[k]``."""
+        if getattr(node, "op", None) != "getitem" or not isinstance(node.op_ctx[0], slice):
+            return None
+        source = node.parents[0]
+        if source.data.ndim != 1 or id(source) not in self.names:
+            return None
+        cells = range(*node.op_ctx[0].indices(len(source.data)))
+        return (self.names[id(source)], cells[0]) if len(cells) == 1 else None
 
     # -- backward -------------------------------------------------------
     #: VJP templates of the unary elementwise ops; the operand roles are
@@ -603,7 +631,7 @@ class _Lowering:
             return stmts, ("(-%s * %s / (%s * %s))", (g, p[0], p[1], p[1]))
         if op == "pow":
             if pos == 0:
-                return stmts, ("(%s * %s * %s ** (%s - 1.0))", (g, p[1], p[0], p[1]))
+                return stmts, ("(%s * %s * np.power(%s, (%s - 1.0)))", (g, p[1], p[0], p[1]))
             t = self.temp()
             stmts.append(_Stmt(t, "np.where(%s > 0, np.log(np.where(%s > 0, "
                                   "%s, 1.0)), 0.0)", (p[0], p[0], p[0])))
@@ -618,9 +646,11 @@ class _Lowering:
         if op in ("sum", "mean"):
             axis, keepdims = ctx[0], ctx[1]
             inner = "%s" if op == "sum" else f"(%s / {ctx[2]})"
+            if not parent.data.ndim:
+                return stmts, (inner, (g,))
             if axis is not None and not keepdims:
                 inner = f"np.expand_dims({inner}, {_lit(axis)})"
-            return stmts, (f"np.broadcast_to({inner}, {pshape}).copy()", (g,))
+            return stmts, (f"np.full({pshape}, {inner})", (g,))
         if op == "logsumexp":
             axis, keepdims = ctx
             if axis is None or keepdims:
@@ -631,12 +661,12 @@ class _Lowering:
         if op == "softmax":
             axis = _lit(ctx[0])
             t = self.temp()
-            stmts.append(_Stmt(t, f"np.sum(%s * %s, axis={axis}, keepdims=True)",
+            stmts.append(_Stmt(t, f"np.add.reduce(%s * %s, axis={axis}, keepdims=True)",
                                (g, v)))
             return stmts, ("(%s * (%s - %s))", (v, g, t))
         if op == "log_softmax":
             axis = _lit(ctx[0])
-            return stmts, (f"(%s - np.exp(%s) * np.sum(%s, axis={axis}, "
+            return stmts, (f"(%s - np.exp(%s) * np.add.reduce(%s, axis={axis}, "
                            f"keepdims=True))", (g, v, g))
         if op == "cumsum":
             a = _lit(ctx[0])
@@ -720,6 +750,34 @@ class _Lowering:
         if node.op in self._PROBED:
             return np.shape(bfn(np.ones(node.data.shape)))
         return parent.data.shape
+
+    @staticmethod
+    def reduced(template: str, shape: Tuple[int, ...], target: Tuple[int, ...]) -> str:
+        """``template``, a ``shape``-d contribution, reduced to ``target`` by
+        the reductions :func:`~repro.autodiff.tensor.unbroadcast` makes
+        (``ndarray.sum`` is ``np.add.reduce``): one over axis 0 per extra
+        leading axis, then one per axis ``target`` holds at size 1, after
+        which its closing reshape is the identity.  A contribution with
+        fewer axes than ``target`` keeps the call."""
+        lead = len(shape) - len(target)
+        if lead < 0:
+            return f"unbroadcast({template}, {_lit(target)})"
+        for _ in range(lead):
+            template = f"np.add.reduce({template}, axis=0)"
+        for axis, size in enumerate(target):
+            if size == 1 and shape[lead + axis] != 1:
+                template = f"np.add.reduce({template}, axis={axis}, keepdims=True)"
+        return template
+
+    def disjoint_reads(self, readers: Sequence[Tensor], shape: Tuple[int, ...]) -> bool:
+        """Are ``readers`` lone ``getitem`` nodes whose cells of a ``shape``-d
+        value are unique and pairwise disjoint?"""
+        hits = np.zeros(shape, dtype=np.intp)
+        for node in readers:
+            if node.op != "getitem" or self.where[id(node)][0].kind != "node":
+                return False
+            np.add.at(hits, node.op_ctx[0], 1)
+        return bool((hits <= 1).all())
 
     # -- superword groups -----------------------------------------------
     #: ops whose stacked evaluation is the member formula on stacked
@@ -961,8 +1019,7 @@ class _Lowering:
             # result still carries the member axis
             j = next(j for j, q in enumerate(rep.parents) if id(q) in self.dynamic)
             name = self.temp()
-            units.append(_assign(name, (f"np.broadcast_to(%s, {_lit((n,) + shape)})",
-                                        (p[j],))))
+            units.append(_assign(name, (f"np.full({_lit((n,) + shape)}, %s)", (p[j],))))
             p[j] = name
         box.p = tuple(p)
         if elementwise:
@@ -971,7 +1028,7 @@ class _Lowering:
         ctx = rep.op_ctx
         if op in ("sum", "mean", "logsumexp"):
             axis = _lit(self.shifted(ctx[0], rep.parents[0].data.ndim))
-            fn = "lse" if op == "logsumexp" else f"np.{op}"
+            fn = {"sum": "np.add.reduce", "mean": "np.mean", "logsumexp": "lse"}[op]
             expr = (f"{fn}(%s, axis={axis}, keepdims={_lit(ctx[1])})", box.p)
         elif op == "reshape":
             expr = (f"np.reshape(%s, {_lit((n,) + tuple(ctx[0]))})", box.p)
@@ -999,7 +1056,7 @@ class _Lowering:
             if not keepdims:
                 inner = (f"np.reshape({inner}, {_lit((n,) + (1,) * nd)})" if axis is None
                          else f"np.expand_dims({inner}, {_lit(self.shifted(axis, nd))})")
-            return [], (f"np.broadcast_to({inner}, {_lit(pshape)}).copy()", (g,))
+            return [], (f"np.full({_lit(pshape)}, {inner})", (g,))
         if op == "logsumexp":
             axis, keepdims = ctx
             x, v = box.p[0], box.var
@@ -1415,9 +1472,12 @@ def _lower_traced(out, root, recorded, z0: np.ndarray) -> CompiledTape:
         return [("name", c[3][0]) if c[0] == "expr" and not c[1] and c[2] == "%s"
                 else c for _, c in cells]
 
+    # a scalar output's seed is one baked ``np.float64``: immutable, so no
+    # alias of it can be written in place
     out_box = low.where[id(out)][0]
-    backward_units: List[_Unit] = [
-        _assign(out_box.gvar, (f"np.ones({_lit(tuple(out.data.shape))})", ()))]
+    backward_units: List[_Unit] = [_assign(out_box.gvar, (
+        ("%s", (low.const(np.float64(1.0)),)) if not out.data.shape
+        else (f"np.ones({_lit(tuple(out.data.shape))})", ())))]
     with np.errstate(all="ignore"):
         for box in reversed(boxes):
             if box is not out_box:
@@ -1437,11 +1497,10 @@ def _lower_traced(out, root, recorded, z0: np.ndarray) -> CompiledTape:
                     if id(parent) not in low.dynamic:
                         continue                    # dead gradient: eliminated
                     stmts, (template, operands) = low.backward_exprs(node, j, box.gvar)
-                    # static unbroadcast specialization: the traced shapes
-                    # tell us whether the reduction is the identity
-                    if low.contrib_shape(node, bfn, parent) != parent.data.shape:
-                        template = (f"unbroadcast({template}, "
-                                    f"{_lit(tuple(parent.data.shape))})")
+                    # static unbroadcast: the traced shapes fix its reductions
+                    shape = low.contrib_shape(node, bfn, parent)
+                    if shape != parent.data.shape:
+                        template = low.reduced(template, shape, parent.data.shape)
                     push(parent, (oidx[id(node)], j), ("expr", stmts, template, operands))
             elif box.kind == "group":
                 rep, n = box.members[0], len(box.members)
@@ -1465,12 +1524,25 @@ def _lower_traced(out, root, recorded, z0: np.ndarray) -> CompiledTape:
                         if id(link.parents[j]) in low.dynamic:
                             push(link.parents[j], (oidx[id(link)], j),
                                  ("name", box.gvar))
-    root_stream = stream(root)
-    if root_stream:
-        backward_units.extend(low.accumulate("gz", [root_stream], z0.shape, False))
-    backward_units.append(_assign(
-        "grad", ("np.zeros_like(%s) + %s", ("z", "gz")) if root_stream
-        else ("np.zeros_like(%s)", ("z",)), inlinable=False))
+    # The input gradient.  When every contribution is a lone read of cells
+    # no other read shares, each read stores its ``0.0 + g`` into one zero
+    # array: ``np.add.at`` on zeros stores the same ``0.0 + g``, which is
+    # never ``-0.0``, so the ``+ 0.0`` of every fold it skips is the identity.
+    readers = [low.order[key[0]] for key, _ in sorted(contribs.get(id(root), ()),
+                                                      key=lambda kc: kc[0])]
+    if readers and low.disjoint_reads(readers, z0.shape):
+        del contribs[id(root)]
+        stores = [_Stmt("grad", "0.0 + %s", (low.where[id(node)][0].gvar,),
+                        index=low.const(node.op_ctx[0])) for node in readers]
+        backward_units.append(_Unit("grad", [_Stmt("grad", f"np.zeros({_lit(z0.shape)})", ())]
+                                    + stores, inlinable=False))
+    else:
+        root_stream = stream(root)
+        if root_stream:
+            backward_units.extend(low.accumulate("gz", [root_stream], z0.shape, False))
+        backward_units.append(_assign(
+            "grad", ("np.zeros_like(%s) + %s", ("z", "gz")) if root_stream
+            else ("np.zeros_like(%s)", ("z",)), inlinable=False))
     if contribs:  # pragma: no cover - emitter bug guard
         raise TapeCompilationError("gradient contributions left unaccumulated")
 

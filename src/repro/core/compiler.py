@@ -305,20 +305,19 @@ class ConditionedModel:
           :class:`~repro.smc.StreamingFit`, whose ``extend(new_data)``
           absorbs new observations without refitting.
         """
-        key = str(method).lower().strip()
-        if key == "nuts":
+        if method == "nuts":
             return self._fit_mcmc("nuts", **kwargs)
-        if key == "hmc":
+        if method == "hmc":
             return self._fit_mcmc("hmc", **kwargs)
-        if key == "vi":
+        if method == "vi":
             return self._fit_vi(**kwargs)
-        if key == "svi":
+        if method == "svi":
             kwargs.setdefault("guide", "explicit")
             kwargs.setdefault("learning_rate", 0.01)
             return self._fit_vi(**kwargs)
-        if key == "importance":
+        if method == "importance":
             return self._fit_importance(**kwargs)
-        if key == "smc":
+        if method == "smc":
             return self._fit_smc(**kwargs)
         raise ValueError(f"unknown fit method {method!r}; expected one of {FIT_METHODS}")
 
@@ -394,7 +393,7 @@ class ConditionedModel:
                 explicit = True
             else:
                 guide = "auto_normal"
-        elif isinstance(guide, str) and guide.lower() == "explicit":
+        elif guide == "explicit":
             explicit = True
         elif callable(guide) and not isinstance(guide, AutoGuide):
             explicit = True

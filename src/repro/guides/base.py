@@ -176,9 +176,8 @@ def autoguide_names() -> List[str]:
 
 def get_autoguide(name: str, **kwargs) -> AutoGuide:
     """Instantiate an autoguide family by name (``auto_normal``, ...)."""
-    key = name.lower().strip()
-    if key not in _REGISTRY:
+    if name not in _REGISTRY:
         raise ValueError(
             f"unknown guide family {name!r}; expected one of {sorted(_REGISTRY)}"
         )
-    return _REGISTRY[key](**kwargs)
+    return _REGISTRY[name](**kwargs)

@@ -31,9 +31,30 @@ from repro.autodiff.tensor import Tensor
 def interpreted(fn, z):
     """Oracle: the same function through the interpreted tape."""
     root = Tensor(np.asarray(z, dtype=float), requires_grad=True)
-    out = fn(root)
-    out.backward(np.ones(out.shape))
+    with np.errstate(all="ignore"):
+        out = fn(root)
+        out.backward(np.ones(out.shape))
     return out.data, root.grad
+
+
+def same(a, b):
+    """Bitwise equality: shape, dtype and bytes, so ``-0.0`` differs from
+    ``0.0`` and a NaN equals the same NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def probes(z0, offsets):
+    """``z0`` shifted by each offset, then ``z0`` with every third cell set to
+    ``0.0`` / ``-0.0``, to ``inf`` / ``-inf`` and to NaN, so values pass
+    through signed zeros, infinities and NaNs."""
+    yield from (z0 + dz for dz in offsets)
+    for specials in ((0.0, -0.0), (np.inf, -np.inf), (np.nan,)):
+        z = np.array(z0, dtype=float)
+        flat = z.reshape(-1)
+        for k, value in enumerate(specials):
+            flat[k::3] = value
+        yield z
 
 
 def mixed_fn(t):
@@ -164,18 +185,48 @@ def test_getitem_single_cell_gradient_matches_add_at():
                        ops.getitem(t, (slice(1, 4),)).sum())
 
     tape = compile_tape(fn, Z0)
-    v_c, g_c = tape.value_and_grad(Z0)
-    v_i, g_i = interpreted(fn, Z0)
-    assert np.array_equal(v_c, v_i) and np.array_equal(g_c, g_i)
+    for z in probes(Z0, (0.0,)):
+        v_c, g_c = tape.value_and_grad(z)
+        v_i, g_i = interpreted(fn, z)
+        assert same(v_c, v_i) and same(g_c, g_i), z
+    # the reads overlap, so the input gradient keeps its fold of
+    # per-read arrays instead of disjoint stores into one
+    assert "np.zeros_like(z) + gz" in tape.source
+
+
+def every_rule(t):
+    """A graph in which every cheap-idiom rule of the emitter fires."""
+    mu = ops.reshape(ops.getitem(t, slice(0, 1)), ())   # one cell: ``z[0]``
+    v = ops.getitem(t, slice(1, 5))                     # disjoint reads of z
+    w = ops.getitem(t, slice(5, 7))
+    s0 = ops.sum_(mu)                                   # 0-d sum: ``x + 0.0``
+    s1 = ops.sum_(ops.mul(v, ops.exp(mu)))              # add.reduce, np.full,
+    s2 = ops.mean(ops.softmax(w))                       # static unbroadcast
+    p = ops.pow_(ops.exp(mu), ops.mul(ops.getitem(w, 0), 0.5))  # np.power
+    return ops.add(ops.add(ops.add(s0, s1), s2), p)     # scalar: baked seed
 
 
 def test_compiled_tape_is_reusable_and_stateless():
-    tape = compile_tape(mixed_fn, Z0)
+    tape = compile_tape(every_rule, Z0)
     assert isinstance(tape, CompiledTape)
+    for idiom in ("np.add.reduce(", "np.maximum.reduce(", "np.full(", "z[0]",
+                  "grad = np.zeros((7,))", "np.power("):
+        assert idiom in tape.source, idiom
+    assert re.search(r"\(v\d+ \+ 0\.0\)", tape.source), tape.source
+    for idiom in ("np.sum(", "np.max(", "np.broadcast_to(", "unbroadcast(",
+                  "np.zeros_like(", "np.add.at(", "np.ones(", "**"):
+        assert idiom not in tape.source, idiom
     first = tape.value_and_grad(Z0)
+    kept = [np.array(out) for out in first]
     second = tape.value_and_grad(Z0)
-    assert np.array_equal(first[0], second[0])
-    assert np.array_equal(first[1], second[1])
+    assert same(first[0], second[0]) and same(first[1], second[1])
+    assert second[1] is not first[1]
+    # writing into a returned gradient leaves later calls alone
+    first[1][...] = 7.0
+    third = tape.value_and_grad(Z0)
+    v_i, g_i = interpreted(every_rule, Z0)
+    for v, g in (kept, second, third):
+        assert same(v, v_i) and same(g, g_i)
 
 
 # ----------------------------------------------------------------------
@@ -287,13 +338,12 @@ LOWERING_CASES = {
 def test_each_lowered_op_is_bitwise_interpreted(case):
     fn = LOWERING_CASES[case]
     tape = compile_tape(fn, Z_POS)
-    for dz in (0.0, 0.11, -0.19):
-        z = Z_POS + dz
+    for z in probes(Z_POS, (0.0, 0.11, -0.19)):
         v_c, g_c = tape.value_and_grad(z)
         v_i, g_i = interpreted(fn, z)
-        assert np.array_equal(v_c, v_i), (case, dz)
-        assert np.array_equal(g_c, g_i), (case, dz)
-        assert np.array_equal(tape.value(z), v_i), (case, dz)
+        assert same(v_c, v_i), (case, z)
+        assert same(g_c, g_i), (case, z)
+        assert same(tape.value(z), v_i), (case, z)
     if case == "long-chain":
         # the fused expression outgrows MAX_INLINE_LEN, so the chain is
         # materialized in pieces instead of one unbounded line
@@ -489,13 +539,12 @@ SUPERWORD_CASES = {
 def test_superword_groups_are_bitwise_interpreted(case, z0):
     fn = SUPERWORD_CASES[case]
     tape = compile_tape(fn, z0)
-    for dz in (0.0, 0.13, -0.21):
-        z = z0 + dz
+    for z in probes(z0, (0.0, 0.13, -0.21)):
         v_c, g_c = tape.value_and_grad(z)
         v_i, g_i = interpreted(fn, z)
-        assert np.array_equal(v_c, v_i), (case, dz)
-        assert np.array_equal(g_c, g_i), (case, dz)
-        assert np.array_equal(tape.value(z), v_i), (case, dz)
+        assert same(v_c, v_i), (case, z)
+        assert same(g_c, g_i), (case, z)
+        assert same(tape.value(z), v_i), (case, z)
     if case != "copies-1":
         assert tape.stats.groups >= 1 and tape.stats.grouped > tape.stats.groups
 
@@ -506,6 +555,110 @@ def test_program_length_does_not_grow_with_copies(z0):
              for n in (1, 2, 7, 8, 9, 64)}
     assert len({lines[n] for n in (2, 7, 8, 9, 64)}) == 1, lines
     assert lines[1] <= lines[2], lines
+
+
+# ----------------------------------------------------------------------
+# cheap idioms: each rule emits a cheaper form of the same bits
+# ----------------------------------------------------------------------
+def block(t, a, b):
+    """Parameters ``a`` to ``b - 1``, read as ``Potential.unpack`` (single)
+    or ``unpack_batched`` (batched: one row per chain) reads a site."""
+    return ops.getitem(t, slice(a, b) if t.ndim == 1 else (slice(None), slice(a, b)))
+
+
+def scalar(t, k):
+    """Parameter ``k`` as ``unpack`` reads a scalar site: a one-cell slice
+    reshaped to ``()`` (the batched read keeps its ``(3, 1)`` column)."""
+    cell = block(t, k, k + 1)
+    return ops.reshape(cell, ()) if t.ndim == 1 else cell
+
+
+def per_row(y):
+    """Sum the last axis: one value (single) or one per chain (batched)."""
+    return ops.sum_(y, axis=-1)
+
+
+#: rule -> (graph, input ranks it applies to, idioms the program no longer
+#: contains, idioms it contains instead)
+RULES = {
+    "reduce-ufunc": (
+        lambda t: per_row(ops.add(ops.softmax(block(t, 0, 6)),
+                                  ops.log_softmax(block(t, 6, 12)))),
+        (1, 2), ("np.sum(", "np.max("), ("np.add.reduce(", "np.maximum.reduce(")),
+    # the 0-d sum's sign reaches the output through the product
+    "zero-d-sum": (
+        lambda t: ops.mul(ops.sum_(scalar(t, 1)), per_row(block(t, 2, 5))),
+        (1,), ("np.sum(",), ("+ 0.0)",)),
+    "sum-mean-vjp": (
+        lambda t: per_row(ops.mul(ops.mean(block(t, 0, 6), axis=-1, keepdims=True),
+                                  ops.exp(block(t, 6, 12)))),
+        (1, 2), ("np.broadcast_to(", ".copy()"), ("np.full(",)),
+    "static-unbroadcast": (
+        lambda t: per_row(ops.mul(block(t, 0, 6), ops.exp(scalar(t, 7)))),
+        (1, 2), ("unbroadcast(",), ("np.add.reduce(",)),
+    "input-gradient": (
+        lambda t: per_row(ops.mul(ops.exp(block(t, 0, 5)), block(t, 5, 10))),
+        (1, 2), ("np.add.at(", "np.zeros_like(", "gz"), ("grad = np.zeros(", "grad[_c[")),
+    "one-cell-reshape": (
+        lambda t: ops.mul(ops.exp(scalar(t, 3)), per_row(block(t, 4, 8))),
+        (1,), ("np.reshape(z[",), ("z[3]",)),
+    "scalar-seed": (
+        lambda t: per_row(ops.exp(block(t, 0, 12))),
+        (1,), ("np.ones(",), ()),
+    "power": (
+        lambda t: ops.pow_(ops.exp(scalar(t, 0)), ops.mul(scalar(t, 1), 0.5)),
+        (1, 2), ("**",), ("np.power(",)),
+}
+
+
+@pytest.mark.parametrize("rule,z0", [
+    pytest.param(rule, z0, id=f"{rule}-{label}")
+    for rule, (_, ranks, _, _) in RULES.items()
+    for z0, label in ((Z_SINGLE, "single"), (Z_BATCHED, "batched-3")) if z0.ndim in ranks])
+def test_each_cheap_idiom_rule_is_bitwise_interpreted(rule, z0):
+    fn, _, old, new = RULES[rule]
+    tape = compile_tape(fn, z0)
+    for idiom in old:
+        assert idiom not in tape.source, (rule, idiom, tape.source)
+    for idiom in new:
+        assert idiom in tape.source, (rule, idiom, tape.source)
+    # 0.17 and -0.04 are points where NumPy's scalar ``**`` (C ``pow``) and
+    # its array loop round one of the single program's powers differently
+    for z in probes(z0, (0.0, 0.17, -0.04)):
+        v_c, g_c = tape.value_and_grad(z)
+        v_i, g_i = interpreted(fn, z)
+        assert same(v_c, v_i) and same(g_c, g_i), (rule, z)
+        assert same(tape.value(z), v_i), (rule, z)
+    if rule == "scalar-seed":
+        assert any(type(c) is np.float64 and c == 1.0 for c in tape._consts)
+
+
+def test_table5_programs_use_only_the_cheap_idioms(monkeypatch):
+    """The four Table 5 models' gradient programs keep none of the idioms
+    whose fixed per-call price the rules remove."""
+    from repro import compile_model
+    from repro.corpus import models
+    from repro.infer import potential as potential_module
+    from repro.posteriordb import datagen
+
+    tapes = []
+    real_compile = potential_module.compile_tape
+
+    def capture(fn, z0, **kwargs):
+        tapes.append(real_compile(fn, z0, **kwargs))
+        return tapes[-1]
+
+    monkeypatch.setattr(potential_module, "compile_tape", capture)
+    for name, data in (("eight_schools_centered", datagen.eight_schools_data),
+                       ("kidscore_momiq", datagen.kidiq_data),
+                       ("arK", datagen.ar_data), ("garch11", datagen.garch_data)):
+        potential = compile_model(models.get(name)).condition(data(1)).potential(0)
+        potential.potential_and_grad(potential.initial_unconstrained())
+        assert potential.metrics_view()["tape_modes"]["single"] == "fast", name
+    assert len(tapes) == 4
+    for tape in tapes:
+        for idiom in ("np.broadcast_to(", "unbroadcast(", "np.zeros_like("):
+            assert idiom not in tape.source, (idiom, tape.source)
 
 
 def test_add_chain_collapses_to_a_strict_left_fold():
@@ -555,10 +708,10 @@ def test_gathered_gradient_cap_folds_with_add(monkeypatch, case, z0):
     # past the cap no gradient is gathered into one array: every stream
     # folds with ``+``, and the results stay bitwise
     assert backward_folds(tape) == 0
-    for dz in (0.0, 0.13):
-        v_c, g_c = tape.value_and_grad(z0 + dz)
-        v_i, g_i = interpreted(fn, z0 + dz)
-        assert np.array_equal(v_c, v_i) and np.array_equal(g_c, g_i), (case, dz)
+    for z in probes(z0, (0.0, 0.13)):
+        v_c, g_c = tape.value_and_grad(z)
+        v_i, g_i = interpreted(fn, z)
+        assert same(v_c, v_i) and same(g_c, g_i), (case, z)
 
 
 def test_cell_reads_scatter_in_linear_memory():

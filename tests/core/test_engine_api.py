@@ -124,6 +124,20 @@ def test_one_spelling_per_option():
         np.testing.assert_array_equal(default[key], flat[key])
 
 
+def test_names_match_exactly():
+    """Method and guide names resolve only as written: no case-folding or
+    stripping gives a name a second spelling."""
+    from repro.guides import get_autoguide
+
+    with pytest.raises(ValueError, match="unknown guide family"):
+        get_autoguide("AUTO_NORMAL ")
+    conditioned = compile_model(SOURCE, name="exact_names").condition(DATA)
+    with pytest.raises(ValueError, match="unknown fit method"):
+        conditioned.fit("NUTS")
+    with pytest.raises(ValueError, match="unknown guide family"):
+        conditioned.fit("vi", guide="Explicit", num_steps=1)
+
+
 # ----------------------------------------------------------------------
 # threading through compile_model / ConditionedModel / Potential
 # ----------------------------------------------------------------------
